@@ -6,7 +6,10 @@
 // confirmation lag that grows with the drop probability as timed-out
 // submissions are retried.
 //
-// Emits one JSON row per drop rate (JSON Lines) for plotting.
+// Emits one JSON row per drop rate (JSON Lines) for plotting. A forest
+// arm repeats the sweep against a two-shard engine, whose aggregator
+// lands one forest root per round through the same submitter; it must
+// lose nothing at any rate either.
 //
 // A second phase runs the sharded crash-recovery scenario: a journaled
 // two-shard deployment acks entries and closes an epoch, "crashes"
@@ -159,6 +162,89 @@ bool RunShardedCrashRecovery(const std::string& json_out) {
   return zero_loss;
 }
 
+/// The drop-rate sweep against the forest stream. Returns true when every
+/// round's batch proves into an epoch the chain recorded, at every rate.
+bool RunForestDropSweep(const std::vector<double>& drop_rates) {
+  PrintHeader("Fault resilience: forest stage-2 confirmation vs drop rate");
+  bool zero_loss = true;
+  for (double drop : drop_rates) {
+    ShardedDeploymentConfig config;
+    config.engine.num_shards = 2;
+    config.engine.node.batch_size = kBatch;
+    config.engine.node.worker_threads = 4;
+    config.engine.node.verify_client_signatures = false;
+    config.chain.faults.drop_probability = drop;
+    config.chain.faults.seed = 0xF0E5 + static_cast<uint64_t>(drop * 1000.0);
+    config.engine_funding = EthToWei(1'000'000);
+    auto made = ShardedDeployment::Create(config);
+    if (!made.ok()) std::abort();
+    auto d = std::move(made).value();
+    EpochRootAggregator* agg = d->engine().aggregator();
+    KeyPair publisher = KeyPair::FromSeed(0xC11E);
+    uint64_t seq = 0;
+
+    std::vector<std::pair<TenantId, Stage1Response>> acked;
+    uint64_t lag_blocks_total = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      auto kvs = MakeWorkload(kBatch, kDefaultValueSize, kDefaultKeySize,
+                              /*seed=*/1000 + round);
+      std::vector<AppendRequest> batch;
+      for (const auto& [k, v] : kvs) {
+        batch.push_back(AppendRequest::Make(publisher, seq++, k, v));
+      }
+      const TenantId tenant = static_cast<TenantId>(round);
+      auto responses = d->engine().Append(tenant, batch);
+      if (!responses.ok()) std::abort();
+      acked.emplace_back(tenant, responses->front());
+      // Blocks until the round's epoch closes and its root is past the
+      // confirmation depth — retries included.
+      uint64_t blocks = 0;
+      do {
+        d->AdvanceBlocks(1);
+        ++blocks;
+      } while ((agg->epochs_unconfirmed() > 0 || agg->staged_count() > 0) &&
+               blocks < kMaxBlocksPerRound);
+      lag_blocks_total += blocks;
+    }
+
+    uint64_t committed = 0;
+    for (const auto& [tenant, response] : acked) {
+      auto proof = d->engine().ProveAggregation(tenant, response.index.log_id);
+      if (!proof.ok()) continue;
+      PublisherClient client = d->MakePublisher(tenant);
+      auto check = client.CheckForestCommit(*proof);
+      if (client.VerifyAggregation(response, *proof) && check.ok() &&
+          *check == CommitCheck::kBlockchainCommitted) {
+        ++committed;
+      }
+    }
+    const bool lossless = committed == acked.size();
+    zero_loss = zero_loss && lossless;
+
+    Stage2SubmitterStats stats = agg->stage2_submitter().stats();
+    MetricsSnapshot snap = d->telemetry().metrics.Snapshot();
+    JsonRow row =
+        MakeRow("fault_resilience_forest", config.chain.faults.seed, kBatch);
+    StampFaults(row, config.chain.faults);
+    row.Field("drop_probability", drop)
+        .Field("rounds", static_cast<uint64_t>(kRounds))
+        .Field("confirm_lag_blocks_avg",
+               static_cast<double>(lag_blocks_total) / kRounds)
+        .Field("injected_txs_dropped",
+               snap.CounterValue("wedge.faults.txs_dropped"))
+        .Field("observed_txs_timed_out", stats.txs_timed_out)
+        .Field("observed_txs_reverted", stats.txs_reverted)
+        .Field("forest_txs", snap.CounterValue("wedge.engine.forest_txs"))
+        .Field("forest_tx_retries",
+               snap.CounterValue("wedge.engine.forest_tx_retries"))
+        .Field("epochs_confirmed", agg->epochs_confirmed())
+        .Field("batches_committed", committed)
+        .Field("zero_loss", std::string(lossless ? "true" : "false"));
+    row.Print();
+  }
+  return zero_loss;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -169,7 +255,7 @@ int Main(int argc, char** argv) {
     if (std::string(argv[i]) == "--chaos-json") chaos_json = argv[i + 1];
   }
 
-  const double kDropRates[] = {0.0, 0.05, 0.10, 0.15, 0.20};
+  const std::vector<double> kDropRates = {0.0, 0.05, 0.10, 0.15, 0.20};
   bool first_rate = true;
   for (double drop : kDropRates) {
     DeploymentConfig config;
@@ -238,7 +324,9 @@ int Main(int argc, char** argv) {
       "per retry); digests_confirmed equals rounds at every rate — no "
       "root is ever lost.\n");
 
-  return RunShardedCrashRecovery(chaos_json) ? 0 : 1;
+  const bool forest_ok = RunForestDropSweep(kDropRates);
+  const bool chaos_ok = RunShardedCrashRecovery(chaos_json);
+  return forest_ok && chaos_ok ? 0 : 1;
 }
 
 }  // namespace bench

@@ -42,6 +42,8 @@ OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
   next_log_id_ = store_->Size();
   next_commit_id_ = next_log_id_;
   next_enqueue_id_ = next_log_id_;
+  next_handoff_ = next_log_id_;
+  if (chain_ != nullptr) sink_ = &submitter_;
 }
 
 Result<std::vector<Stage1Response>> OffchainNode::Append(
@@ -208,8 +210,7 @@ Result<std::vector<Stage1Response>> OffchainNode::SealBatch(
   }
   // Durability wait OUTSIDE the ticket: every concurrent sealer parks
   // here and a group-commit store amortizes one sync across all of them.
-  // Nothing downstream — the stage-2 enqueue below, the client ack, the
-  // epoch aggregator (which only sees durable positions via Size()) —
+  // Nothing downstream — the root hand-off below, the client ack —
   // happens before this returns: a root the chain commits must never be
   // one a crash can still revoke, or a restart would reuse the log id
   // for a different batch and hand out punishable "equivocation".
@@ -217,12 +218,12 @@ Result<std::vector<Stage1Response>> OffchainNode::SealBatch(
     commit_status = store_->WaitDurable(durable_token);
   }
   {
-    // The submitter must see roots in log order; the seal ticket is long
-    // gone, so enqueueing holds a ticket of its own. Advances on failure
-    // for the same no-deadlock reason.
+    // The sink must see roots in log order; the seal ticket is long
+    // gone, so handing over holds a ticket of its own. Advances on
+    // failure for the same no-deadlock reason.
     std::unique_lock<std::mutex> lock(enqueue_mu_);
     enqueue_cv_.wait(lock, [&] { return next_enqueue_id_ == log_id; });
-    if (commit_status.ok()) {
+    if (commit_status.ok() && sink_ != nullptr) {
       Hash256 stage2_root = shared_tree->Root();
       if (byzantine_mode_.load(std::memory_order_relaxed) ==
           ByzantineMode::kEquivocateRoot) {
@@ -230,7 +231,13 @@ Result<std::vector<Stage1Response>> OffchainNode::SealBatch(
         // different one for blockchain commitment.
         stage2_root[0] ^= 0xFF;
       }
-      commit_status = submitter_.Enqueue(log_id, stage2_root);
+      // Roots stored before a restart that the sink has not seen go
+      // first, so it never sees a gap.
+      commit_status = HandOffLocked(log_id).status();
+      if (commit_status.ok()) {
+        commit_status = sink_->TakeRoot(config_.shard_id, log_id, stage2_root);
+      }
+      if (commit_status.ok()) next_handoff_ = log_id + 1;
     }
     ++next_enqueue_id_;
     enqueue_cv_.notify_all();
@@ -299,12 +306,6 @@ Result<TxId> OffchainNode::CommitPendingDigests() {
     submitter_.DiscardUnsubmitted();
     return Status::NotFound("stage-2 omitted (byzantine)");
   }
-  if (submitter_.UnsubmittedDigests() == 0) {
-    return Status::NotFound("no pending digests");
-  }
-  if (chain_ == nullptr) {
-    return Status::FailedPrecondition("no blockchain attached");
-  }
   return submitter_.SubmitPending();
 }
 
@@ -322,30 +323,41 @@ std::vector<TxId> OffchainNode::Stage2TxIds() const {
 
 void OffchainNode::Stage2Tick() { submitter_.Tick(); }
 
+Status OffchainNode::SetRootSink(RootSink* sink) {
+  std::lock_guard<std::mutex> lock(enqueue_mu_);
+  sink_ = sink;
+  return sink_ == nullptr ? Status::Ok() : ResumeFromSinkLocked();
+}
+
 Result<uint64_t> OffchainNode::Recover() {
-  if (chain_ == nullptr) {
-    return Status::FailedPrecondition("no blockchain attached");
+  std::lock_guard<std::mutex> lock(enqueue_mu_);
+  if (sink_ == nullptr) {
+    return Status::FailedPrecondition("no root sink attached");
   }
-  if (submitter_.UncommittedDigests() != 0) {
-    return Status::FailedPrecondition(
-        "recovery requires a fresh (empty) stage-2 journal");
-  }
-  WEDGE_ASSIGN_OR_RETURN(Bytes out,
-                         chain_->Call(root_record_address_, "tailIdx", {}));
-  ByteReader reader(out);
-  WEDGE_ASSIGN_OR_RETURN(uint64_t tail, reader.ReadU64());
-  uint64_t local_tail = store_->Size();
-  if (tail > local_tail) {
+  WEDGE_RETURN_IF_ERROR(ResumeFromSinkLocked());
+  // Every position whose hand-off turn has passed is durable; the sink
+  // takes those it is missing and the normal pipeline commits them.
+  return HandOffLocked(next_enqueue_id_);
+}
+
+Status OffchainNode::ResumeFromSinkLocked() {
+  WEDGE_ASSIGN_OR_RETURN(uint64_t next, sink_->NextRoot(config_.shard_id));
+  if (next > next_enqueue_id_) {
     return Status::Internal(
-        "on-chain tail ahead of the local log: store lost data");
+        "root sink ahead of the local log: store lost data");
   }
-  // Re-journal every position sealed before the crash that the chain has
-  // not committed; the normal pipeline resubmits and confirms them.
-  for (uint64_t id = tail; id < local_tail; ++id) {
-    WEDGE_ASSIGN_OR_RETURN(Hash256 root, store_->GetRoot(id));
-    WEDGE_RETURN_IF_ERROR(submitter_.Enqueue(id, root));
+  next_handoff_ = next;
+  return Status::Ok();
+}
+
+Result<uint64_t> OffchainNode::HandOffLocked(uint64_t end) {
+  uint64_t handed = 0;
+  for (; next_handoff_ < end; ++next_handoff_, ++handed) {
+    WEDGE_ASSIGN_OR_RETURN(Hash256 root, store_->GetRoot(next_handoff_));
+    WEDGE_RETURN_IF_ERROR(
+        sink_->TakeRoot(config_.shard_id, next_handoff_, root));
   }
-  return local_tail - tail;
+  return handed;
 }
 
 void OffchainNode::CacheTreeLocked(uint64_t log_id,
@@ -563,12 +575,6 @@ Result<uint32_t> OffchainNode::PositionEntryCount(uint64_t log_id) const {
   // Index-backed (LogStore::GetEntryCount), so a garbage-collected
   // position still answers and aggregation never stalls on GC.
   return store_->GetEntryCount(log_id);
-}
-
-Result<Hash256> OffchainNode::PositionRoot(uint64_t log_id) const {
-  // Index-backed for the same reason — and the epoch aggregator polls
-  // this for every new position, so skipping the payload read matters.
-  return store_->GetRoot(log_id);
 }
 
 OffchainNodeStats OffchainNode::stats() const {

@@ -81,8 +81,10 @@ struct OffchainNodeStats {
 
 /// The Offchain Node (paper §4.3): ingests append requests in batches,
 /// builds a Merkle tree per batch, persists the log position, returns
-/// signed stage-1 responses, and lazily commits batch digests to the Root
-/// Record contract (stage-2) — the LMT protocol.
+/// signed stage-1 responses, and hands each durable batch root to one
+/// RootSink for lazy commitment to the Root Record contract (stage-2) —
+/// the LMT protocol. The sink is the node's own Stage2Submitter if it
+/// has a chain, or whatever SetRootSink installs.
 ///
 /// Thread-compatible: Append/Read may be called from multiple client
 /// threads; internal state is mutex-protected and crypto work fans out to
@@ -151,6 +153,10 @@ class OffchainNode {
 
   /// --- Stage 2 (lazy blockchain commitment) ---
 
+  /// Replaces the root sink (null = none) and resumes handing roots over
+  /// from the sink's NextRoot. Call before the node seals anything.
+  Status SetRootSink(RootSink* sink);
+
   /// Submits one updateRecords transaction covering all pending digests.
   /// Returns the TxId, or NotFound when nothing is pending. The digests
   /// stay journaled in the submitter until a confirmed receipt covers
@@ -169,11 +175,10 @@ class OffchainNode {
   /// Direct access for tests and experiment harnesses.
   Stage2Submitter* stage2_submitter() { return &submitter_; }
 
-  /// Crash recovery: reconciles the local log tail against the on-chain
-  /// Root Record tail and re-journals every locally-sealed position the
-  /// chain does not know about yet. Returns the number of re-enqueued
-  /// digests. Call on a freshly constructed node (empty journal) whose
-  /// store was reopened from disk.
+  /// Crash recovery: asks the sink where it stands (RootSink::NextRoot)
+  /// and hands it every durable root from there on. Returns the number
+  /// handed over. Idempotent, and cheap once the sink has caught up; call
+  /// it on a node reopened over an existing store.
   Result<uint64_t> Recover();
 
   /// --- Introspection ---
@@ -184,10 +189,6 @@ class OffchainNode {
   LogStore& store() { return *store_; }
   /// Number of entries stored at a log position.
   Result<uint32_t> PositionEntryCount(uint64_t log_id) const;
-  /// Sealed Merkle root at a log position (the MRoot the store persisted).
-  /// Used by the epoch aggregator to collect shard roots without going
-  /// through the stage-2 journal.
-  Result<Hash256> PositionRoot(uint64_t log_id) const;
   OffchainNodeStats stats() const;
   const OffchainNodeConfig& config() const { return config_; }
   /// The node's metrics/trace sink (injected or privately owned).
@@ -201,6 +202,12 @@ class OffchainNode {
   /// Seals `batch` into a log position and produces signed responses.
   Result<std::vector<Stage1Response>> SealBatch(
       std::vector<AppendRequest> batch);
+
+  /// Resumes from the sink's NextRoot. Caller holds enqueue_mu_.
+  Status ResumeFromSinkLocked();
+  /// Hands the sink every stored root in [next_handoff_, end). Caller
+  /// holds enqueue_mu_. Returns the number handed over.
+  Result<uint64_t> HandOffLocked(uint64_t end);
 
   /// Returns the Merkle tree for a stored position (cache or rebuild).
   Result<std::shared_ptr<MerkleTree>> TreeFor(uint64_t log_id);
@@ -274,13 +281,18 @@ class OffchainNode {
   std::condition_variable seal_cv_;
   uint64_t next_commit_id_ = 0;
 
-  /// Stage-2 ordering ticket: the submitter must see roots in log order,
-  /// and enqueueing happens after the durability wait (a root the chain
+  /// Hand-off ordering ticket: the sink must see roots in log order, and
+  /// handing over happens after the durability wait (a root the chain
   /// commits must never be one a crash can revoke), i.e. outside the
-  /// seal ticket — so the enqueue order needs a ticket of its own.
+  /// seal ticket — so the hand-off order needs a ticket of its own.
   std::mutex enqueue_mu_;
   std::condition_variable enqueue_cv_;
   uint64_t next_enqueue_id_ = 0;
+  /// Guarded by enqueue_mu_: where roots go, and the next log id the
+  /// sink expects (a fresh node assumes its sink has everything stored;
+  /// SetRootSink and Recover ask the sink).
+  RootSink* sink_ = nullptr;
+  uint64_t next_handoff_ = 0;
 };
 
 }  // namespace wedge

@@ -3,53 +3,75 @@
 #include <algorithm>
 
 #include "common/bytes.h"
-#include "contracts/root_record.h"
 
 namespace wedge {
 
 Stage2Submitter::Stage2Submitter(const Stage2SubmitterConfig& config,
                                  Blockchain* chain, const Address& sender,
                                  const Address& root_record_address,
-                                 Telemetry* telemetry)
+                                 Telemetry* telemetry,
+                                 const Stage2Stream& stream)
     : config_(config),
+      stream_(stream),
       chain_(chain),
       sender_(sender),
       root_record_address_(root_record_address),
       telemetry_(telemetry) {
   if (telemetry_ != nullptr) {
     MetricsRegistry& m = telemetry_->metrics;
-    submitted_counter_ = m.GetCounter("wedge.stage2.txs_submitted");
-    confirmed_counter_ = m.GetCounter("wedge.stage2.txs_confirmed");
-    retried_counter_ = m.GetCounter("wedge.stage2.txs_retried");
-    timed_out_counter_ = m.GetCounter("wedge.stage2.txs_timed_out");
-    reverted_counter_ = m.GetCounter("wedge.stage2.txs_reverted");
-    digests_confirmed_counter_ = m.GetCounter("wedge.stage2.digests_confirmed");
-    confirm_lag_us_hist_ = m.GetHistogram("wedge.stage2.confirm_lag_us");
-    confirm_lag_blocks_hist_ = m.GetHistogram("wedge.stage2.confirm_lag_blocks");
+    auto name = [&](std::string s) { return stream_.metric_prefix + s; };
+    submitted_counter_ = m.GetCounter(stream_.submitted_metric);
+    confirmed_counter_ = m.GetCounter(name("txs_confirmed"));
+    retried_counter_ = m.GetCounter(stream_.retried_metric);
+    timed_out_counter_ = m.GetCounter(name("txs_timed_out"));
+    reverted_counter_ = m.GetCounter(name("txs_reverted"));
+    digests_confirmed_counter_ = m.GetCounter(name("digests_confirmed"));
+    confirm_lag_us_hist_ = m.GetHistogram(name("confirm_lag_us"));
+    confirm_lag_blocks_hist_ = m.GetHistogram(name("confirm_lag_blocks"));
   }
 }
 
-Status Stage2Submitter::Enqueue(uint64_t log_id, const Hash256& root) {
+Status Stage2Submitter::Enqueue(uint64_t id, const Hash256& root,
+                                uint32_t leaves) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!journal_.empty() && log_id != journal_.back().log_id + 1) {
+  if (!journal_.empty() && id != journal_.back().log_id + 1) {
     return Status::InvalidArgument("stage-2 journal gap: non-contiguous id");
   }
   JournalEntry entry;
-  entry.log_id = log_id;
+  entry.log_id = id;
   entry.root = root;
+  entry.leaves = leaves;
   if (chain_ != nullptr) {
     entry.enqueued_at = chain_->clock()->NowMicros();
     entry.enqueued_block = chain_->HeadNumber();
   }
   journal_.push_back(entry);
-  if (telemetry_ != nullptr) {
-    telemetry_->tracer.Event(log_id, trace_stage::kStage2Enqueued);
+  if (telemetry_ != nullptr && stream_.slot_spans) {
+    telemetry_->tracer.Event(id, trace_stage::kStage2Enqueued);
   }
   return Status::Ok();
 }
 
+Result<uint64_t> Stage2Submitter::NextRoot(uint32_t /*shard_id*/) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!journal_.empty()) return journal_.back().log_id + 1;
+  if (chain_ == nullptr) {
+    return Status::FailedPrecondition("no blockchain attached");
+  }
+  return ChainTailLocked();
+}
+
 Result<TxId> Stage2Submitter::SubmitPending() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (retry_pending_) {
+    return Status::NotFound("unsent roots wait for the scheduled retry");
+  }
+  if (chain_ != nullptr && in_flight_.empty() && !journal_.empty()) {
+    // Nothing of ours is in flight, so a slot below the tail was landed
+    // by an attempt this submitter no longer tracks (a previous life, or
+    // one given up on): resending it could only revert.
+    ReconcileWithChainTailLocked();
+  }
   return SubmitPendingLocked(/*gas_bid=*/Wei(), "initial");
 }
 
@@ -63,20 +85,23 @@ Result<TxId> Stage2Submitter::SubmitPendingLocked(const Wei& gas_bid,
   }
   TxId first_tx = 0;
   while (submitted_count_ < journal_.size()) {
-    size_t take = std::min<size_t>(
-        journal_.size() - submitted_count_,
-        static_cast<size_t>(RootRecordContract::kMaxRootsPerCall));
+    size_t take = std::min<size_t>(journal_.size() - submitted_count_,
+                                   stream_.slots_per_tx);
     Transaction tx;
     tx.from = sender_;
     tx.to = root_record_address_;
-    tx.method = "updateRecords";
+    tx.method = stream_.method;
     tx.gas_price_bid = gas_bid;
     uint64_t first_id = journal_[submitted_count_].log_id;
-    PutU64(tx.calldata, first_id);
-    PutU32(tx.calldata, static_cast<uint32_t>(take));
+    uint32_t leaves = 0;
+    Bytes roots;
     for (size_t i = 0; i < take; ++i) {
-      Append(tx.calldata, HashToBytes(journal_[submitted_count_ + i].root));
+      leaves += journal_[submitted_count_ + i].leaves;
+      Append(roots, HashToBytes(journal_[submitted_count_ + i].root));
     }
+    PutU64(tx.calldata, first_id);
+    PutU32(tx.calldata, leaves);
+    Append(tx.calldata, roots);
     // On Submit failure the journal is untouched: the digests stay
     // pending and the next SubmitPending/Tick covers them again.
     WEDGE_ASSIGN_OR_RETURN(TxId id, chain_->Submit(tx));
@@ -100,7 +125,7 @@ Result<TxId> Stage2Submitter::SubmitPendingLocked(const Wei& gas_bid,
     attempt.block = rec.submitted_block;
     attempts_.push_back(attempt);
     if (submitted_counter_ != nullptr) submitted_counter_->Add(1);
-    if (telemetry_ != nullptr) {
+    if (telemetry_ != nullptr && stream_.slot_spans) {
       std::string note =
           "attempt=" + std::to_string(attempt_) + " cause=" + cause;
       for (size_t i = 0; i < take; ++i) {
@@ -123,14 +148,15 @@ void Stage2Submitter::Tick() {
     Result<Receipt> receipt = chain_->GetReceipt(it->id);
     if (receipt.ok()) {
       if (!receipt.value().success) {
-        // Mined but reverted: either a fault-injected revert, or a stale
-        // duplicate rejected by the contract's sequential tail check. The
-        // digests it carried are re-covered by the retry below if the
-        // tail has not advanced past them.
+        // Mined but reverted (injected, or landed behind a lost slot).
+        // A stale duplicate of slots the chain holds is no failure.
         ++stats_.txs_reverted;
         if (reverted_counter_ != nullptr) reverted_counter_->Add(1);
-        retry_cause_ = "revert";
-        failed_any = true;
+        Result<uint64_t> tail = ChainTailLocked();
+        if (!tail.ok() || it->first_id + it->count > tail.value()) {
+          retry_cause_ = "revert";
+          failed_any = true;
+        }
         it = in_flight_.erase(it);
         continue;
       }
@@ -141,7 +167,7 @@ void Stage2Submitter::Tick() {
         it = in_flight_.erase(it);
         continue;
       }
-      // Mined, awaiting confirmation depth.
+      it->mined = true;  // Awaiting confirmation depth.
       ++it;
       continue;
     }
@@ -157,19 +183,29 @@ void Stage2Submitter::Tick() {
     ++it;
   }
 
-  if (confirmed_any || failed_any) {
-    ReconcileWithChainTailLocked();
-    RecomputeSubmittedLocked();
+  if (failed_any) {
+    // An unmined transaction can only land behind the lost slots and
+    // revert: abandon those and resend everything after the mined ones,
+    // which hold the journal's front once it is reconciled.
+    in_flight_.erase(std::remove_if(in_flight_.begin(), in_flight_.end(),
+                                    [](const InFlightTx& tx) {
+                                      return !tx.mined;
+                                    }),
+                     in_flight_.end());
   }
-  if (confirmed_any && in_flight_.empty() && !failed_any) {
-    attempt_ = 1;  // Healthy again: future submissions start fresh.
-    retry_pending_ = false;
+  if (confirmed_any || failed_any) ReconcileWithChainTailLocked();
+  if (failed_any) {
+    submitted_count_ = 0;
+    for (const InFlightTx& tx : in_flight_) submitted_count_ += tx.count;
+  }
+  if (confirmed_any && !failed_any && !retry_pending_) {
+    attempt_ = 1;  // Healthy again: future retries start fresh.
   }
   if (failed_any && !retry_pending_) {
     retry_pending_ = true;
     ++attempt_;
     retry_at_block_ = head + BackoffBlocksLocked(attempt_);
-    if (telemetry_ != nullptr && !journal_.empty()) {
+    if (telemetry_ != nullptr && stream_.slot_spans && !journal_.empty()) {
       telemetry_->tracer.Event(
           journal_.front().log_id, trace_stage::kTxRetry, 0,
           "cause=" + retry_cause_ + " attempt=" + std::to_string(attempt_) +
@@ -198,16 +234,26 @@ void Stage2Submitter::Tick() {
   }
 }
 
-void Stage2Submitter::ReconcileWithChainTailLocked() {
-  Result<Bytes> out = chain_->Call(root_record_address_, "tailIdx", {});
-  if (!out.ok()) return;
-  Bytes encoded = std::move(out).value();
+Result<uint64_t> Stage2Submitter::ChainTailLocked() const {
+  WEDGE_ASSIGN_OR_RETURN(
+      Bytes encoded, chain_->Call(root_record_address_, stream_.tail_getter,
+                                  {}));
   ByteReader reader(encoded);
-  Result<uint64_t> tail = reader.ReadU64();
+  return reader.ReadU64();
+}
+
+void Stage2Submitter::ReconcileWithChainTailLocked() {
+  Result<uint64_t> tail = ChainTailLocked();
   if (!tail.ok()) return;
+  // A slot counts as confirmed once its transaction is `confirmations`
+  // deep: stop at the first one still gathering depth.
+  uint64_t end = tail.value();
+  for (const InFlightTx& tx : in_flight_) {
+    if (tx.mined) end = std::min(end, tx.first_id);
+  }
   Micros now = chain_->clock()->NowMicros();
   uint64_t head = chain_->HeadNumber();
-  while (!journal_.empty() && journal_.front().log_id < tail.value()) {
+  while (!journal_.empty() && journal_.front().log_id < end) {
     const JournalEntry& entry = journal_.front();
     if (confirm_lag_us_hist_ != nullptr) {
       confirm_lag_us_hist_->Record(now - entry.enqueued_at);
@@ -217,28 +263,13 @@ void Stage2Submitter::ReconcileWithChainTailLocked() {
     if (digests_confirmed_counter_ != nullptr) {
       digests_confirmed_counter_->Add(1);
     }
-    if (telemetry_ != nullptr) {
+    if (telemetry_ != nullptr && stream_.slot_spans) {
       telemetry_->tracer.Event(entry.log_id, trace_stage::kConfirmed);
     }
     journal_.pop_front();
+    if (submitted_count_ > 0) --submitted_count_;
     ++stats_.digests_confirmed;
   }
-}
-
-void Stage2Submitter::RecomputeSubmittedLocked() {
-  // Coverage is a contiguous journal prefix: every submission covers the
-  // suffix starting at the first unsubmitted entry.
-  if (journal_.empty()) {
-    submitted_count_ = 0;
-    return;
-  }
-  uint64_t front_id = journal_.front().log_id;
-  uint64_t covered_end = front_id;
-  for (const InFlightTx& tx : in_flight_) {
-    covered_end = std::max(covered_end, tx.first_id + tx.count);
-  }
-  submitted_count_ =
-      std::min<size_t>(journal_.size(), covered_end - front_id);
 }
 
 Wei Stage2Submitter::BumpedBidLocked(int attempt) const {
@@ -281,11 +312,6 @@ size_t Stage2Submitter::UnsubmittedDigests() const {
 size_t Stage2Submitter::UncommittedDigests() const {
   std::lock_guard<std::mutex> lock(mu_);
   return journal_.size();
-}
-
-size_t Stage2Submitter::InFlightTxs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_.size();
 }
 
 std::vector<TxId> Stage2Submitter::TxIds() const {

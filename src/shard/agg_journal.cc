@@ -1,9 +1,5 @@
 #include "shard/agg_journal.h"
 
-#include <unistd.h>
-
-#include <cstring>
-
 namespace wedge {
 
 namespace {
@@ -84,65 +80,14 @@ bool ApplyPayload(const Bytes& payload, std::vector<JournaledEpoch>* epochs) {
 
 Result<std::unique_ptr<AggregatorJournal>> AggregatorJournal::Open(
     const std::string& path, const Options& options) {
-  std::unique_ptr<AggregatorJournal> journal(
-      new AggregatorJournal(path, options));
-
-  FILE* replay = std::fopen(path.c_str(), "rb");
-  long valid_end = 0;
-  if (replay != nullptr) {
-    for (;;) {
-      uint8_t len_raw[4];
-      if (std::fread(len_raw, 1, 4, replay) != 4) break;
-      uint32_t len = (static_cast<uint32_t>(len_raw[0]) << 24) |
-                     (static_cast<uint32_t>(len_raw[1]) << 16) |
-                     (static_cast<uint32_t>(len_raw[2]) << 8) |
-                     static_cast<uint32_t>(len_raw[3]);
-      Bytes payload(len);
-      if (len > 0 && std::fread(payload.data(), 1, len, replay) != len) break;
-      uint8_t checksum[32];
-      if (std::fread(checksum, 1, 32, replay) != 32) break;
-      Hash256 expect = Sha256::Digest(payload);
-      if (std::memcmp(checksum, expect.data(), 32) != 0) break;  // Corrupt.
-      if (!ApplyPayload(payload, &journal->epochs_)) break;
-      valid_end = std::ftell(replay);
-    }
-    std::fclose(replay);
-  }
-
-  FILE* f = std::fopen(path.c_str(), replay != nullptr ? "rb+" : "wb+");
-  if (f == nullptr) {
-    return Status::Internal("cannot open aggregator journal: " + path);
-  }
-  if (replay != nullptr) {
-    if (std::fseek(f, 0, SEEK_END) == 0 && std::ftell(f) > valid_end) {
-      (void)!ftruncate(fileno(f), valid_end);
-    }
-    std::fseek(f, valid_end, SEEK_SET);
-  }
-  journal->file_ = f;
+  std::unique_ptr<AggregatorJournal> journal(new AggregatorJournal());
+  auto* epochs = &journal->epochs_;
+  WEDGE_ASSIGN_OR_RETURN(
+      journal->log_,
+      FramedLog::Open(path, options, [epochs](Bytes&& payload) {
+        return ApplyPayload(payload, epochs);
+      }));
   return journal;
-}
-
-AggregatorJournal::~AggregatorJournal() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status AggregatorJournal::AppendRecordLocked(const Bytes& payload) {
-  Bytes record;
-  PutU32(record, static_cast<uint32_t>(payload.size()));
-  wedge::Append(record, payload);
-  Hash256 checksum = Sha256::Digest(payload);
-  wedge::Append(record, HashToBytes(checksum));
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    return Status::Internal("short write to aggregator journal");
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("fflush failed on aggregator journal");
-  }
-  if (options_.fsync_on_append && fsync(fileno(file_)) != 0) {
-    return Status::Internal("fsync failed on aggregator journal");
-  }
-  return Status::Ok();
 }
 
 Status AggregatorJournal::AppendEpoch(uint64_t epoch, const Hash256& root,
@@ -153,8 +98,7 @@ Status AggregatorJournal::AppendEpoch(uint64_t epoch, const Hash256& root,
         "journal epochs must be consecutive (got " + std::to_string(epoch) +
         ", expected " + std::to_string(epochs_.size()) + ")");
   }
-  WEDGE_RETURN_IF_ERROR(AppendRecordLocked(EncodeEpochClosed(epoch, root,
-                                                             leaves)));
+  WEDGE_RETURN_IF_ERROR(log_->Append(EncodeEpochClosed(epoch, root, leaves)));
   JournaledEpoch entry;
   entry.epoch = epoch;
   entry.root = root;
@@ -170,7 +114,7 @@ Status AggregatorJournal::AppendConfirmed(uint64_t epoch) {
                                       std::to_string(epoch));
   }
   if (epochs_[epoch].confirmed) return Status::Ok();  // Idempotent.
-  WEDGE_RETURN_IF_ERROR(AppendRecordLocked(EncodeEpochConfirmed(epoch)));
+  WEDGE_RETURN_IF_ERROR(log_->Append(EncodeEpochConfirmed(epoch)));
   epochs_[epoch].confirmed = true;
   return Status::Ok();
 }

@@ -1,13 +1,13 @@
 #ifndef WEDGEBLOCK_SHARD_AGG_JOURNAL_H_
 #define WEDGEBLOCK_SHARD_AGG_JOURNAL_H_
 
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "storage/framed_log.h"
 
 namespace wedge {
 
@@ -37,22 +37,19 @@ struct JournaledEpoch {
 /// root (re)submitted — the aggregator-side half of crash recovery
 /// (ShardedLogEngine::Recover() supplies the shard-side half).
 ///
-/// On-disk format mirrors FileLogStore:
-/// [u32 payload_len][payload][32B sha256(payload)]; Open() replays and
-/// truncates a torn tail (partial or corrupt final record) instead of
-/// failing. Epoch-close records must arrive with consecutive epoch
-/// numbers from 0 (the aggregator's numbering); replay stops at the first
-/// record that breaks the sequence, treating it like a torn tail.
+/// On disk it is a FramedLog (torn tails truncated on Open, failed
+/// appends rolled back, so a retried epoch never lands behind a torn
+/// frame). Epoch-close records must arrive with consecutive epoch numbers
+/// from 0 (the aggregator's numbering); replay stops at the first record
+/// that breaks the sequence, treating it like a torn tail.
 ///
 /// Thread-safe: appends may come from concurrent Tick()/CloseEpoch()
 /// paths (the aggregator serializes them under its own mutex anyway).
 class AggregatorJournal {
  public:
-  struct Options {
-    /// fsync after every record. Same trade-off as FileLogStore: off by
-    /// default, on for chaos/durability runs.
-    bool fsync_on_append = false;
-  };
+  /// `fsync` after every record: the FileLogStore trade-off, off by
+  /// default and on for chaos/durability runs.
+  using Options = FramedLog::Options;
 
   /// Opens (creating if needed) the journal at `path`, replaying any
   /// existing records into epochs().
@@ -62,8 +59,6 @@ class AggregatorJournal {
       const std::string& path) {
     return Open(path, Options());
   }
-
-  ~AggregatorJournal();
 
   /// Journals the close of `epoch` over `leaves` with forest root `root`.
   /// Epochs must be appended consecutively from the replayed tail.
@@ -77,19 +72,12 @@ class AggregatorJournal {
   /// Live appends through this object keep it in sync.
   const std::vector<JournaledEpoch>& epochs() const { return epochs_; }
 
-  const std::string& path() const { return path_; }
-
  private:
-  AggregatorJournal(std::string path, const Options& options)
-      : path_(std::move(path)), options_(options) {}
+  AggregatorJournal() = default;
 
-  Status AppendRecordLocked(const Bytes& payload);
-
-  const std::string path_;
-  const Options options_;
   mutable std::mutex mu_;
   std::vector<JournaledEpoch> epochs_;
-  FILE* file_ = nullptr;
+  std::unique_ptr<FramedLog> log_;
 };
 
 }  // namespace wedge

@@ -1,6 +1,7 @@
 #include "shard/epoch_aggregator.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "contracts/root_record.h"
 
@@ -15,38 +16,87 @@ uint64_t PositionKey(uint32_t shard_id, uint64_t log_id) {
 
 }  // namespace
 
-EpochRootAggregator::EpochRootAggregator(std::vector<OffchainNode*> shards,
+EpochRootAggregator::EpochRootAggregator(uint32_t num_shards,
                                          KeyPair engine_key,
                                          Blockchain* chain,
                                          const Address& root_record_address,
+                                         const Stage2SubmitterConfig& stage2,
                                          Telemetry* telemetry)
-    : shards_(std::move(shards)),
-      key_(std::move(engine_key)),
+    : key_(std::move(engine_key)),
       chain_(chain),
-      root_record_address_(root_record_address),
       telemetry_(telemetry),
       roots_staged_counter_(
           telemetry->metrics.GetCounter("wedge.engine.roots_staged")),
       epochs_closed_counter_(
           telemetry->metrics.GetCounter("wedge.engine.epochs_closed")),
-      forest_txs_counter_(
-          telemetry->metrics.GetCounter("wedge.engine.forest_txs")),
-      forest_tx_retries_counter_(
-          telemetry->metrics.GetCounter("wedge.engine.forest_tx_retries")),
       agg_lag_hist_(
           telemetry->metrics.GetHistogram("wedge.engine.agg_lag_us")),
       epoch_leaves_hist_(
           telemetry->metrics.GetHistogram("wedge.engine.epoch_leaves")),
-      cursor_(shards_.size(), 0) {}
+      submitter_(stage2, chain, key_.address(), root_record_address,
+                 telemetry, kForestStream),
+      next_root_(num_shards, 0) {}
 
 Micros EpochRootAggregator::Now() const {
   return chain_ != nullptr ? chain_->clock()->NowMicros()
                            : RealClock::Global()->NowMicros();
 }
 
-Status EpochRootAggregator::AttachJournal(AggregatorJournal* journal) {
+Status EpochRootAggregator::TakeRoot(uint32_t shard_id, uint64_t log_id,
+                                     const Hash256& root) {
   Micros now = Now();
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  if (shard_id >= next_root_.size() || log_id != next_root_[shard_id]) {
+    return Status::InvalidArgument("shard " + std::to_string(shard_id) +
+                                   " handed log " + std::to_string(log_id) +
+                                   " out of order");
+  }
+  staged_.push_back(StagedRoot{shard_id, log_id, root, now});
+  next_root_[shard_id] = log_id + 1;
+  roots_staged_counter_->Add(1);
+  return Status::Ok();
+}
+
+Result<uint64_t> EpochRootAggregator::NextRoot(uint32_t shard_id) {
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  if (shard_id >= next_root_.size()) {
+    return Status::InvalidArgument("unknown shard");
+  }
+  return next_root_[shard_id];
+}
+
+Result<EpochRootAggregator::EpochRecord> EpochRootAggregator::MakeEpoch(
+    std::vector<StagedRoot> leaves) {
+  std::vector<Bytes> leaf_bytes;
+  leaf_bytes.reserve(leaves.size());
+  for (const StagedRoot& leaf : leaves) {
+    leaf_bytes.push_back(
+        ForestLeafBytes(leaf.shard_id, leaf.log_id, leaf.mroot));
+  }
+  WEDGE_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::Build(leaf_bytes));
+  EpochRecord record;
+  record.leaves = std::move(leaves);
+  record.root = tree.Root();
+  record.tree = std::make_shared<const MerkleTree>(std::move(tree));
+  return record;
+}
+
+Status EpochRootAggregator::AddEpochLocked(EpochRecord record) {
+  const uint64_t epoch = epochs_.size();
+  for (size_t i = 0; i < record.leaves.size(); ++i) {
+    index_[PositionKey(record.leaves[i].shard_id,
+                       record.leaves[i].log_id)] = {epoch, i};
+  }
+  epochs_.push_back(std::move(record));
+  if (chain_ == nullptr || epoch < confirmed_) return Status::Ok();
+  return submitter_.Enqueue(
+      epoch, epochs_.back().root,
+      static_cast<uint32_t>(epochs_.back().leaves.size()));
+}
+
+Status EpochRootAggregator::AttachJournal(AggregatorJournal* journal) {
   std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> staged_lock(staged_mu_);
   if (journal_ != nullptr) {
     return Status::FailedPrecondition("journal already attached");
   }
@@ -55,240 +105,148 @@ Status EpochRootAggregator::AttachJournal(AggregatorJournal* journal) {
         "journal must be attached before the aggregator does any work");
   }
   for (const JournaledEpoch& entry : journal->epochs()) {
-    EpochRecord record;
-    std::vector<Bytes> leaf_bytes;
-    leaf_bytes.reserve(entry.leaves.size());
+    std::vector<StagedRoot> leaves;
     for (const JournalLeaf& leaf : entry.leaves) {
-      record.leaves.push_back(StagedRoot{leaf.shard_id, leaf.log_id,
-                                         leaf.mroot, now});
-      leaf_bytes.push_back(
-          ForestLeafBytes(leaf.shard_id, leaf.log_id, leaf.mroot));
-      if (leaf.shard_id < cursor_.size()) {
-        cursor_[leaf.shard_id] =
-            std::max(cursor_[leaf.shard_id], leaf.log_id + 1);
+      leaves.push_back(StagedRoot{leaf.shard_id, leaf.log_id, leaf.mroot});
+      if (leaf.shard_id < next_root_.size()) {
+        next_root_[leaf.shard_id] =
+            std::max(next_root_[leaf.shard_id], leaf.log_id + 1);
       }
     }
-    WEDGE_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::Build(leaf_bytes));
-    if (tree.Root() != entry.root) {
+    WEDGE_ASSIGN_OR_RETURN(EpochRecord record, MakeEpoch(std::move(leaves)));
+    if (record.root != entry.root) {
       return Status::Corruption(
           "journaled forest root for epoch " + std::to_string(entry.epoch) +
           " does not match its journaled leaves");
     }
-    record.root = entry.root;
-    record.tree = std::make_shared<const MerkleTree>(std::move(tree));
-    record.confirmed = entry.confirmed;
-    uint64_t epoch = epochs_.size();
-    for (size_t i = 0; i < record.leaves.size(); ++i) {
-      index_[PositionKey(record.leaves[i].shard_id,
-                         record.leaves[i].log_id)] = {epoch, i};
-    }
-    epochs_.push_back(std::move(record));
+    // Confirmations are journaled in epoch order; one missing (a failed
+    // best-effort write) leaves the rest to forestTail reconciliation.
+    // Every epoch from the first unconfirmed one on is queued again.
+    if (entry.confirmed && confirmed_ == epochs_.size()) ++confirmed_;
+    WEDGE_RETURN_IF_ERROR(AddEpochLocked(std::move(record)));
   }
   journal_ = journal;
+  ConfirmLocked();
   return Status::Ok();
 }
 
 Status EpochRootAggregator::RecoverEpochs(uint64_t* resubmitted,
                                           uint64_t* confirmed) {
-  uint64_t resubmit_count = 0;
-  uint64_t confirm_count = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (uint64_t epoch = 0; epoch < epochs_.size(); ++epoch) {
-    EpochRecord& record = epochs_[epoch];
-    // tx != 0 means a transaction from THIS process lifetime is in
-    // flight; its receipt is Tick()'s business. Recovery only touches
-    // epochs that have nothing pending — the journal-replayed ones and
-    // those whose submission failed outright.
-    if (record.confirmed || record.tx != 0) continue;
-    if (chain_ != nullptr && EpochRecordedOnChainLocked(epoch)) {
-      MarkConfirmedLocked(epoch);
-      ++confirm_count;
-      continue;
-    }
-    if (chain_ == nullptr) {
-      MarkConfirmedLocked(epoch);  // Nothing to submit to (benches).
-      ++confirm_count;
-      continue;
-    }
-    forest_tx_retries_counter_->Add(1);
-    WEDGE_RETURN_IF_ERROR(SubmitEpochLocked(epoch).status());
-    ++resubmit_count;
+  *resubmitted = *confirmed = 0;
+  if (chain_ == nullptr) return Status::Ok();
+  const uint64_t retired_before = submitter_.stats().digests_confirmed;
+  const uint64_t unsent = submitter_.UnsubmittedDigests();
+  Result<TxId> sent = submitter_.SubmitPending();
+  if (!sent.ok() && sent.status().code() != Code::kNotFound) {
+    return sent.status();
   }
-  if (resubmitted != nullptr) *resubmitted = resubmit_count;
-  if (confirmed != nullptr) *confirmed = confirm_count;
+  *confirmed = submitter_.stats().digests_confirmed - retired_before;
+  if (sent.ok()) *resubmitted = unsent - *confirmed;
+  std::lock_guard<std::mutex> lock(mu_);
+  ConfirmLocked();
   return Status::Ok();
 }
 
-void EpochRootAggregator::PollShards() {
-  Micros now = Now();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    uint64_t sealed = shards_[s]->LogPositions();
-    for (uint64_t id = cursor_[s]; id < sealed; ++id) {
-      auto root = shards_[s]->PositionRoot(id);
-      if (!root.ok()) break;  // Torn tail; retry next poll.
-      staged_.push_back(StagedRoot{static_cast<uint32_t>(s), id,
-                                   root.value(), now});
-      roots_staged_counter_->Add(1);
-      cursor_[s] = id + 1;
-    }
-  }
-}
-
 Result<TxId> EpochRootAggregator::CloseEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (staged_.empty()) {
-    return Status::NotFound("no batch roots staged for this epoch");
-  }
-  size_t take = std::min<size_t>(
-      staged_.size(), RootRecordContract::kMaxRootsPerCall);
-
-  EpochRecord record;
-  record.leaves.assign(staged_.begin(), staged_.begin() + take);
-  staged_.erase(staged_.begin(), staged_.begin() + take);
-
-  bool equivocate = byzantine_mode_.load(std::memory_order_relaxed) ==
-                    AggByzantineMode::kEquivocateBatchRoot;
-  std::vector<Bytes> leaf_bytes;
-  leaf_bytes.reserve(record.leaves.size());
-  Micros now = Now();
-  for (StagedRoot& leaf : record.leaves) {
-    if (equivocate) leaf.mroot[0] ^= 0xFF;  // Lie at the forest level.
-    leaf_bytes.push_back(
-        ForestLeafBytes(leaf.shard_id, leaf.log_id, leaf.mroot));
-    agg_lag_hist_->Record(now - leaf.staged_at);
-  }
-  WEDGE_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::Build(leaf_bytes));
-  record.root = tree.Root();
-  record.tree = std::make_shared<const MerkleTree>(std::move(tree));
-
-  uint64_t epoch = epochs_.size();
-  if (journal_ != nullptr) {
-    // Journal BEFORE the transaction: a crash between the two leaves a
-    // journaled-but-unsubmitted epoch, which Recover resubmits. The
-    // reverse order could strand an on-chain root the restarted
-    // aggregator knows nothing about.
-    std::vector<JournalLeaf> journal_leaves;
-    journal_leaves.reserve(record.leaves.size());
-    for (const StagedRoot& leaf : record.leaves) {
-      journal_leaves.push_back(JournalLeaf{leaf.shard_id, leaf.log_id,
-                                           leaf.mroot});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<StagedRoot> leaves;
+    {
+      std::lock_guard<std::mutex> staged_lock(staged_mu_);
+      if (staged_.empty()) {
+        return Status::NotFound("no batch roots staged for this epoch");
+      }
+      size_t take = std::min<size_t>(staged_.size(),
+                                     RootRecordContract::kMaxRootsPerCall);
+      leaves.assign(staged_.begin(), staged_.begin() + take);
+      staged_.erase(staged_.begin(), staged_.begin() + take);
     }
-    Status journaled = journal_->AppendEpoch(epoch, record.root,
-                                             journal_leaves);
-    if (!journaled.ok()) {
-      // Un-stage: put the leaves back where PollShards left them so the
-      // next CloseEpoch retries the same epoch.
-      staged_.insert(staged_.begin(), record.leaves.begin(),
-                     record.leaves.end());
-      return journaled;
+    // Shards push concurrently; ordering the leaves makes an epoch's
+    // root independent of thread timing. Each shard's roots stay a
+    // contiguous run in log order, epoch after epoch.
+    std::sort(leaves.begin(), leaves.end(),
+              [](const StagedRoot& a, const StagedRoot& b) {
+                return std::tie(a.shard_id, a.log_id) <
+                       std::tie(b.shard_id, b.log_id);
+              });
+    if (byzantine_mode_.load(std::memory_order_relaxed) ==
+        AggByzantineMode::kEquivocateBatchRoot) {
+      for (StagedRoot& leaf : leaves) leaf.mroot[0] ^= 0xFF;  // Lie.
     }
-  }
-  for (size_t i = 0; i < record.leaves.size(); ++i) {
-    index_[PositionKey(record.leaves[i].shard_id,
-                       record.leaves[i].log_id)] = {epoch, i};
-  }
-  epochs_.push_back(std::move(record));
-  epochs_closed_counter_->Add(1);
-  epoch_leaves_hist_->Record(static_cast<int64_t>(take));
-  if (telemetry_ != nullptr) {
+    WEDGE_ASSIGN_OR_RETURN(EpochRecord record, MakeEpoch(std::move(leaves)));
+    const uint64_t epoch = epochs_.size();
+    if (journal_ != nullptr) {
+      // Journal BEFORE the transaction: a crash between the two leaves a
+      // journaled-but-unsent epoch, which the next life resends. The
+      // reverse order could strand an on-chain root the restarted
+      // aggregator knows nothing about.
+      std::vector<JournalLeaf> journal_leaves;
+      journal_leaves.reserve(record.leaves.size());
+      for (const StagedRoot& leaf : record.leaves) {
+        journal_leaves.push_back(JournalLeaf{leaf.shard_id, leaf.log_id,
+                                             leaf.mroot});
+      }
+      Status journaled =
+          journal_->AppendEpoch(epoch, record.root, journal_leaves);
+      if (!journaled.ok()) {
+        // Un-stage: the next CloseEpoch retries the same epoch number.
+        std::lock_guard<std::mutex> staged_lock(staged_mu_);
+        staged_.insert(staged_.begin(), record.leaves.begin(),
+                       record.leaves.end());
+        return journaled;
+      }
+    }
     // One span per folded leaf, keyed by the batch's log id: the trace
     // tool joins these to the (traced) ingest span of the same log id in
     // this process's dump, extending a client trace into the aggregator.
-    const EpochRecord& closed = epochs_[epoch];
-    for (const StagedRoot& leaf : closed.leaves) {
+    Micros now = Now();
+    for (const StagedRoot& leaf : record.leaves) {
+      agg_lag_hist_->Record(now - leaf.staged_at);
       telemetry_->tracer.Event(leaf.log_id, trace_stage::kAggEpoch, 1,
                                "epoch=" + std::to_string(epoch) +
                                    " shard=" + std::to_string(leaf.shard_id));
     }
-  }
-
-  if (chain_ == nullptr) {
-    MarkConfirmedLocked(epoch);
-    return TxId(0);
-  }
-  return SubmitEpochLocked(epoch);
-}
-
-void EpochRootAggregator::MarkConfirmedLocked(uint64_t epoch) {
-  epochs_[epoch].confirmed = true;
-  if (telemetry_ != nullptr) {
-    for (const StagedRoot& leaf : epochs_[epoch].leaves) {
-      telemetry_->tracer.Event(leaf.log_id, trace_stage::kAggConfirmed, 1,
-                               "epoch=" + std::to_string(epoch) +
-                                   " shard=" + std::to_string(leaf.shard_id));
+    epochs_closed_counter_->Add(1);
+    epoch_leaves_hist_->Record(static_cast<int64_t>(record.leaves.size()));
+    WEDGE_RETURN_IF_ERROR(AddEpochLocked(std::move(record)));
+    if (chain_ == nullptr) {
+      ConfirmLocked();
+      return TxId(0);
     }
   }
-  if (journal_ != nullptr) {
-    // Best effort: losing a confirm record only costs one redundant
-    // chain lookup on the next recovery, never correctness.
-    (void)journal_->AppendConfirmed(epoch);
+  Result<TxId> sent = submitter_.SubmitPending();
+  if (!sent.ok() && sent.status().code() == Code::kNotFound) {
+    return TxId(0);  // Queued behind an already scheduled retry.
   }
-}
-
-Result<TxId> EpochRootAggregator::SubmitEpochLocked(uint64_t epoch) {
-  EpochRecord& record = epochs_[epoch];
-  Transaction tx;
-  tx.from = key_.address();
-  tx.to = root_record_address_;
-  tx.method = "updateForestRoot";
-  PutU64(tx.calldata, epoch);
-  PutU32(tx.calldata, static_cast<uint32_t>(record.leaves.size()));
-  Append(tx.calldata, HashToBytes(record.root));
-  WEDGE_ASSIGN_OR_RETURN(TxId id, chain_->Submit(tx));
-  record.tx = id;
-  record.submitted_block = chain_->HeadNumber();
-  forest_txs_counter_->Add(1);
-  all_tx_ids_.push_back(id);
-  return id;
-}
-
-bool EpochRootAggregator::EpochRecordedOnChainLocked(uint64_t epoch) const {
-  Bytes query;
-  PutU64(query, epoch);
-  auto raw = chain_->Call(root_record_address_, "getForestRoot", query);
-  if (!raw.ok() || raw.value().empty()) return false;
-  return raw.value()[0] != 0;
+  return sent;
 }
 
 void EpochRootAggregator::Tick() {
   if (chain_ == nullptr) return;
+  submitter_.Tick();
+  // Epochs never sent — replayed from the journal, or whose submission
+  // failed — go out now, unless a scheduled retry will carry them.
+  if (submitter_.UnsubmittedDigests() > 0) (void)submitter_.SubmitPending();
   std::lock_guard<std::mutex> lock(mu_);
-  for (uint64_t epoch = 0; epoch < epochs_.size(); ++epoch) {
-    EpochRecord& record = epochs_[epoch];
-    if (record.confirmed) continue;
-    if (record.tx != 0) {
-      auto receipt = chain_->GetReceipt(record.tx);
-      if (receipt.ok() && receipt.value().success) {
-        MarkConfirmedLocked(epoch);
-        continue;
-      }
-      if (!receipt.ok() &&
-          chain_->HeadNumber() <
-              record.submitted_block + kConfirmationDeadlineBlocks) {
-        continue;  // Still pending within the deadline: keep waiting.
-      }
-      // Reverted, or presumed lost past the deadline: fall through to
-      // recovery instead of blindly resubmitting.
-    }
-    // Recovery for an epoch with no confirmed transaction — because the
-    // attempt reverted, vanished past the deadline, or the initial
-    // CloseEpoch submission itself failed (tx == 0). A revert here is
-    // usually "epoch != forestTail" from a retry race: some EARLIER
-    // attempt (whose id we may no longer hold) actually landed, so check
-    // the chain before spending another transaction — resubmitting a
-    // recorded epoch can only revert, forever.
-    if (EpochRecordedOnChainLocked(epoch)) {
-      // The forest slot is filled. Only this engine's key may write it,
-      // and every attempt for an epoch carries the same root, so the
-      // recorded root is ours: the epoch is committed.
-      MarkConfirmedLocked(epoch);
-      continue;
-    }
-    forest_tx_retries_counter_->Add(1);
-    auto resubmitted = SubmitEpochLocked(epoch);
-    if (!resubmitted.ok()) return;  // Chain unavailable; retry next tick.
+  ConfirmLocked();
+}
+
+void EpochRootAggregator::ConfirmLocked() {
+  // The contract records epochs in order, so the submitter retires a
+  // prefix: what it still holds is exactly the unconfirmed suffix.
+  const uint64_t confirmed =
+      chain_ == nullptr ? epochs_.size()
+                        : epochs_.size() - submitter_.UncommittedDigests();
+  for (; confirmed_ < confirmed; ++confirmed_) MarkConfirmedLocked(confirmed_);
+}
+
+void EpochRootAggregator::MarkConfirmedLocked(uint64_t epoch) {
+  for (const StagedRoot& leaf : epochs_[epoch].leaves) {
+    telemetry_->tracer.Event(leaf.log_id, trace_stage::kAggConfirmed, 1,
+                             "epoch=" + std::to_string(epoch) +
+                                 " shard=" + std::to_string(leaf.shard_id));
   }
+  if (journal_ != nullptr) (void)journal_->AppendConfirmed(epoch);
 }
 
 Result<AggregationProof> EpochRootAggregator::Prove(uint32_t shard_id,
@@ -325,31 +283,22 @@ uint64_t EpochRootAggregator::epochs_closed() const {
 }
 
 uint64_t EpochRootAggregator::staged_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(staged_mu_);
   return staged_.size();
 }
 
 uint64_t EpochRootAggregator::epochs_confirmed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const EpochRecord& record : epochs_) {
-    if (record.confirmed) ++n;
-  }
-  return n;
+  return confirmed_;
 }
 
 uint64_t EpochRootAggregator::epochs_unconfirmed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const EpochRecord& record : epochs_) {
-    if (!record.confirmed) ++n;
-  }
-  return n;
+  return epochs_.size() - confirmed_;
 }
 
 std::vector<TxId> EpochRootAggregator::ForestTxIds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return all_tx_ids_;
+  return submitter_.TxIds();
 }
 
 }  // namespace wedge

@@ -9,7 +9,7 @@
 
 #include "chain/blockchain.h"
 #include "contracts/forest_record.h"
-#include "core/offchain_node.h"
+#include "core/stage2_submitter.h"
 #include "shard/agg_journal.h"
 
 namespace wedge {
@@ -26,63 +26,66 @@ enum class AggByzantineMode {
   kEquivocateBatchRoot,
 };
 
-/// Replaces N per-shard stage-2 streams with one: every epoch the
-/// aggregator collects each shard's newly sealed batch roots, builds a
-/// second-level Merkle tree over (shard_id, log_id, MRoot) leaves, and
-/// submits the single forest root on-chain via
-/// RootRecord::updateForestRoot — one transaction per epoch instead of
-/// one updateRecords call per shard-batch group, amortizing the 21k base
-/// cost and the SSTOREs across all shards.
+/// Replaces N per-shard stage-2 streams with one: shards push each
+/// durable batch root here (it is their RootSink), and every epoch the
+/// aggregator builds a second-level Merkle tree over the staged
+/// (shard_id, log_id, MRoot) leaves and hands the single forest root to
+/// its Stage2Submitter (RootRecord::updateForestRoot) — one transaction
+/// per epoch instead of one updateRecords call per shard-batch group.
+/// Sending, confirming and retrying are the submitter's; the aggregator
+/// keeps staging, the epoch trees, the journal and proofs.
 ///
 /// Clients fetch an engine-signed AggregationProof (batch root -> forest
 /// root) to complete their two-level verification; see
 /// contracts/forest_record.h for its punishment semantics.
 ///
-/// Thread-safe. `shards` and `chain` must outlive the aggregator;
-/// `chain` may be null (aggregation without submission, for benches).
-class EpochRootAggregator {
+/// Thread-safe. Sealers only take the staging lock, so a seal never
+/// waits on an epoch's Merkle build, journal write or chain calls.
+/// `chain` may be null (aggregation without submission, for benches):
+/// every closed epoch then counts as confirmed at once.
+class EpochRootAggregator : public RootSink {
  public:
-  EpochRootAggregator(std::vector<OffchainNode*> shards, KeyPair engine_key,
+  /// `stage2` tunes the forest stream's deadline, backoff and gas bump.
+  EpochRootAggregator(uint32_t num_shards, KeyPair engine_key,
                       Blockchain* chain, const Address& root_record_address,
+                      const Stage2SubmitterConfig& stage2,
                       Telemetry* telemetry);
 
-  /// Scans every shard's store for batch roots sealed since the last
-  /// poll and stages them for the next epoch, stamping each with the
-  /// poll time (the start of its aggregation-lag measurement).
-  void PollShards();
+  /// RootSink: stages a shard's durable batch root for the next epoch,
+  /// stamped with the current time (the start of its aggregation-lag
+  /// measurement).
+  Status TakeRoot(uint32_t shard_id, uint64_t log_id,
+                  const Hash256& root) override;
+  /// RootSink: one past the shard's last staged or journaled log id.
+  Result<uint64_t> NextRoot(uint32_t shard_id) override;
 
-  /// Builds the forest tree over everything staged and submits one
-  /// updateForestRoot transaction. Returns NotFound when nothing is
-  /// staged (no transaction wasted on empty epochs), the TxId otherwise
-  /// (0 without a chain).
+  /// Builds the forest tree over what is staged (leaves in
+  /// (shard_id, log_id) order, at most kMaxRootsPerCall), journals the
+  /// epoch and queues its root for submission. Returns NotFound when
+  /// nothing is staged (no transaction wasted on empty epochs), otherwise
+  /// the first TxId sent — 0 without a chain, or when the epoch waits for
+  /// a retry the submitter has already scheduled.
   Result<TxId> CloseEpoch();
 
-  /// Receipt bookkeeping for submitted epochs: resubmits the forest root
-  /// when the transaction reverted, has been pending past the
-  /// confirmation deadline, or the initial CloseEpoch submission failed
-  /// outright. Before every resubmission the chain's forest record is
-  /// consulted — an epoch already recorded there (e.g. an earlier attempt
-  /// landed after we had given up on it) is marked confirmed instead of
-  /// being resubmitted into a guaranteed revert. Call once per block.
+  /// Drives the forest stream one block: the submitter reaps receipts
+  /// and retries, epochs never sent go out, and every epoch whose root is
+  /// `confirmations` blocks deep is marked (and journaled) confirmed.
+  /// Work is proportional to the unconfirmed epochs. Call once per block.
   void Tick();
 
   /// Attaches a durable journal and replays its state: every journaled
   /// epoch is rebuilt in memory (leaves, forest tree, proof index), the
-  /// per-shard poll cursors advance past every journaled leaf, and
-  /// journal-confirmed epochs are marked confirmed. Must be called before
-  /// any PollShards/CloseEpoch, on a freshly constructed aggregator.
-  /// `journal` must outlive the aggregator; with one attached, CloseEpoch
-  /// journals the epoch before submitting its transaction and every
-  /// confirmation is journaled too.
+  /// per-shard cursors advance past every journaled leaf, and epochs not
+  /// journaled as confirmed are queued for submission again. Must be
+  /// called on a freshly constructed aggregator. `journal` must outlive
+  /// the aggregator; CloseEpoch journals each epoch before submitting it,
+  /// and every confirmation is journaled too.
   Status AttachJournal(AggregatorJournal* journal);
 
-  /// Crash-recovery pass over epochs with no in-flight transaction
-  /// (replayed from the journal, or whose submission failed): each is
-  /// marked confirmed when the chain's forest record already holds its
-  /// root, resubmitted otherwise. Epochs with an in-flight transaction
-  /// are left to Tick(), which makes a second Recover call (or a
-  /// Recover after a clean shutdown) a no-op. Returns counts through the
-  /// out-params (either may be null).
+  /// Crash-recovery pass: sends the epochs that have never been sent,
+  /// after retiring those the chain's forestTail already covers. Epochs
+  /// with a transaction in flight are left to Tick(), which makes a
+  /// second call (or one after a clean shutdown) a no-op.
   Status RecoverEpochs(uint64_t* resubmitted, uint64_t* confirmed);
 
   /// Engine-signed two-level proof for a sealed batch. Fails with
@@ -93,18 +96,17 @@ class EpochRootAggregator {
   uint64_t staged_count() const;
   /// Closed epochs whose forest root is confirmed on chain.
   uint64_t epochs_confirmed() const;
-  /// Closed-but-unconfirmed epochs (>0 is normal while a tx is in
-  /// flight; a value that keeps growing means the aggregator is wedged —
+  /// Closed-but-unconfirmed epochs (>0 is normal while a tx gathers
+  /// confirmations; a value that keeps growing means stage 2 is wedged —
   /// the /healthz readiness signal).
   uint64_t epochs_unconfirmed() const;
   std::vector<TxId> ForestTxIds() const;
+  /// The forest stream's submitter (attempt log, stats).
+  Stage2Submitter& stage2_submitter() { return submitter_; }
 
   void set_byzantine_mode(AggByzantineMode mode) {
     byzantine_mode_.store(mode, std::memory_order_relaxed);
   }
-
-  /// Blocks an epoch may stay unconfirmed before its root is resubmitted.
-  static constexpr uint64_t kConfirmationDeadlineBlocks = 8;
 
  private:
   struct StagedRoot {
@@ -117,44 +119,42 @@ class EpochRootAggregator {
     std::vector<StagedRoot> leaves;
     Hash256 root{};
     std::shared_ptr<const MerkleTree> tree;
-    TxId tx = 0;
-    uint64_t submitted_block = 0;
-    bool confirmed = false;
   };
 
   Micros Now() const;
-  Result<TxId> SubmitEpochLocked(uint64_t epoch);
-  /// True when the Root Record contract already holds a forest root for
-  /// `epoch` (only this engine's key can have written it).
-  bool EpochRecordedOnChainLocked(uint64_t epoch) const;
-  /// Flips the confirmed bit and journals it (journal failure is logged
-  /// into the status but never un-confirms: the chain already holds the
-  /// root, which is the durable source of truth).
+  /// Builds the forest tree over `leaves` into an epoch record.
+  static Result<EpochRecord> MakeEpoch(std::vector<StagedRoot> leaves);
+  /// Indexes and appends a closed epoch; with a chain, an unconfirmed one
+  /// is queued on the forest stream.
+  Status AddEpochLocked(EpochRecord record);
+  /// Marks confirmed (spans + best-effort journal record) every epoch the
+  /// submitter has retired: it holds exactly the unconfirmed suffix.
+  void ConfirmLocked();
   void MarkConfirmedLocked(uint64_t epoch);
 
-  std::vector<OffchainNode*> shards_;
   const KeyPair key_;
   Blockchain* const chain_;
-  const Address root_record_address_;
-  Telemetry* telemetry_ = nullptr;  ///< Span sink; may be null.
+  Telemetry* const telemetry_;
   AggregatorJournal* journal_ = nullptr;  ///< Optional; not owned.
   std::atomic<AggByzantineMode> byzantine_mode_{AggByzantineMode::kHonest};
 
   Counter* roots_staged_counter_;
   Counter* epochs_closed_counter_;
-  Counter* forest_txs_counter_;
-  Counter* forest_tx_retries_counter_;
   Histogram* agg_lag_hist_;
   Histogram* epoch_leaves_hist_;
+  Stage2Submitter submitter_;
 
-  mutable std::mutex mu_;
-  std::vector<uint64_t> cursor_;  ///< Per-shard next unpolled log id.
+  /// The only lock a sealer takes.
+  mutable std::mutex staged_mu_;
   std::vector<StagedRoot> staged_;
+  std::vector<uint64_t> next_root_;  ///< Per-shard next log id to stage.
+
+  mutable std::mutex mu_;  ///< Epoch state; taken before staged_mu_.
   std::vector<EpochRecord> epochs_;  ///< Indexed by epoch number.
+  uint64_t confirmed_ = 0;  ///< Epochs [0, confirmed_) are confirmed.
   /// (shard, log) -> (epoch, leaf index). Shard counts are far below
   /// 256, so the key packs the shard into the log id's low byte.
   std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> index_;
-  std::vector<TxId> all_tx_ids_;
 };
 
 }  // namespace wedge

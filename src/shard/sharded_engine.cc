@@ -58,18 +58,15 @@ Result<std::unique_ptr<ShardedLogEngine>> ShardedLogEngine::Create(
     // shards' dense log-id namespaces collide and honest signatures can
     // be replayed across shards as fake "equivocation" evidence.
     node_config.shard_id = i;
-    Blockchain* shard_chain = chain;
-    if (config.forest_stage2) {
-      // Forest mode: the aggregator owns stage 2; shards never submit.
-      node_config.auto_stage2 = false;
-      shard_chain = nullptr;
-    }
     std::unique_ptr<LogStore> store =
         stores.empty() ? std::make_unique<MemoryLogStore>()
                        : std::move(stores[i]);
+    // Forest mode: no chain, so no stage-2 stream of the shard's own —
+    // its root sink is the aggregator, attached below.
     e->shards_.push_back(std::make_unique<OffchainNode>(
-        node_config, e->key_, std::move(store), shard_chain,
-        root_record_address, e->telemetry_));
+        node_config, e->key_, std::move(store),
+        config.forest_stage2 ? nullptr : chain, root_record_address,
+        e->telemetry_));
 
     std::string prefix = "wedge.shard." + std::to_string(i) + ".";
     e->shard_counters_.push_back(ShardCounters{
@@ -80,31 +77,28 @@ Result<std::unique_ptr<ShardedLogEngine>> ShardedLogEngine::Create(
   }
 
   if (config.forest_stage2) {
-    std::vector<OffchainNode*> shard_ptrs;
-    for (auto& s : e->shards_) shard_ptrs.push_back(s.get());
     e->aggregator_ = std::make_unique<EpochRootAggregator>(
-        std::move(shard_ptrs), e->key_, chain, root_record_address,
-        e->telemetry_);
+        config.num_shards, e->key_, chain, root_record_address,
+        config.node.stage2, e->telemetry_);
     if (journal != nullptr) {
       e->journal_ = std::move(journal);
       WEDGE_RETURN_IF_ERROR(e->aggregator_->AttachJournal(e->journal_.get()));
+    }
+    for (auto& shard : e->shards_) {
+      WEDGE_RETURN_IF_ERROR(shard->SetRootSink(e->aggregator_.get()));
     }
   }
   return e;
 }
 
 Result<ShardedLogEngine::RecoveryReport> ShardedLogEngine::Recover() {
-  if (aggregator_ == nullptr) {
-    return Status::FailedPrecondition("recovery needs forest_stage2");
-  }
   RecoveryReport report;
-  report.journaled_epochs = aggregator_->epochs_closed();
 
   // Storage-tier reconciliation happened when each shard's store was
   // opened (segment backend: O(segments) trailer reads + WAL-tail
   // replay, stray .tmp cleanup); fold what it found into the one report
   // so a single Recover() call accounts for all three layers — segment
-  // store, aggregator journal, on-chain forest roots.
+  // store, root sink, chain.
   for (auto& shard : shards_) {
     if (auto* seg = dynamic_cast<SegmentLogStore*>(&shard->store())) {
       const SegmentLogStore::RecoveryInfo& info = seg->recovery();
@@ -115,20 +109,31 @@ Result<ShardedLogEngine::RecoveryReport> ShardedLogEngine::Recover() {
     }
   }
 
-  // Shard-tail reconciliation: the file stores already replayed every
-  // sealed (hence acked) batch; anything past the journal's per-shard
-  // cursors was sealed but never epoch-assigned, so stage it now and
-  // close it into fresh epochs (journaled, then submitted).
-  aggregator_->PollShards();
-  report.restaged_roots = aggregator_->staged_count();
-  while (aggregator_->staged_count() > 0) {
-    WEDGE_RETURN_IF_ERROR(aggregator_->CloseEpoch().status());
-    ++report.recovered_epochs;
+  // Shard-tail reconciliation, one loop for both sinks: every shard
+  // hands its sink the durable roots it has not seen (the classic
+  // submitter resumes from the chain's tailIdx, the aggregator from its
+  // journal's per-shard cursor).
+  for (auto& shard : shards_) {
+    WEDGE_ASSIGN_OR_RETURN(uint64_t handed, shard->Recover());
+    report.restaged_roots += handed;
   }
 
-  // Chain reconciliation for everything replayed from the journal.
-  WEDGE_RETURN_IF_ERROR(aggregator_->RecoverEpochs(
-      &report.resubmitted_epochs, &report.confirmed_epochs));
+  if (aggregator_ == nullptr) {
+    Result<TxId> tx = shards_.front()->CommitPendingDigests();
+    if (!tx.ok() && tx.status().code() != Code::kNotFound) {
+      return tx.status();
+    }
+  } else {
+    // Chain reconciliation for the journaled epochs, then the restaged
+    // roots close into fresh epochs (journaled, then submitted).
+    report.journaled_epochs = aggregator_->epochs_closed();
+    WEDGE_RETURN_IF_ERROR(aggregator_->RecoverEpochs(
+        &report.resubmitted_epochs, &report.confirmed_epochs));
+    while (aggregator_->staged_count() > 0) {
+      WEDGE_RETURN_IF_ERROR(aggregator_->CloseEpoch().status());
+      ++report.recovered_epochs;
+    }
+  }
 
   Counter* restaged =
       telemetry_->metrics.GetCounter("wedge.engine.recover_restaged");
@@ -204,7 +209,9 @@ void ShardedLogEngine::Tick() {
     for (auto& shard : shards_) shard->Stage2Tick();
     return;
   }
-  aggregator_->PollShards();
+  // A restarted shard hands over the roots its sink is missing even
+  // before Recover() runs (a no-op once caught up).
+  for (auto& shard : shards_) (void)shard->Recover();
   uint32_t every = config_.epoch_ticks == 0 ? 1 : config_.epoch_ticks;
   if (ticks_ % every == 0) {
     // NotFound just means an empty epoch — no transaction to waste.
@@ -219,11 +226,11 @@ Result<TxId> ShardedLogEngine::AggregateNow() {
         "aggregation needs forest_stage2");
   }
   for (auto& shard : shards_) {
-    // Seal whatever is staged so the poll below sees it; an empty stage
-    // is not an error here.
+    // Seal whatever is staged (an empty stage is not an error here) and
+    // hand over anything a restart left behind.
     (void)shard->FlushStagedBatch();
+    (void)shard->Recover();
   }
-  aggregator_->PollShards();
   return aggregator_->CloseEpoch();
 }
 
@@ -298,7 +305,7 @@ Result<std::unique_ptr<ShardedDeployment>> ShardedDeployment::Create(
     }
     if (config.engine.forest_stage2) {
       AggregatorJournal::Options journal_options;
-      journal_options.fsync_on_append = config.log_fsync;
+      journal_options.fsync = config.log_fsync;
       WEDGE_ASSIGN_OR_RETURN(
           journal, AggregatorJournal::Open(
                        config.log_dir + "/aggregator.journal",

@@ -26,8 +26,8 @@ struct ShardedEngineConfig {
   /// Close an aggregation epoch every N Tick() calls (i.e. every N
   /// blocks when the caller ticks per block).
   uint32_t epoch_ticks = 1;
-  /// When true (the default for num_shards > 1), shards do no stage-2 of
-  /// their own; the EpochRootAggregator submits one forest root per
+  /// When true (the default for num_shards > 1), every shard's root sink
+  /// is the EpochRootAggregator, which submits one forest root per
   /// epoch. When false — allowed only with num_shards == 1 — the single
   /// shard runs the classic per-batch updateRecords stream, making the
   /// engine behaviourally identical to a bare OffchainNode (the
@@ -77,7 +77,7 @@ class ShardedLogEngine {
   /// What one Recover() pass did.
   struct RecoveryReport {
     uint64_t journaled_epochs = 0;   ///< Epochs replayed from the journal.
-    uint64_t restaged_roots = 0;     ///< Sealed roots no journaled epoch held.
+    uint64_t restaged_roots = 0;     ///< Sealed roots the sink lacked.
     uint64_t recovered_epochs = 0;   ///< New epochs closed over those roots.
     uint64_t resubmitted_epochs = 0; ///< Journaled epochs resubmitted on chain.
     uint64_t confirmed_epochs = 0;   ///< Epochs found already recorded.
@@ -88,14 +88,13 @@ class ShardedLogEngine {
     uint64_t store_tmp_files_removed = 0;    ///< Interrupted seal scratch.
   };
 
-  /// One-pass crash recovery (forest mode): reconciles every shard's
-  /// recovered log tail against the journal — any batch root sealed
-  /// before the crash but never assigned to an epoch is staged and closed
-  /// into fresh epochs — then checks every epoch with no in-flight
-  /// transaction against the chain's forest record, resubmitting the
-  /// ones whose root never landed. Idempotent: a second call (or a call
-  /// after a clean shutdown) finds nothing to do. Generalizes
-  /// OffchainNode::Recover to the sharded topology.
+  /// One-pass crash recovery: every shard hands its root sink the
+  /// durable roots the sink lacks (OffchainNode::Recover). Classic mode
+  /// then commits them. Forest mode first sends the journaled epochs
+  /// that never went out — retiring those the chain's forestTail already
+  /// covers — then closes the restaged roots into fresh epochs.
+  /// Idempotent: a second call (or a call after a clean shutdown) finds
+  /// nothing to do.
   Result<RecoveryReport> Recover();
 
   /// Routed, admission-controlled append. Quota rejections are typed
@@ -114,8 +113,9 @@ class ShardedLogEngine {
                                             uint64_t log_id);
 
   /// One "block" of background progress: classic mode ticks each shard's
-  /// stage-2 submitter; forest mode polls shard roots, closes an epoch
-  /// every `epoch_ticks` calls, and runs aggregator receipt bookkeeping.
+  /// stage-2 submitter; forest mode lets restarted shards catch their
+  /// sink up, closes an epoch every `epoch_ticks` calls, and ticks the
+  /// aggregator's forest stream.
   void Tick();
 
   /// Seals staged batches on every shard (see

@@ -1,9 +1,5 @@
 #include "storage/log_store.h"
 
-#include <unistd.h>
-
-#include <cstring>
-
 #include "common/clock.h"
 
 namespace wedge {
@@ -84,128 +80,33 @@ Status MemoryLogStore::Scan(
 
 Result<std::unique_ptr<FileLogStore>> FileLogStore::Open(
     const std::string& path, const Options& options) {
-  std::unique_ptr<FileLogStore> store(new FileLogStore(path, options));
-
-  // Replay existing records (if any), stopping at the first torn record.
-  FILE* replay = std::fopen(path.c_str(), "rb");
-  long valid_end = 0;
-  if (replay != nullptr) {
-    for (;;) {
-      uint8_t len_raw[4];
-      if (std::fread(len_raw, 1, 4, replay) != 4) break;
-      uint32_t len = (static_cast<uint32_t>(len_raw[0]) << 24) |
-                     (static_cast<uint32_t>(len_raw[1]) << 16) |
-                     (static_cast<uint32_t>(len_raw[2]) << 8) |
-                     static_cast<uint32_t>(len_raw[3]);
-      Bytes payload(len);
-      if (len > 0 && std::fread(payload.data(), 1, len, replay) != len) break;
-      uint8_t checksum[32];
-      if (std::fread(checksum, 1, 32, replay) != 32) break;
-      Hash256 expect = Sha256::Digest(payload);
-      if (std::memcmp(checksum, expect.data(), 32) != 0) break;  // Corrupt.
-      auto pos = LogPosition::Deserialize(payload);
-      if (!pos.ok() ||
-          pos.value().log_id != store->positions_.size()) {
-        break;
-      }
-      store->positions_.push_back(std::move(pos).value());
-      valid_end = std::ftell(replay);
-    }
-    std::fclose(replay);
-  }
-
-  // Reopen for appending, truncating any torn tail.
-  FILE* f = std::fopen(path.c_str(), replay != nullptr ? "rb+" : "wb+");
-  if (f == nullptr) {
-    return Status::Internal("cannot open log file: " + path);
-  }
-  if (replay != nullptr) {
-    // Drop the invalid tail (best effort; failure keeps the longer file,
-    // which recovery tolerates anyway).
-    if (std::fseek(f, 0, SEEK_END) == 0 && std::ftell(f) > valid_end) {
-      (void)!ftruncate(fileno(f), valid_end);
-    }
-    std::fseek(f, valid_end, SEEK_SET);
-  }
-  store->file_ = f;
-  store->acked_bytes_ = static_cast<uint64_t>(valid_end);
+  std::unique_ptr<FileLogStore> store(new FileLogStore(options));
+  FramedLog::Options log_options;
+  log_options.fsync = options.fsync_on_append;
+  log_options.fail_after_bytes = options.fail_after_bytes;
+  log_options.fsync_hist = store->fsync_hist_;
+  auto& positions = store->positions_;
+  WEDGE_ASSIGN_OR_RETURN(
+      store->log_,
+      FramedLog::Open(path, log_options, [&positions](Bytes&& payload) {
+        auto pos = LogPosition::Deserialize(payload);
+        if (!pos.ok() || pos.value().log_id != positions.size()) return false;
+        positions.push_back(std::move(pos).value());
+        return true;
+      }));
   return store;
-}
-
-FileLogStore::~FileLogStore() {
-  if (file_ != nullptr) std::fclose(file_);
 }
 
 Status FileLogStore::Append(const LogPosition& position) {
   Stopwatch watch(RealClock::Global());
   std::lock_guard<std::mutex> lock(mu_);
-  WEDGE_RETURN_IF_ERROR(poison_);
   if (position.log_id != positions_.size()) {
     return Status::FailedPrecondition("log positions must be consecutive");
   }
-  Bytes payload = position.Serialize();
-  Bytes record;
-  PutU32(record, static_cast<uint32_t>(payload.size()));
-  wedge::Append(record, payload);  // Qualified: Append is shadowed here.
-  Hash256 checksum = Sha256::Digest(payload);
-  wedge::Append(record, HashToBytes(checksum));
-
-  // Fault injection: a full disk writes part of the record, then fails.
-  size_t allowed = record.size();
-  bool injected = false;
-  if (options_.fail_after_bytes != 0 &&
-      acked_bytes_ + record.size() > options_.fail_after_bytes) {
-    allowed = options_.fail_after_bytes > acked_bytes_
-                  ? static_cast<size_t>(options_.fail_after_bytes -
-                                        acked_bytes_)
-                  : 0;
-    injected = true;
-  }
-
-  std::string error;
-  if (std::fwrite(record.data(), 1, allowed, file_) != record.size() ||
-      injected) {
-    error = "short write to log file";
-  } else if (std::fflush(file_) != 0) {
-    // Always push the record into the page cache before acking: a record
-    // left in the stdio buffer dies with the process, and a SIGKILL would
-    // then silently reuse this log_id for a different batch after replay.
-    // fsync (power-loss durability) stays optional; process-crash
-    // durability is not.
-    error = "fflush failed on append";
-  } else if (options_.fsync_on_append) {
-    Stopwatch fsync_watch(RealClock::Global());
-    if (fsync(fileno(file_)) != 0) {
-      error = "fsync failed on append";
-    } else if (fsync_hist_ != nullptr) {
-      fsync_hist_->Record(fsync_watch.ElapsedMicros());
-    }
-  }
-  if (!error.empty()) return RollbackAppendLocked(error);
-
+  WEDGE_RETURN_IF_ERROR(log_->Append(position.Serialize()));
   positions_.push_back(position);
-  acked_bytes_ += record.size();
   if (append_hist_ != nullptr) append_hist_->Record(watch.ElapsedMicros());
   return Status::Ok();
-}
-
-Status FileLogStore::RollbackAppendLocked(const std::string& error) {
-  // Roll the file back to the last acked record so the failed (possibly
-  // torn) frame can never sit in front of a later, acked one. Flush
-  // first (best effort) so buffered partial bytes reach the fd before
-  // the truncate; clear stdio's sticky error either way.
-  std::fflush(file_);
-  std::clearerr(file_);
-  if (ftruncate(fileno(file_), static_cast<off_t>(acked_bytes_)) != 0 ||
-      std::fseek(file_, static_cast<long>(acked_bytes_), SEEK_SET) != 0) {
-    // Even the rollback failed: a torn frame may survive ahead of the
-    // write cursor. Fail every later operation instead of risking an
-    // acked record landing behind a torn one (recovery would drop it).
-    poison_ = Status::IoError(
-        error + "; rollback failed, store is read-only: " + path_);
-    return poison_;
-  }
-  return Status::IoError(error + ": " + path_);
 }
 
 Result<LogPosition> FileLogStore::Get(uint64_t log_id) const {
@@ -250,14 +151,7 @@ Status FileLogStore::Scan(
 
 Status FileLogStore::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  WEDGE_RETURN_IF_ERROR(poison_);
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("fflush failed: " + path_);
-  }
-  if (options_.fsync_on_append && fsync(fileno(file_)) != 0) {
-    return Status::IoError("fsync failed: " + path_);
-  }
-  return Status::Ok();
+  return log_->Flush();
 }
 
 ReplicatedLogStore::ReplicatedLogStore(

@@ -1,7 +1,6 @@
 #ifndef WEDGEBLOCK_STORAGE_LOG_STORE_H_
 #define WEDGEBLOCK_STORAGE_LOG_STORE_H_
 
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "storage/framed_log.h"
 #include "telemetry/metrics.h"
 
 namespace wedge {
@@ -117,11 +117,9 @@ class MemoryLogStore : public LogStore {
   std::vector<LogPosition> positions_;
 };
 
-/// File-backed store with crash recovery.
-///
-/// Record format: [u32 payload_len][payload][32B sha256(payload)], where
-/// payload = LogPosition::Serialize(). Open() replays the file and
-/// truncates a torn tail (partial final record) instead of failing.
+/// File-backed store with crash recovery: a FramedLog of
+/// LogPosition::Serialize() payloads (torn tail truncated on Open, failed
+/// appends rolled back — no acked-then-lost window).
 class FileLogStore : public LogStore {
  public:
   struct Options {
@@ -150,8 +148,6 @@ class FileLogStore : public LogStore {
     return Open(path, Options());
   }
 
-  ~FileLogStore() override;
-
   Status Append(const LogPosition& position) override;
   Result<LogPosition> Get(uint64_t log_id) const override;
   Result<SharedBytes> GetEntry(const EntryIndex& index) const override;
@@ -166,13 +162,7 @@ class FileLogStore : public LogStore {
   const Options& options() const { return options_; }
 
  private:
-  /// Restores the file to the last acked record after a failed append;
-  /// poisons the store when the rollback itself fails. Returns the typed
-  /// kIoError the append surfaces.
-  Status RollbackAppendLocked(const std::string& error);
-
-  FileLogStore(std::string path, const Options& options)
-      : path_(std::move(path)), options_(options) {
+  explicit FileLogStore(const Options& options) : options_(options) {
     if (options_.metrics != nullptr) {
       append_hist_ = options_.metrics->GetHistogram("wedge.store.append_us");
       fsync_hist_ = options_.metrics->GetHistogram("wedge.store.fsync_us");
@@ -180,7 +170,6 @@ class FileLogStore : public LogStore {
     }
   }
 
-  std::string path_;
   const Options options_;
   Histogram* append_hist_ = nullptr;
   Histogram* fsync_hist_ = nullptr;
@@ -189,13 +178,7 @@ class FileLogStore : public LogStore {
   // The recovered/served view. Positions are also cached in memory; the
   // file is the durable copy replayed on Open().
   std::vector<LogPosition> positions_;
-  FILE* file_ = nullptr;
-  /// File offset after the last fully acked record. A failed append is
-  /// rolled back to this watermark (or the store is poisoned when even
-  /// the rollback fails), so there is no acked-then-lost window.
-  uint64_t acked_bytes_ = 0;
-  /// First unrecoverable I/O failure; all later ops fail with it.
-  Status poison_;
+  std::unique_ptr<FramedLog> log_;
 };
 
 /// Primary + follower replication (the "replicated" curves in Figures 3

@@ -37,12 +37,6 @@ uint64_t PositionOwnerTenant(const LogPosition& position) {
   return owner;
 }
 
-void AppendFramedRecord(Bytes& out, const Bytes& payload) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  Append(out, payload);
-  Append(out, HashToBytes(Sha256::Digest(payload)));
-}
-
 Bytes EncodePositionPayload(const LogPosition& position) {
   Bytes payload;
   payload.push_back(kRecordPosition);
@@ -213,8 +207,8 @@ Status WriteSegmentFile(const std::string& path, uint64_t base_id,
   for (size_t i = 0; i < payloads.size(); ++i) {
     (*entries)[i].offset = file_bytes.size();
     (*entries)[i].record_len =
-        static_cast<uint32_t>(payloads[i].size() + kRecordFrameBytes);
-    AppendFramedRecord(file_bytes, payloads[i]);
+        static_cast<uint32_t>(payloads[i].size() + kFrameOverhead);
+    AppendFrame(file_bytes, payloads[i]);
   }
   Bytes footer = EncodeFooter(*entries, BuildExtents(*entries, base_id));
   SegmentTrailer trailer;

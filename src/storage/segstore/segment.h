@@ -46,8 +46,6 @@ namespace wedge {
 inline constexpr char kSegmentMagic[4] = {'W', 'S', 'G', 'F'};
 inline constexpr uint32_t kSegmentVersion = 1;
 inline constexpr size_t kSegmentTrailerBytes = 4 + 4 + 8 + 4 + 8 + 4 + 32;
-/// Frame overhead around a record payload: length prefix + checksum.
-inline constexpr size_t kRecordFrameBytes = 4 + 32;
 
 /// Record payload kinds.
 inline constexpr uint8_t kRecordPosition = 0;
@@ -94,9 +92,6 @@ struct SegmentTrailer {
   uint32_t footer_len = 0;
   Hash256 footer_sha{};
 };
-
-/// Frames `payload` into `out` ([len][payload][sha256]).
-void AppendFramedRecord(Bytes& out, const Bytes& payload);
 
 /// Encodes a kind-0 record payload for `position`.
 Bytes EncodePositionPayload(const LogPosition& position);

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "common/clock.h"
 
@@ -176,33 +177,22 @@ Status SegmentLogStore::ReplayWalLocked(uint64_t sealed_end) {
   FILE* replay = std::fopen(path.c_str(), "rb");
   long valid_end = 0;
   if (replay != nullptr) {
-    for (;;) {
-      uint8_t len_raw[4];
-      if (std::fread(len_raw, 1, 4, replay) != 4) break;
-      uint32_t len = (static_cast<uint32_t>(len_raw[0]) << 24) |
-                     (static_cast<uint32_t>(len_raw[1]) << 16) |
-                     (static_cast<uint32_t>(len_raw[2]) << 8) |
-                     static_cast<uint32_t>(len_raw[3]);
-      Bytes payload(len);
-      if (len > 0 && std::fread(payload.data(), 1, len, replay) != len) break;
-      uint8_t checksum[32];
-      if (std::fread(checksum, 1, 32, replay) != 32) break;
-      Hash256 expect = Sha256::Digest(payload);
-      if (std::memcmp(checksum, expect.data(), 32) != 0) break;  // Torn.
+    valid_end = ReplayFrames(replay, [&](Bytes&& payload) {
       auto decoded = DecodeRecordPayload(payload);
-      if (!decoded.ok() || decoded.value().kind != kRecordPosition) break;
+      if (!decoded.ok() || decoded.value().kind != kRecordPosition) {
+        return false;
+      }
       uint64_t id = decoded.value().log_id;
       if (id < sealed_end) {
         // A crash between segment rename and WAL truncation leaves the
         // sealed prefix in the WAL; the segment is authoritative.
         ++recovery_.wal_skipped;
-        valid_end = std::ftell(replay);
-        continue;
+        return true;
       }
-      if (id != sealed_end + wal_positions_.size()) break;  // Torn/corrupt.
+      if (id != sealed_end + wal_positions_.size()) return false;  // Torn.
       wal_positions_.push_back(std::move(decoded).value().position);
-      valid_end = std::ftell(replay);
-    }
+      return true;
+    });
     std::fseek(replay, 0, SEEK_END);
     long file_end = std::ftell(replay);
     if (file_end > valid_end) {
@@ -247,7 +237,7 @@ Status SegmentLogStore::RewriteWalLocked() {
   }
   Bytes out;
   for (const LogPosition& pos : wal_positions_) {
-    AppendFramedRecord(out, EncodePositionPayload(pos));
+    AppendFrame(out, EncodePositionPayload(pos));
   }
   if (!out.empty() && std::fwrite(out.data(), 1, out.size(), f) != out.size()) {
     std::fclose(f);
@@ -277,27 +267,16 @@ Status SegmentLogStore::LoadRetiredLocked() {
   const std::string path = dir_ + "/" + kRetiredName;
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::Ok();  // Nothing retired yet.
-  uint8_t len_raw[4];
-  Status bad = Status::Corruption("retired-tenant file is corrupt: " + path);
-  if (std::fread(len_raw, 1, 4, f) != 4) {
-    std::fclose(f);
-    return bad;
-  }
-  uint32_t len = (static_cast<uint32_t>(len_raw[0]) << 24) |
-                 (static_cast<uint32_t>(len_raw[1]) << 16) |
-                 (static_cast<uint32_t>(len_raw[2]) << 8) |
-                 static_cast<uint32_t>(len_raw[3]);
-  Bytes payload(len);
-  uint8_t checksum[32];
-  if ((len > 0 && std::fread(payload.data(), 1, len, f) != len) ||
-      std::fread(checksum, 1, 32, f) != 32) {
-    std::fclose(f);
-    return bad;
-  }
+  std::optional<Bytes> payload;
+  ReplayFrames(f, [&payload](Bytes&& frame_payload) {
+    payload = std::move(frame_payload);
+    return false;  // The file holds exactly one frame.
+  });
   std::fclose(f);
-  Hash256 expect = Sha256::Digest(payload);
-  if (std::memcmp(checksum, expect.data(), 32) != 0) return bad;
-  ByteReader reader(payload);
+  if (!payload.has_value()) {
+    return Status::Corruption("retired-tenant file is corrupt: " + path);
+  }
+  ByteReader reader(*payload);
   WEDGE_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
   for (uint32_t i = 0; i < count; ++i) {
     WEDGE_ASSIGN_OR_RETURN(uint64_t tenant, reader.ReadU64());
@@ -313,7 +292,7 @@ Status SegmentLogStore::PersistRetiredLocked() {
   PutU32(payload, static_cast<uint32_t>(retired_.size()));
   for (uint64_t tenant : retired_) PutU64(payload, tenant);
   Bytes record;
-  AppendFramedRecord(record, payload);
+  AppendFrame(record, payload);
   FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create retired-tenant file: " + tmp);
@@ -332,7 +311,7 @@ Status SegmentLogStore::PersistRetiredLocked() {
 
 Status SegmentLogStore::WalWriteLocked(const Bytes& payload) {
   Bytes record;
-  AppendFramedRecord(record, payload);
+  AppendFrame(record, payload);
   if (std::fwrite(record.data(), 1, record.size(), wal_file_) !=
       record.size()) {
     // A partial frame may now sit in the stdio buffer where later appends
@@ -628,20 +607,10 @@ Result<Bytes> SegmentLogStore::ReadPayloadLocked(Segment* segment,
   if (n != static_cast<ssize_t>(frame.size())) {
     return Status::IoError("cannot read segment record: " + segment->path);
   }
-  if (frame.size() < kRecordFrameBytes) {
-    return Status::Corruption("segment record frame too small");
-  }
-  uint32_t len = (static_cast<uint32_t>(frame[0]) << 24) |
-                 (static_cast<uint32_t>(frame[1]) << 16) |
-                 (static_cast<uint32_t>(frame[2]) << 8) |
-                 static_cast<uint32_t>(frame[3]);
-  if (len + kRecordFrameBytes != frame.size()) {
-    return Status::Corruption("segment record length mismatch");
-  }
-  Bytes payload(frame.begin() + 4, frame.begin() + 4 + len);
-  Hash256 expect = Sha256::Digest(payload);
-  if (std::memcmp(frame.data() + 4 + len, expect.data(), 32) != 0) {
-    return Status::Corruption("segment record checksum mismatch: " +
+  Result<Bytes> payload = DecodeFrame(frame);
+  if (!payload.ok()) {
+    return Status::Corruption("segment record: " +
+                              payload.status().ToString() + ": " +
                               segment->path);
   }
   return payload;

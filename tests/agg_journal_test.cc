@@ -129,6 +129,50 @@ TEST(AggregatorJournalTest, TornTailTruncationRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(AggregatorJournalTest, TornAppendIsRolledBackSoARetriedEpochReplays) {
+  std::string dir = TempDir("torn_append");
+  std::string path = dir + "/aggregator.journal";
+  AggregatorJournal::Options options;
+  // Simulated device capacity: room for the small records below, not
+  // for a 64-leaf epoch (each leaf journals 44 bytes).
+  options.fail_after_bytes = 1000;
+  {
+    auto journal = AggregatorJournal::Open(path, options);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_TRUE(
+        (*journal)->AppendEpoch(0, FakeHash(0xC0), MakeLeaves(3, 0)).ok());
+    ASSERT_TRUE(
+        (*journal)->AppendEpoch(1, FakeHash(0xC1), MakeLeaves(3, 3)).ok());
+    ASSERT_TRUE((*journal)->AppendConfirmed(0).ok());
+    // The disk fills mid-record: a torn frame is written, then the
+    // append fails with nothing acked.
+    Status torn = (*journal)->AppendEpoch(2, FakeHash(0xC2),
+                                          MakeLeaves(64, 6));
+    ASSERT_FALSE(torn.ok());
+    EXPECT_EQ(torn.code(), Code::kIoError);
+    EXPECT_EQ((*journal)->epochs().size(), 2u);
+    // CloseEpoch retries the same epoch number (here with fewer leaves,
+    // as when some were re-staged), and journaling continues behind it.
+    ASSERT_TRUE(
+        (*journal)->AppendEpoch(2, FakeHash(0xD2), MakeLeaves(2, 6)).ok());
+    ASSERT_TRUE(
+        (*journal)->AppendEpoch(3, FakeHash(0xD3), MakeLeaves(1, 8)).ok());
+  }
+  // Every epoch whose AppendEpoch returned OK replays: the torn frame
+  // was rolled back instead of sitting in front of epochs 2 and 3.
+  auto reopened = AggregatorJournal::Open(path, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto& epochs = (*reopened)->epochs();
+  ASSERT_EQ(epochs.size(), 4u);
+  EXPECT_EQ(epochs[0].root, FakeHash(0xC0));
+  EXPECT_TRUE(epochs[0].confirmed);
+  EXPECT_EQ(epochs[1].root, FakeHash(0xC1));
+  EXPECT_EQ(epochs[2].root, FakeHash(0xD2));
+  EXPECT_EQ(epochs[2].leaves.size(), 2u);
+  EXPECT_EQ(epochs[3].root, FakeHash(0xD3));
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level recovery over a journaled deployment.
 
@@ -239,6 +283,59 @@ TEST_F(ShardedRecoveryTest, SealedButUnjournaledRootsCloseIntoFreshEpochs) {
     ASSERT_NE(agg, nullptr);
     EXPECT_GE(agg->epochs_closed(), 1u);
   }
+}
+
+TEST_F(ShardedRecoveryTest, RestartWithoutRecoverCatchesUpOnTicks) {
+  struct Acked {
+    TenantId tenant;
+    EntryIndex index;
+  };
+  std::vector<Acked> acked;
+  auto append = [&](ShardedDeployment& d, TenantId tenant) {
+    auto r = d.engine().Append(tenant, MakeBatch(4));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    acked.push_back(Acked{tenant, r->front().index});
+  };
+  {
+    // Life 1: epoch 0 closes (journaled, tx pending), then two more
+    // batches seal into the shard stores without reaching any epoch.
+    auto d = Build();
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    append(**d, 0);
+    append(**d, 1);
+    (*d)->AdvanceBlocks(1);
+    append(**d, 2);
+    append(**d, 3);
+  }
+  auto d = Build();
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  // Life 2 serves before Recover(): a new seal lands behind the
+  // unstaged tail of its shard, and ordinary ticks hand that tail over
+  // and resend the journaled epoch the fresh chain never saw.
+  append(**d, 0);
+  EpochRootAggregator* agg = (*d)->engine().aggregator();
+  for (int i = 0; i < 32 && (agg->epochs_unconfirmed() > 0 ||
+                             agg->staged_count() > 0);
+       ++i) {
+    (*d)->AdvanceBlocks(1);
+  }
+  ASSERT_EQ(agg->epochs_unconfirmed(), 0u);
+  ASSERT_EQ(agg->staged_count(), 0u);
+  for (const Acked& a : acked) {
+    auto proof = (*d)->engine().ProveAggregation(a.tenant, a.index.log_id);
+    ASSERT_TRUE(proof.ok()) << "tenant " << a.tenant << ": "
+                            << proof.status().ToString();
+    PublisherClient client = (*d)->MakePublisher(a.tenant);
+    auto check = client.CheckForestCommit(*proof);
+    ASSERT_TRUE(check.ok()) << check.status().ToString();
+    EXPECT_EQ(*check, CommitCheck::kBlockchainCommitted);
+  }
+  // Recover() after the ticks caught up finds nothing left to do.
+  auto report = (*d)->engine().Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->restaged_roots, 0u);
+  EXPECT_EQ(report->recovered_epochs, 0u);
+  EXPECT_EQ(report->resubmitted_epochs, 0u);
 }
 
 }  // namespace

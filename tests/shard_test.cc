@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <set>
 
 #include "common/bytes.h"
 #include "shard/router.h"
@@ -507,7 +509,8 @@ TEST_F(ShardedEngineTest, LostForestTxIsResubmittedAndConfirms) {
   // Past the resubmission deadline, plus enough blocks for the retry to
   // mine and reach chain confirmation depth.
   deployment_->AdvanceBlocks(
-      static_cast<int>(EpochRootAggregator::kConfirmationDeadlineBlocks) + 6);
+      static_cast<int>(Stage2SubmitterConfig{}.confirmation_deadline_blocks) +
+      6);
 
   EpochRootAggregator* agg = deployment_->engine().aggregator();
   ASSERT_NE(agg, nullptr);
@@ -551,7 +554,8 @@ TEST_F(ShardedEngineTest, AlreadyRecordedEpochConfirmsWithoutResubmit) {
   ASSERT_TRUE(deployment_->chain().Submit(tx).ok());
 
   deployment_->AdvanceBlocks(
-      static_cast<int>(EpochRootAggregator::kConfirmationDeadlineBlocks) + 2);
+      static_cast<int>(Stage2SubmitterConfig{}.confirmation_deadline_blocks) +
+      2);
   EpochRootAggregator* agg = deployment_->engine().aggregator();
   ASSERT_NE(agg, nullptr);
   // Recovery consulted the chain, found the epoch recorded, and marked
@@ -563,6 +567,246 @@ TEST_F(ShardedEngineTest, AlreadyRecordedEpochConfirmsWithoutResubmit) {
   auto check = client.CheckForestCommit(*proof);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_EQ(*check, CommitCheck::kBlockchainCommitted);
+}
+
+TEST_F(ShardedEngineTest, ForestEpochConfirmsAtConfirmationDepth) {
+  Build(2);
+  EpochRootAggregator* agg = deployment_->engine().aggregator();
+  AppendBatch(/*tenant=*/1);
+  deployment_->AdvanceBlocks(1);  // Close epoch 0 and send its tx.
+  deployment_->AdvanceBlocks(1);  // Mined: a receipt, not yet deep.
+  ASSERT_EQ(agg->ForestTxIds().size(), 1u);
+  ASSERT_TRUE(deployment_->chain().GetReceipt(agg->ForestTxIds()[0]).ok());
+  EXPECT_EQ(agg->epochs_unconfirmed(), 1u);
+  // The classic rule: confirmed once `confirmations` blocks sit on top.
+  deployment_->AdvanceBlocks(deployment_->chain().config().confirmations);
+  EXPECT_EQ(agg->epochs_unconfirmed(), 0u);
+  EXPECT_EQ(agg->epochs_confirmed(), 1u);
+}
+
+/// Every closed epoch of `d` is recorded on chain under the root the
+/// aggregator proves for it; `acked` holds one sealed batch per tenant.
+void ExpectEveryEpochCommitted(
+    ShardedDeployment& d,
+    const std::vector<std::pair<TenantId, Stage1Response>>& acked) {
+  ShardedLogEngine& e = d.engine();
+  std::set<uint64_t> epochs;
+  for (const auto& [tenant, response] : acked) {
+    auto proof = e.ProveAggregation(tenant, response.index.log_id);
+    ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+    PublisherClient client = d.MakePublisher(tenant);
+    EXPECT_TRUE(client.VerifyAggregation(response, *proof));
+    auto check = client.CheckForestCommit(*proof);
+    ASSERT_TRUE(check.ok()) << check.status().ToString();
+    EXPECT_EQ(*check, CommitCheck::kBlockchainCommitted)
+        << "epoch " << proof->epoch;
+    epochs.insert(proof->epoch);
+  }
+  EXPECT_EQ(epochs.size(), e.aggregator()->epochs_closed())
+      << "an epoch holds no acked batch";
+}
+
+TEST_F(ShardedEngineTest, ForestStreamRetriesScriptedFaultsWithCauses) {
+  Build(2);
+  EpochRootAggregator* agg = deployment_->engine().aggregator();
+  FaultInjector* faults = deployment_->chain().fault_injector();
+  struct Phase {
+    FaultType fault;
+    const char* retry_cause;
+  };
+  // A gas spike rides on a dropped epoch's bumped retry (initial sends
+  // bid the market price, which a spike cannot undercut).
+  const Phase phases[] = {{FaultType::kDropTx, "timeout"},
+                          {FaultType::kEvictTx, "timeout"},
+                          {FaultType::kRevertTx, "revert"},
+                          {FaultType::kGasSpike, "timeout"}};
+  std::vector<std::pair<TenantId, Stage1Response>> acked;
+  TenantId tenant = 0;
+  for (const Phase& phase : phases) {
+    const size_t before = agg->stage2_submitter().attempts().size();
+    const uint64_t epoch = agg->epochs_closed();
+    if (phase.fault == FaultType::kEvictTx) {
+      // Hold mining back so the tx is evicted before it can land.
+      faults->Schedule(FaultType::kEvictTx, 1);
+      faults->Schedule(FaultType::kDelayBlock, 2);
+    } else if (phase.fault == FaultType::kGasSpike) {
+      faults->Schedule(FaultType::kDropTx, 1);
+    } else {
+      faults->Schedule(phase.fault, 1);
+    }
+    auto responses = AppendBatch(tenant);
+    ASSERT_FALSE(responses.empty());
+    acked.emplace_back(tenant++, responses.front());
+    bool spiked = false;
+    for (int i = 0; i < 64 && (agg->epochs_closed() == epoch ||
+                               agg->epochs_unconfirmed() > 0);
+         ++i) {
+      deployment_->AdvanceBlocks(1);
+      if (phase.fault == FaultType::kGasSpike && !spiked &&
+          agg->stage2_submitter().attempts().size() == before + 2) {
+        // The bumped retry is in the mempool: spike the next block.
+        faults->Schedule(FaultType::kGasSpike, 1);
+        spiked = true;
+      }
+    }
+    ASSERT_EQ(agg->epochs_unconfirmed(), 0u);
+    auto attempts = agg->stage2_submitter().attempts();
+    ASSERT_EQ(attempts.size(), before + 2) << "phase " << epoch;
+    EXPECT_EQ(attempts[before].cause, "initial");
+    EXPECT_EQ(attempts[before].first_log_id, epoch);
+    EXPECT_EQ(attempts[before + 1].cause, phase.retry_cause);
+    EXPECT_EQ(attempts[before + 1].first_log_id, epoch);
+    EXPECT_EQ(attempts[before + 1].attempt, 2);
+    EXPECT_TRUE(attempts[before + 1].gas_bid > attempts[before].gas_bid);
+    if (phase.fault == FaultType::kGasSpike) {
+      // The spiked block priced the bumped retry out; the next mined it.
+      auto receipt =
+          deployment_->chain().GetReceipt(attempts[before + 1].tx_id);
+      ASSERT_TRUE(receipt.ok());
+      EXPECT_GE(receipt->block_number, attempts[before + 1].block + 2);
+    }
+  }
+  FaultStats injected = faults->stats();
+  EXPECT_EQ(injected.txs_dropped, 2u);
+  EXPECT_EQ(injected.txs_evicted, 1u);
+  EXPECT_EQ(injected.txs_reverted, 1u);
+  EXPECT_EQ(injected.gas_spikes, 1u);
+  MetricsSnapshot snap = deployment_->telemetry().metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("wedge.engine.forest_tx_retries"), 4u);
+  EXPECT_EQ(snap.CounterValue("wedge.engine.forest_txs"), 8u);
+  ExpectEveryEpochCommitted(*deployment_, acked);
+}
+
+/// A two-shard forest deployment whose chain injects every fault class
+/// at seeded rates.
+std::unique_ptr<ShardedDeployment> MakeFaultyForest(uint64_t seed) {
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 2;
+  config.engine.node.batch_size = 4;
+  config.engine.node.worker_threads = 1;
+  config.chain.faults.seed = seed;
+  config.chain.faults.drop_probability = 0.15;
+  config.chain.faults.evict_probability = 0.1;
+  config.chain.faults.revert_probability = 0.1;
+  config.chain.faults.delay_probability = 0.1;
+  config.chain.faults.gas_spike_probability = 0.2;
+  auto made = ShardedDeployment::Create(config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
+TEST(ShardedForestFaultTest, SeededFaultsMatchTheAttemptLog) {
+  auto d = MakeFaultyForest(0x5EED);
+  ASSERT_NE(d, nullptr);
+  EpochRootAggregator* agg = d->engine().aggregator();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  // One epoch in flight at a time, so every failure is the epoch's own.
+  std::vector<std::pair<TenantId, Stage1Response>> acked;
+  for (TenantId tenant = 0; tenant < 24; ++tenant) {
+    auto r = d->engine().Append(tenant, MakeBatch(publisher, &seq, 4));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    acked.emplace_back(tenant, r->front());
+    d->AdvanceBlocks(1);
+    for (int i = 0; i < 128 && agg->epochs_unconfirmed() > 0; ++i) {
+      d->AdvanceBlocks(1);
+    }
+    ASSERT_EQ(agg->epochs_unconfirmed(), 0u) << "epoch " << tenant;
+  }
+  ExpectEveryEpochCommitted(*d, acked);
+
+  // Drops and evictions surface as timeouts, reverts as reverts, each
+  // retried once; gas spikes only delay a bumped retry.
+  FaultStats injected = d->chain().fault_injector()->stats();
+  Stage2SubmitterStats stats = agg->stage2_submitter().stats();
+  ASSERT_GT(injected.txs_dropped, 0u);
+  ASSERT_GT(injected.txs_reverted, 0u);
+  ASSERT_GT(injected.gas_spikes, 0u);
+  EXPECT_EQ(stats.txs_timed_out, injected.txs_dropped + injected.txs_evicted);
+  EXPECT_EQ(stats.txs_reverted, injected.txs_reverted);
+  std::map<std::string, uint64_t> causes;
+  for (const Stage2Attempt& a : agg->stage2_submitter().attempts()) {
+    ++causes[a.cause];
+  }
+  EXPECT_EQ(causes.size(), 3u);  // initial, timeout, revert — nothing else.
+  EXPECT_EQ(causes["initial"], agg->epochs_closed());
+  EXPECT_EQ(causes["timeout"], stats.txs_timed_out);
+  EXPECT_EQ(causes["revert"], stats.txs_reverted);
+  EXPECT_EQ(stats.digests_confirmed, agg->epochs_closed());
+}
+
+TEST(ShardedForestFaultTest, SeededFaultsUnderContinuousEpochsLoseNothing) {
+  auto d = MakeFaultyForest(0xFA57);
+  ASSERT_NE(d, nullptr);
+  EpochRootAggregator* agg = d->engine().aggregator();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  // An epoch closes every block while earlier ones are still retried: a
+  // lost epoch makes the ones behind it revert until it is resent.
+  std::vector<std::pair<TenantId, Stage1Response>> acked;
+  for (TenantId tenant = 0; tenant < 24; ++tenant) {
+    auto r = d->engine().Append(tenant, MakeBatch(publisher, &seq, 4));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    acked.emplace_back(tenant, r->front());
+    d->AdvanceBlocks(1);
+  }
+  for (int i = 0; i < 512 && agg->epochs_unconfirmed() > 0; ++i) {
+    d->AdvanceBlocks(1);
+  }
+  ASSERT_EQ(agg->epochs_unconfirmed(), 0u);
+  ExpectEveryEpochCommitted(*d, acked);
+  FaultStats injected = d->chain().fault_injector()->stats();
+  ASSERT_GT(injected.txs_dropped + injected.txs_reverted, 0u);
+  EXPECT_GT(agg->stage2_submitter().stats().txs_retried, 0u);
+  for (const Stage2Attempt& a : agg->stage2_submitter().attempts()) {
+    EXPECT_TRUE(a.cause == "initial" || a.cause == "timeout" ||
+                a.cause == "revert")
+        << a.cause;
+  }
+}
+
+TEST(ShardedForestStateTest, ShardAndAggregatorStateStaysBounded) {
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 2;
+  config.engine.node.batch_size = 1;
+  config.engine.node.worker_threads = 1;
+  config.engine.node.verify_client_signatures = false;
+  config.engine.node.sign_stage1_responses = false;
+  auto made = ShardedDeployment::Create(config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ShardedDeployment& d = **made;
+  ShardedLogEngine& e = d.engine();
+  EpochRootAggregator* agg = e.aggregator();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+
+  constexpr int kPositions = 2000;
+  for (int i = 0; i < kPositions; ++i) {
+    ASSERT_TRUE(e.Append(i % 16, MakeBatch(publisher, &seq, 1)).ok());
+    if (i % 32 == 31) {
+      d.AdvanceBlocks(1);
+      ASSERT_LE(agg->stage2_submitter().UncommittedDigests(),
+                agg->epochs_unconfirmed());
+    }
+  }
+  for (int i = 0; i < 64 && (agg->epochs_unconfirmed() > 0 ||
+                             agg->staged_count() > 0);
+       ++i) {
+    d.AdvanceBlocks(1);
+    ASSERT_LE(agg->stage2_submitter().UncommittedDigests(),
+              agg->epochs_unconfirmed());
+  }
+  uint64_t sealed = 0;
+  for (uint32_t s = 0; s < e.num_shards(); ++s) {
+    sealed += e.shard(s).LogPositions();
+    // Forest shards hand their roots to the aggregator: no shard-level
+    // stage-2 journal grows with the log.
+    EXPECT_EQ(e.shard(s).UncommittedDigests(), 0u) << "shard " << s;
+  }
+  EXPECT_GE(sealed, static_cast<uint64_t>(kPositions));
+  EXPECT_EQ(agg->epochs_unconfirmed(), 0u);
+  EXPECT_EQ(agg->stage2_submitter().UncommittedDigests(), 0u);
+  EXPECT_GE(agg->epochs_closed(), 60u);
 }
 
 TEST_F(ShardedEngineTest, RoutingIsStableAcrossRestartWithFileStores) {

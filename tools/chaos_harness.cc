@@ -64,7 +64,6 @@ Status ChaosFleet::Spawn(Proc& proc, bool recover) {
 
   std::vector<std::string> args = {
       options_.daemon_binary,
-      "--shards", "1",
       "--forest",
       "--log-dir", proc.log_dir,
       "--batch", std::to_string(options_.batch),

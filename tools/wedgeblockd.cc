@@ -1,16 +1,16 @@
 // wedgeblockd — the WedgeBlock Offchain Node as a network daemon.
 //
-// Stands up a full deployment (simulated chain + contracts + Offchain
-// Node) and serves the stage-1 append/read RPC surface over real TCP via
-// rpc/RpcServer, the way the paper ran it across machines (§5). Clients
-// connect with rpc/TcpNodeClient (see bench/loadgen and
+// Stands up a full deployment (simulated chain + contracts + the
+// sharded log engine) and serves the stage-1 append/read RPC surface over
+// real TCP via rpc/RpcServer, the way the paper ran it across machines
+// (§5). Clients connect with rpc/TcpNodeClient (see bench/loadgen and
 // examples/remote_quickstart).
 //
 // Usage:
 //   wedgeblockd [--port N] [--bind ADDR] [--workers N] [--batch N]
 //               [--node-threads N] [--max-frame-mb N] [--no-verify-sigs]
 //               [--mine-ms N] [--duration-s N] [--telemetry-out PATH]
-//               [--shards N] [--tenants N] [--epoch-blocks N]
+//               [--shards N (default 1)] [--tenants N] [--epoch-blocks N]
 //               [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
 //               [--tenant-auth] [--forest] [--log-dir PATH] [--fsync]
 //               [--store memory|file|segment] [--recover]
@@ -24,11 +24,12 @@
 //   registry (wedge.rpc.* + wedge.node.* + chain metrics) is dumped to
 //   --telemetry-out when given.
 //
-//   --shards N runs the sharded multi-tenant engine (shard/) instead of
-//   a bare OffchainNode: N shards behind the consistent-hash tenant
-//   router, per-tenant admission quotas, and — for N > 1 — one epoch
-//   forest root on chain per --epoch-blocks blocks instead of a stage-2
-//   tx stream per shard. Shard clients use the tenant-scoped ops
+//   --shards N (default 1) sets the engine's shard count: N shards behind
+//   the consistent-hash tenant router, per-tenant admission quotas, and —
+//   for N > 1 — one epoch forest root on chain per --epoch-blocks blocks
+//   instead of a stage-2 tx stream per shard. One shard is the bare
+//   Offchain Node with the paper's per-batch updateRecords stream
+//   (byte-identical responses). Shard clients use the tenant-scoped ops
 //   (TcpNodeClient::AppendForTenant et al.); the legacy ops keep working
 //   as tenant 0. --tenants caps the number of distinct tenants admitted
 //   (0 = unlimited); --tenant-rate/--tenant-burst/--tenant-inflight set
@@ -40,8 +41,8 @@
 //   and quotas assume cooperative clients. Incompatible with
 //   --no-verify-sigs.
 //
-//   Crash-resilience flags (sharded mode; see DESIGN.md "Sharded failure
-//   model & recovery"):
+//   Crash-resilience flags (see DESIGN.md "Sharded failure model &
+//   recovery"):
 //   --forest forces the epoch forest-root pipeline even at --shards 1,
 //   so a fleet of single-shard processes (tools/chaos) gets the same
 //   journal + recovery machinery a multi-shard engine does.
@@ -55,8 +56,10 @@
 //   recovery and tenant GC; "memory" ignores --log-dir entirely.
 //   --fsync makes acks durable: per-record fsync on the file backend,
 //   coalesced group commit (one fdatasync per batch window) on segment.
-//   --recover replays the journal, reconciles shard tails and the chain,
-//   and resubmits unconfirmed epochs before serving; the daemon prints
+//   --recover hands every shard's unsent roots to its sink, reconciles
+//   the journal with the chain and resubmits unconfirmed epochs (or, on
+//   the classic stream, recommits what the chain lacks) before serving;
+//   the daemon prints
 //   "RECOVERED journaled=N restaged=N closed=N resubmitted=N confirmed=N"
 //   for scripts to scrape. Recovery on a fresh --log-dir is a no-op, so
 //   restart scripts can pass it unconditionally.
@@ -70,7 +73,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/wedgeblock.h"
 #include "rpc/admin_http.h"
 #include "rpc/rpc_server.h"
 #include "shard/shard_rpc.h"
@@ -95,8 +97,7 @@ struct Options {
   int64_t mine_ms = 200;
   int64_t duration_s = 0;
   std::string telemetry_out;
-  /// 0 = classic single-node daemon; >= 1 = sharded engine.
-  uint32_t shards = 0;
+  uint32_t shards = 1;           ///< Engine shards (1 = bare node).
   uint64_t tenants = 0;          ///< Max distinct tenants (0 = unlimited).
   uint32_t epoch_blocks = 4;     ///< Blocks per aggregation epoch.
   uint64_t tenant_rate = 0;      ///< Entries/second per tenant (0 = off).
@@ -122,7 +123,8 @@ int Usage(const char* argv0) {
                "[--no-verify-sigs]\n"
                "          [--mine-ms N] [--duration-s N] "
                "[--telemetry-out PATH]\n"
-               "          [--shards N] [--tenants N] [--epoch-blocks N]\n"
+               "          [--shards N (default 1)] [--tenants N] "
+               "[--epoch-blocks N]\n"
                "          [--tenant-rate N] [--tenant-burst N] "
                "[--tenant-inflight N] [--tenant-auth]\n"
                "          [--forest] [--log-dir PATH] "
@@ -228,9 +230,9 @@ Result<Options> Parse(int argc, char** argv) {
   return opts;
 }
 
-/// Closed-but-unconfirmed forest epochs the daemon tolerates before
-/// /healthz reports the aggregator wedged. One or two in flight is the
-/// normal pipeline; a backlog this deep means confirmations stopped.
+/// Unconfirmed forest epochs, beyond those a healthy pipeline holds while
+/// their transactions gather confirmations, at which /healthz reports
+/// the aggregator wedged: confirmations stopped.
 constexpr uint64_t kWedgedUnconfirmedEpochs = 3;
 
 /// Starts the admin HTTP endpoint when --admin-port was given and prints
@@ -256,9 +258,8 @@ std::unique_ptr<AdminHttpServer> StartAdmin(const Options& opts,
 }
 
 /// Blocks until SIGINT/SIGTERM or --duration-s, advancing the simulated
-/// chain one block per --mine-ms via `advance`.
-template <typename AdvanceFn>
-void ServeLoop(const Options& opts, AdvanceFn advance) {
+/// chain one block per --mine-ms.
+void ServeLoop(const Options& opts, ShardedDeployment& d) {
   struct sigaction sa{};
   sa.sa_handler = HandleSignal;
   sigaction(SIGINT, &sa, nullptr);
@@ -272,7 +273,7 @@ void ServeLoop(const Options& opts, AdvanceFn advance) {
     if (opts.mine_ms > 0 && now - last_mine >= opts.mine_ms * 1000) {
       // One simulated block per interval: confirms pending stage-2 /
       // forest submissions and drives the retry pipeline.
-      advance();
+      d.AdvanceBlocks(1);
       last_mine = now;
     }
     if (opts.duration_s > 0 &&
@@ -282,7 +283,7 @@ void ServeLoop(const Options& opts, AdvanceFn advance) {
   }
 }
 
-int RunSharded(const Options& opts) {
+int Serve(const Options& opts) {
   ShardedDeploymentConfig config;
   config.engine.num_shards = opts.shards;
   config.engine.node.batch_size = opts.batch;
@@ -372,12 +373,17 @@ int RunSharded(const Options& opts) {
   // the RPC server is listening, and the aggregator is not sitting on a
   // backlog of unconfirmable epochs.
   const bool recovered = opts.recover;
-  auto health = [&server, &engine, recovered]() {
+  // An epoch closes every --epoch-blocks blocks and confirms
+  // `confirmations` blocks after it mines.
+  const uint64_t wedged_at =
+      kWedgedUnconfirmedEpochs +
+      (config.chain.confirmations + opts.epoch_blocks) / opts.epoch_blocks;
+  auto health = [&server, &engine, recovered, wedged_at]() {
     AdminHealth h;
     EpochRootAggregator* agg = engine.aggregator();
     const uint64_t unconfirmed =
         agg == nullptr ? 0 : agg->epochs_unconfirmed();
-    const bool wedged = unconfirmed >= kWedgedUnconfirmedEpochs;
+    const bool wedged = unconfirmed >= wedged_at;
     h.ready = server.running() && !wedged;
     std::string detail = "{\"listening\": ";
     detail += server.running() ? "true" : "false";
@@ -403,72 +409,7 @@ int RunSharded(const Options& opts) {
   std::unique_ptr<AdminHttpServer> admin =
       StartAdmin(opts, &d.telemetry(), health);
 
-  ServeLoop(opts, [&d] { d.AdvanceBlocks(1); });
-  if (admin != nullptr) admin->Shutdown();
-
-  std::printf("shutting down (served %llu requests)\n",
-              static_cast<unsigned long long>(server.requests_served()));
-  server.Shutdown();
-  if (!opts.telemetry_out.empty()) {
-    Status s = WriteTelemetryFile(opts.telemetry_out, d.telemetry(),
-                                  /*append=*/false);
-    if (!s.ok()) {
-      std::fprintf(stderr, "telemetry write failed: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  return 0;
-}
-
-int Run(const Options& opts) {
-  DeploymentConfig config;
-  config.node.batch_size = opts.batch;
-  config.node.worker_threads = opts.node_threads;
-  config.node.verify_client_signatures = opts.verify_sigs;
-  auto deployment = Deployment::Create(config);
-  if (!deployment.ok()) {
-    std::fprintf(stderr, "deployment failed: %s\n",
-                 deployment.status().ToString().c_str());
-    return 1;
-  }
-  Deployment& d = **deployment;
-
-  RpcServerConfig server_config;
-  server_config.bind_address = opts.bind;
-  server_config.port = opts.port;
-  server_config.num_workers = opts.workers;
-  server_config.max_frame_bytes = opts.max_frame_mb << 20;
-  server_config.slow_request_micros = opts.slow_request_ms * kMicrosPerMilli;
-  // The classic daemon serves one node: every tenant maps to shard 0.
-  server_config.shard_for_tenant = [](uint64_t) { return 0; };
-  // The daemon signs transport replies with the node's own operator key,
-  // so clients can pin one address for both proofs and transport.
-  KeyPair transport_key = KeyPair::FromSeed(config.offchain_key_seed);
-  RpcServer server(&d.node(), transport_key, server_config, &d.telemetry());
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
-  std::printf("LISTENING %u\n", server.port());
-  std::printf("node address %s, batch %u, %d rpc workers\n",
-              d.node().address().ToHex().c_str(), opts.batch, opts.workers);
-  std::fflush(stdout);
-
-  auto health = [&server, &d]() {
-    AdminHealth h;
-    h.ready = server.running();
-    h.detail = "{\"listening\": " +
-               std::string(server.running() ? "true" : "false") +
-               ", \"positions\": " + std::to_string(d.node().LogPositions()) +
-               "}";
-    return h;
-  };
-  std::unique_ptr<AdminHttpServer> admin =
-      StartAdmin(opts, &d.telemetry(), health);
-
-  ServeLoop(opts, [&d] { d.AdvanceBlocks(1); });
+  ServeLoop(opts, d);
   if (admin != nullptr) admin->Shutdown();
 
   std::printf("shutting down (served %llu requests)\n",
@@ -494,5 +435,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opts.status().ToString().c_str());
     return wedge::Usage(argv[0]);
   }
-  return opts->shards > 0 ? wedge::RunSharded(*opts) : wedge::Run(*opts);
+  return wedge::Serve(*opts);
 }
