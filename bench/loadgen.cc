@@ -22,25 +22,28 @@
 //           [--store memory|file|segment] [--log-dir PATH] [--fsync]
 //   loadgen --host H --port P ...   # against an external wedgeblockd
 //
-// --store picks the spawned sharded server's shard store (default
-// memory, the historical behaviour). file/segment need a --log-dir
+// --store picks the spawned server's shard store (default memory, the
+// historical behaviour). file/segment need a --log-dir
 // (auto-created under /tmp when omitted); --fsync makes acks durable —
 // per-record fsync on file, group commit on segment — so closed-loop
 // runs across the three backends measure the real durability cost. The
 // JSONL row stamps `store` and payload `bytes_per_s` either way.
 //
 // With --spawn-server the server runs in-process on an ephemeral loopback
-// port (the ctest smoke run uses this); traffic still crosses real TCP.
+// port (the ctest smoke runs use this); traffic still crosses real TCP.
+// The spawned server is the engine wedgeblockd serves: one shard with the
+// classic stage-2 stream for --tenants 1, --server-shards shards with
+// forest stage 2 otherwise.
 //
-// Multi-tenant mode (--tenants > 1): every operation first samples a
-// tenant from a Zipf(S) distribution (--tenant-skew 0 = uniform), signs
-// with that tenant's own publisher keypair, and uses the tenant-scoped
-// RPCs against a sharded daemon (wedgeblockd --shards, or the in-process
-// sharded engine with --spawn-server). The JSONL row then carries
-// per-tenant append p50/p99 and quota-rejection counts — a rejection is
-// a typed ResourceExhausted status from admission control, counted
-// separately from transport errors. --tenant-rate/--tenant-burst/
-// --tenant-inflight set the spawned server's admission quotas.
+// Every operation uses the tenant-scoped RPCs; a single-tenant run is
+// tenant 0. Multi-tenant mode (--tenants > 1): every operation first
+// samples a tenant from a Zipf(S) distribution (--tenant-skew 0 =
+// uniform) and signs with that tenant's own publisher keypair. The JSONL
+// row then carries per-tenant append p50/p99 and quota-rejection counts
+// — a rejection is a typed ResourceExhausted status from admission
+// control, counted separately from transport errors. --tenant-rate/
+// --tenant-burst/--tenant-inflight set the spawned server's admission
+// quotas.
 //
 // Fleet mode (--fleet h:p,h:p,...): drives a FleetRouter over one
 // wedgeblockd process per endpoint instead of a single connection pool —
@@ -219,11 +222,10 @@ Result<Options> Parse(int argc, char** argv) {
       opts.server_shards < 1 || opts.tenants > 4096) {
     return Status::InvalidArgument("bad flag value");
   }
-  if (opts.store != StoreBackend::kMemory &&
-      (!opts.spawn_server || opts.tenants < 2)) {
+  if (opts.store != StoreBackend::kMemory && !opts.spawn_server) {
     return Status::InvalidArgument(
-        "--store file|segment needs --spawn-server with --tenants >= 2 "
-        "(the sharded engine owns the durable stores)");
+        "--store file|segment needs --spawn-server (the spawned engine "
+        "owns the durable stores)");
   }
   return opts;
 }
@@ -285,27 +287,20 @@ Result<std::vector<FleetEndpoint>> ParseFleet(const std::string& spec) {
 
 /// Uniform client surface over the two transports loadgen can drive: a
 /// single pooled TcpNodeClient or a FleetRouter fanning out to one TCP
-/// endpoint per shard process (--fleet). The fleet path is always
-/// tenant-routed (that is what a fleet is); the direct path picks the
-/// tenant-scoped ops only in multi-tenant runs so the single-tenant
-/// smoke keeps exercising the original RPCs.
+/// endpoint per shard process (--fleet).
 struct ClientAdapter {
   TcpNodeClient* direct = nullptr;
   FleetRouter* fleet = nullptr;
 
   Result<std::vector<Stage1Response>> Append(
-      uint64_t tenant, bool tenant_ops,
-      const std::vector<AppendRequest>& batch) {
+      uint64_t tenant, const std::vector<AppendRequest>& batch) {
     if (fleet != nullptr) return fleet->Append(tenant, batch);
-    return tenant_ops ? direct->AppendForTenant(tenant, batch)
-                      : direct->Append(batch);
+    return direct->AppendForTenant(tenant, batch);
   }
 
-  Result<Stage1Response> ReadOne(uint64_t tenant, bool tenant_ops,
-                                 const EntryIndex& index) {
+  Result<Stage1Response> ReadOne(uint64_t tenant, const EntryIndex& index) {
     if (fleet != nullptr) return fleet->ReadOne(tenant, index);
-    return tenant_ops ? direct->ReadOneForTenant(tenant, index)
-                      : direct->ReadOne(index);
+    return direct->ReadOneForTenant(tenant, index);
   }
 };
 
@@ -352,11 +347,9 @@ struct RunState {
 
 void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
            Rng& rng) {
-  // Tenant 0 is the only tenant (and gets the legacy ops) when --tenants
-  // is 1, so the single-tenant smoke run exercises the original path.
+  // Tenant 0 is the only tenant when --tenants is 1.
   size_t tenant = state.zipf->Sample(rng);
   TenantState& ten = *state.tenants[tenant];
-  bool tenant_ops = opts.tenants > 1;
   bool do_read = rng.NextDouble() < opts.read_fraction;
   if (do_read) {
     EntryIndex target;
@@ -370,7 +363,7 @@ void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
     }
     if (do_read) {
       Micros start = RealClock::Global()->NowMicros();
-      auto response = client.ReadOne(tenant, tenant_ops, target);
+      auto response = client.ReadOne(tenant, target);
       state.read_hist->Record(RealClock::Global()->NowMicros() - start);
       if (response.ok()) {
         state.read_ops->Add(1);
@@ -400,7 +393,7 @@ void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
                                  "tenant=" + std::to_string(tenant));
   }
   Micros start = RealClock::Global()->NowMicros();
-  auto responses = client.Append(tenant, tenant_ops, ten.corpus[i]);
+  auto responses = client.Append(tenant, ten.corpus[i]);
   Micros took = RealClock::Global()->NowMicros() - start;
   if (trace_id != 0) {
     uint64_t log_id =
@@ -475,21 +468,20 @@ bench::JsonRow& StampQuantiles(bench::JsonRow& row, const MetricsSnapshot& snap,
 int Run(const Options& opts) {
   using bench::JsonRow;
 
-  // Optional in-process server (still real TCP over loopback). With
-  // --tenants > 1 the spawned server is the sharded engine so the
-  // tenant-scoped ops and admission quotas are live end to end.
-  std::unique_ptr<Deployment> deployment;
-  std::unique_ptr<ShardedDeployment> sharded;
+  // Optional in-process server (still real TCP over loopback): the
+  // engine wedgeblockd serves, so the tenant-scoped ops and admission
+  // quotas are live end to end.
+  std::unique_ptr<ShardedDeployment> deployment;
   std::unique_ptr<RpcServer> server;
   std::string host = opts.host;
   uint16_t port = opts.port;
-  if (opts.spawn_server && opts.tenants > 1) {
+  if (opts.spawn_server) {
     ShardedDeploymentConfig config;
-    config.engine.num_shards = opts.server_shards;
+    config.engine.num_shards = opts.tenants > 1 ? opts.server_shards : 1;
     config.engine.node.batch_size = opts.batch;
     config.engine.node.worker_threads = 4;
     config.engine.node.verify_client_signatures = opts.verify_sigs;
-    config.engine.forest_stage2 = opts.server_shards > 1;
+    config.engine.forest_stage2 = config.engine.num_shards > 1;
     config.engine.quota.entries_per_second = opts.tenant_rate;
     config.engine.quota.burst_entries = opts.tenant_burst;
     config.engine.quota.max_inflight_appends = opts.tenant_inflight;
@@ -509,35 +501,6 @@ int Run(const Options& opts) {
     }
     auto d = ShardedDeployment::Create(config);
     if (!d.ok()) {
-      std::fprintf(stderr, "sharded deployment failed: %s\n",
-                   d.status().ToString().c_str());
-      return 1;
-    }
-    sharded = std::move(d).value();
-    RpcServerConfig server_config;
-    server_config.num_workers = opts.server_workers;
-    ShardedLogEngine& engine = sharded->engine();
-    server = std::make_unique<RpcServer>(
-        [&engine](std::string_view op, const Bytes& body) {
-          return DispatchEngineRpc(engine, op, body);
-        },
-        KeyPair::FromSeed(config.engine_key_seed), server_config,
-        &sharded->telemetry());
-    Status started = server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    host = "127.0.0.1";
-    port = server->port();
-  } else if (opts.spawn_server) {
-    DeploymentConfig config;
-    config.node.batch_size = opts.batch;
-    config.node.worker_threads = 4;
-    config.node.verify_client_signatures = opts.verify_sigs;
-    auto d = Deployment::Create(config);
-    if (!d.ok()) {
       std::fprintf(stderr, "deployment failed: %s\n",
                    d.status().ToString().c_str());
       return 1;
@@ -545,9 +508,13 @@ int Run(const Options& opts) {
     deployment = std::move(d).value();
     RpcServerConfig server_config;
     server_config.num_workers = opts.server_workers;
+    ShardedLogEngine& engine = deployment->engine();
     server = std::make_unique<RpcServer>(
-        &deployment->node(), KeyPair::FromSeed(config.offchain_key_seed),
-        server_config, &deployment->telemetry());
+        [&engine](std::string_view op, const Bytes& body) {
+          return DispatchEngineRpc(engine, op, body);
+        },
+        KeyPair::FromSeed(config.engine_key_seed), server_config,
+        &deployment->telemetry());
     Status started = server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n",
@@ -746,30 +713,29 @@ int Run(const Options& opts) {
                 snap.CounterValue(metric + ".quota_rejections"));
     }
   }
-  if (sharded != nullptr) {
-    MetricsSnapshot server_snap = sharded->telemetry().metrics.Snapshot();
-    row.Field("server_shards", static_cast<uint64_t>(opts.server_shards))
+  if (deployment != nullptr) {
+    // Server-side view (same process when --spawn-server).
+    MetricsSnapshot server_snap = deployment->telemetry().metrics.Snapshot();
+    row.Field("server_shards",
+              static_cast<uint64_t>(deployment->engine().num_shards()))
         .Field("server_requests",
                server_snap.CounterValue("wedge.rpc.requests"))
+        .Field("server_bytes_in",
+               server_snap.CounterValue("wedge.rpc.bytes_in"))
+        .Field("server_bytes_out",
+               server_snap.CounterValue("wedge.rpc.bytes_out"))
+        .Field("server_malformed",
+               server_snap.CounterValue("wedge.rpc.malformed_frames"))
         .Field("server_quota_rejections",
                server_snap.CounterValue("wedge.engine.quota_rejections_rate") +
                    server_snap.CounterValue(
                        "wedge.engine.quota_rejections_inflight") +
                    server_snap.CounterValue(
                        "wedge.engine.quota_rejections_tenant"));
-    StampQuantiles(row, server_snap, "wedge.rpc.append_us", "server_append_us");
-  }
-  if (deployment != nullptr) {
-    // Server-side view (same process when --spawn-server).
-    MetricsSnapshot server_snap = deployment->telemetry().metrics.Snapshot();
-    row.Field("server_requests", server_snap.CounterValue("wedge.rpc.requests"))
-        .Field("server_bytes_in", server_snap.CounterValue("wedge.rpc.bytes_in"))
-        .Field("server_bytes_out",
-               server_snap.CounterValue("wedge.rpc.bytes_out"))
-        .Field("server_malformed",
-               server_snap.CounterValue("wedge.rpc.malformed_frames"));
-    StampQuantiles(row, server_snap, "wedge.rpc.append_us", "server_append_us");
-    StampQuantiles(row, server_snap, "wedge.rpc.read_us", "server_read_us");
+    StampQuantiles(row, server_snap, "wedge.rpc.op_us{op=appendT}",
+                   "server_append_us");
+    StampQuantiles(row, server_snap, "wedge.rpc.op_us{op=readT}",
+                   "server_read_us");
   }
   row.Print();
 
@@ -777,9 +743,6 @@ int Run(const Options& opts) {
                              /*truncate=*/true);
   if (deployment != nullptr) {
     bench::MaybeWriteTelemetry(opts.telemetry_out, deployment->telemetry());
-  }
-  if (sharded != nullptr) {
-    bench::MaybeWriteTelemetry(opts.telemetry_out, sharded->telemetry());
   }
   // Any failed request is a loud failure: a dead shard or unreachable
   // daemon mid-run must not exit 0 just because other requests landed.

@@ -4,7 +4,8 @@ namespace wedge {
 
 Hash256 BatchReadResponse::SignedHash() const {
   Bytes material;
-  PutString(material, "wedgeblock-batchread-v1");
+  PutString(material, "wedgeblock-batchread-v2");
+  PutU32(material, shard_id);
   PutU64(material, log_id);
   Append(material, HashToBytes(mroot));
   PutU32(material, static_cast<uint32_t>(entries.size()));
@@ -26,6 +27,7 @@ bool BatchReadResponse::Verify(const Address& offchain_address) const {
 
 Bytes BatchReadResponse::Serialize() const {
   Bytes out;
+  PutU32(out, shard_id);
   PutU64(out, log_id);
   Append(out, HashToBytes(mroot));
   PutU32(out, static_cast<uint32_t>(entries.size()));
@@ -41,6 +43,7 @@ Bytes BatchReadResponse::Serialize() const {
 Result<BatchReadResponse> BatchReadResponse::Deserialize(const Bytes& b) {
   ByteReader reader(b);
   BatchReadResponse resp;
+  WEDGE_ASSIGN_OR_RETURN(resp.shard_id, reader.ReadU32());
   WEDGE_ASSIGN_OR_RETURN(resp.log_id, reader.ReadU64());
   WEDGE_ASSIGN_OR_RETURN(Bytes root_raw, reader.ReadRaw(32));
   WEDGE_ASSIGN_OR_RETURN(resp.mroot, HashFromBytes(root_raw));

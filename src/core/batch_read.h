@@ -12,7 +12,14 @@ namespace wedge {
 /// cuts both bandwidth (shared sibling hashes) and verification cost
 /// (one ECDSA verify per position instead of per entry) — the auditor's
 /// fast path (see bench/ablation_audit_modes).
+///
+/// `shard_id` names the engine shard that sealed the position (0 for a
+/// single node) and is part of the signed statement, exactly as in
+/// Stage1Proof: log ids are shard-local while every shard signs with the
+/// engine key, so without it one shard's signed batch would verify as
+/// another shard's batch of the same log id.
 struct BatchReadResponse {
+  uint32_t shard_id = 0;
   uint64_t log_id = 0;
   Hash256 mroot{};
   /// (offset within the position, raw leaf bytes) pairs.
@@ -20,7 +27,8 @@ struct BatchReadResponse {
   MerkleMultiProof proof;
   EcdsaSignature offchain_signature;
 
-  /// Digest the node signs (covers position, root, offsets and data).
+  /// Digest the node signs (covers shard, position, root, offsets and
+  /// data).
   Hash256 SignedHash() const;
 
   /// Full verification: authentic signature AND the multi-proof

@@ -523,6 +523,7 @@ Result<BatchReadResponse> OffchainNode::ReadBatch(
     }
   }
   BatchReadResponse resp;
+  resp.shard_id = config_.shard_id;
   resp.log_id = log_id;
   resp.mroot = tree->Root();
   std::vector<uint64_t> indices;

@@ -11,9 +11,7 @@
 
 namespace wedge {
 
-class OffchainNode;
-
-/// Tenant identity carried by the multi-tenant ops below. Tenants are an
+/// Tenant identity carried by every op below. Tenants are an
 /// engine-level routing/quota concept (src/shard/); the codec only moves
 /// the id across the wire.
 using TenantId = uint64_t;
@@ -32,27 +30,22 @@ inline TenantId PublisherTenant(const Address& publisher) {
   return id;
 }
 
-/// Op-level codec for the Offchain Node RPC surface, shared by the sim
-/// transport (core/remote) and the TCP transport (rpc/). Keeping the body
-/// encodings and the server-side dispatch in one place is what guarantees
-/// the two transports stay protocol-identical (see net/wire.h for the
-/// framing layers around these bodies).
+/// Op-level codec for the Offchain Node RPC surface: the client-side body
+/// builders and reply decoders of rpc/TcpNodeClient, matching the one
+/// server-side decoder, DispatchEngineRpc (shard/shard_rpc.h). See
+/// net/wire.h for the framing layers around these bodies.
 ///
-/// Ops and body layouts:
-///   "append"    body = u32 count + count * bytes(serialized AppendRequest)
-///               reply = u32 count + count * bytes(serialized Stage1Response)
-///   "read"      body = u64 log_id + u32 offset
-///               reply = serialized Stage1Response
-///   "readBatch" body = u64 log_id + u32 count + count * u32 offsets
-///               reply = serialized BatchReadResponse
-inline constexpr std::string_view kOpAppend = "append";
-inline constexpr std::string_view kOpRead = "read";
-inline constexpr std::string_view kOpReadBatch = "readBatch";
-
-/// Tenant-scoped ops served by the sharded engine (src/shard/). Each is
-/// the matching single-node body prefixed with [u64 tenant_id]; replies
-/// are identical. "aggProof" has no single-node counterpart:
-///   "aggProof"   body = u64 tenant_id + u64 log_id
+/// Every body opens with the [u64 tenant_id] the engine routes by; a
+/// single-tenant client uses tenant 0. Ops and body layouts:
+///   "appendT"    body = u64 tenant + u32 count
+///                       + count * bytes(serialized AppendRequest)
+///                reply = u32 count + count * bytes(serialized Stage1Response)
+///   "readT"      body = u64 tenant + u64 log_id + u32 offset
+///                reply = serialized Stage1Response
+///   "readBatchT" body = u64 tenant + u64 log_id + u32 count
+///                       + count * u32 offsets (none = the whole position)
+///                reply = serialized BatchReadResponse
+///   "aggProof"   body = u64 tenant + u64 log_id
 ///                reply = serialized AggregationProof
 /// Quota rejections come back as error responses carrying a typed
 /// ResourceExhausted status string (see Status::FromWireString).
@@ -62,10 +55,6 @@ inline constexpr std::string_view kOpReadBatchTenant = "readBatchT";
 inline constexpr std::string_view kOpAggProof = "aggProof";
 
 /// Client-side body builders.
-Bytes EncodeAppendBody(const std::vector<AppendRequest>& requests);
-Bytes EncodeReadBody(const EntryIndex& index);
-Bytes EncodeReadBatchBody(uint64_t log_id,
-                          const std::vector<uint32_t>& offsets);
 Bytes EncodeTenantAppendBody(TenantId tenant,
                              const std::vector<AppendRequest>& requests);
 Bytes EncodeTenantReadBody(TenantId tenant, const EntryIndex& index);
@@ -78,12 +67,6 @@ Result<std::vector<Stage1Response>> DecodeAppendReply(const Bytes& reply);
 Result<Stage1Response> DecodeReadReply(const Bytes& reply);
 Result<BatchReadResponse> DecodeReadBatchReply(const Bytes& reply);
 Result<AggregationProof> DecodeAggProofReply(const Bytes& reply);
-
-/// Server-side dispatch: decodes `body` for `op`, calls into `node`, and
-/// encodes the reply body. Unknown ops and malformed bodies come back as
-/// typed errors for the transport to turn into an error response.
-Result<Bytes> DispatchNodeRpc(OffchainNode& node, std::string_view op,
-                              const Bytes& body);
 
 }  // namespace wedge
 

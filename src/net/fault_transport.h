@@ -6,8 +6,8 @@
 #include <set>
 #include <string>
 
+#include "common/clock.h"
 #include "common/random.h"
-#include "net/sim_network.h"
 
 namespace wedge {
 

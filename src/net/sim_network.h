@@ -6,18 +6,18 @@
 #include <mutex>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "crypto/ecdsa.h"
 #include "telemetry/telemetry.h"
 
 namespace wedge {
 
-/// Link parameters for the simulated client <-> Offchain Node network.
-/// The paper's prototype ran across two Chameleon Cloud machines; this
-/// model reproduces the same asynchronous request/response behaviour with
-/// configurable delay, jitter, bandwidth and message drops (the latter
-/// drives the omission-attack liveness experiments, §4.7).
+/// Link parameters for the simulated network between BFT replicas
+/// (cluster/): asynchronous message delivery with configurable delay,
+/// jitter, bandwidth and message drops (the latter drives the
+/// omission-attack liveness experiments, §4.7). Clients reach the
+/// Offchain Node over real TCP instead (rpc/).
 struct NetworkConfig {
   Micros base_latency = 200;               ///< One-way propagation delay.
   Micros jitter = 50;                      ///< Uniform +/- jitter.
@@ -49,8 +49,8 @@ class SimLink {
 ///
 /// Endpoints register handlers by name; Send() schedules delivery at
 /// now + link delay; DeliverDue() dispatches everything whose delivery
-/// time has passed. Used by liveness/omission tests and the replication
-/// model — the hot stage-1 path measures real compute and bypasses it.
+/// time has passed. Carries the replica protocol of cluster/BftCluster —
+/// the hot stage-1 path measures real compute and bypasses it.
 class MessageBus {
  public:
   using Handler = std::function<void(const std::string& from, const Bytes&)>;
@@ -106,24 +106,6 @@ class MessageBus {
   mutable std::mutex mu_;
   std::map<std::string, Handler> endpoints_;
   std::multimap<Micros, InFlightMessage> queue_;
-};
-
-/// A signed message envelope: the paper assumes every exchanged message is
-/// cryptographically signed (§3.1). Wraps (sender address, payload) with an
-/// ECDSA signature over their canonical encoding.
-struct SignedEnvelope {
-  Address sender;
-  Bytes payload;
-  EcdsaSignature signature;
-
-  /// Signs `payload` with `key` and builds the envelope.
-  static SignedEnvelope Create(const KeyPair& key, Bytes payload);
-
-  /// True iff the signature verifies against the claimed sender address.
-  bool Verify() const;
-
-  Bytes Serialize() const;
-  static Result<SignedEnvelope> Deserialize(const Bytes& b);
 };
 
 }  // namespace wedge

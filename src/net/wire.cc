@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace wedge {
@@ -47,6 +48,46 @@ Result<bool> FrameDecoder::Next(Bytes* out) {
   out->assign(head + kFrameHeaderBytes, head + kFrameHeaderBytes + length);
   pos_ += kFrameHeaderBytes + length;
   return true;
+}
+
+SignedEnvelope SignedEnvelope::Create(const KeyPair& key, Bytes payload) {
+  SignedEnvelope env;
+  env.sender = key.address();
+  env.payload = std::move(payload);
+  Bytes material;
+  Append(material, env.sender.ToBytes());
+  PutBytes(material, env.payload);
+  env.signature = EcdsaSign(key.private_key(), Sha256::Digest(material));
+  return env;
+}
+
+bool SignedEnvelope::Verify() const {
+  Bytes material;
+  Append(material, sender.ToBytes());
+  PutBytes(material, payload);
+  return RecoverSigner(Sha256::Digest(material), signature) == sender;
+}
+
+Bytes SignedEnvelope::Serialize() const {
+  Bytes out;
+  Append(out, sender.ToBytes());
+  PutBytes(out, payload);
+  Append(out, signature.Serialize());
+  return out;
+}
+
+Result<SignedEnvelope> SignedEnvelope::Deserialize(const Bytes& b) {
+  ByteReader reader(b);
+  SignedEnvelope env;
+  WEDGE_ASSIGN_OR_RETURN(Bytes addr, reader.ReadRaw(20));
+  std::copy(addr.begin(), addr.end(), env.sender.bytes.begin());
+  WEDGE_ASSIGN_OR_RETURN(env.payload, reader.ReadBytes());
+  WEDGE_ASSIGN_OR_RETURN(Bytes sig, reader.ReadRaw(65));
+  WEDGE_ASSIGN_OR_RETURN(env.signature, EcdsaSignature::Deserialize(sig));
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after envelope");
+  }
+  return env;
 }
 
 Bytes RpcRequest::Encode() const {

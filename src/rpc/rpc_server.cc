@@ -28,14 +28,6 @@ bool SetNonBlocking(int fd) {
 
 }  // namespace
 
-RpcServer::RpcServer(OffchainNode* node, KeyPair transport_key,
-                     RpcServerConfig config, Telemetry* telemetry)
-    : RpcServer(
-          [node](std::string_view op, const Bytes& body) {
-            return DispatchNodeRpc(*node, op, body);
-          },
-          std::move(transport_key), std::move(config), telemetry) {}
-
 RpcServer::RpcServer(Handler handler, KeyPair transport_key,
                      RpcServerConfig config, Telemetry* telemetry)
     : handler_(std::move(handler)),
@@ -53,9 +45,6 @@ RpcServer::RpcServer(Handler handler, KeyPair transport_key,
   malformed_counter_ = m.GetCounter("wedge.rpc.malformed_frames");
   bytes_in_counter_ = m.GetCounter("wedge.rpc.bytes_in");
   bytes_out_counter_ = m.GetCounter("wedge.rpc.bytes_out");
-  append_hist_ = m.GetHistogram("wedge.rpc.append_us");
-  read_hist_ = m.GetHistogram("wedge.rpc.read_us");
-  read_batch_hist_ = m.GetHistogram("wedge.rpc.read_batch_us");
   slow_requests_counter_ = m.GetCounter("wedge.rpc.slow_requests");
 }
 
@@ -320,7 +309,7 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
   auto envelope = SignedEnvelope::Deserialize(payload);
   if (!envelope.ok() || !envelope->Verify()) {
     // A byte-stream peer sending unsigned/forged envelopes is broken or
-    // malicious; unlike the lossy sim bus there is nothing to "drop".
+    // malicious: close the connection.
     malformed_counter_->Add(1);
     return false;
   }
@@ -352,28 +341,14 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
     result = handler_(request->op, request->body);
   }
   Micros elapsed = RealClock::Global()->NowMicros() - start;
-  if (request->op == kOpAppend || request->op == kOpAppendTenant) {
-    append_hist_->Record(elapsed);
-  } else if (request->op == kOpRead || request->op == kOpReadTenant ||
-             request->op == kOpAggProof) {
-    read_hist_->Record(elapsed);
-  } else if (request->op == kOpReadBatch ||
-             request->op == kOpReadBatchTenant) {
-    read_batch_hist_->Record(elapsed);
-  }
   OpHistogram(request->op)->Record(elapsed);
   if (config_.slow_request_micros > 0 &&
       elapsed >= config_.slow_request_micros) {
     slow_requests_counter_->Add(1);
-    // Tenant ops carry the tenant id as the leading u64 of the body;
-    // legacy single-tenant ops serve tenant 0.
-    uint64_t tenant = 0;
-    if (request->op == kOpAppendTenant || request->op == kOpReadTenant ||
-        request->op == kOpReadBatchTenant) {
-      ByteReader body_reader(request->body);
-      auto t = body_reader.ReadU64();
-      if (t.ok()) tenant = t.value();
-    }
+    // Every op body opens with the u64 tenant id (core/rpc_codec.h).
+    ByteReader body_reader(request->body);
+    auto t = body_reader.ReadU64();
+    uint64_t tenant = t.ok() ? t.value() : 0;
     int shard = config_.shard_for_tenant ? config_.shard_for_tenant(tenant)
                                          : -1;
     std::fprintf(stderr,

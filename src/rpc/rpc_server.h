@@ -10,9 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/offchain_node.h"
-#include "core/rpc_codec.h"
-#include "net/sim_network.h"
+#include "common/clock.h"
 #include "net/wire.h"
 #include "telemetry/telemetry.h"
 
@@ -42,15 +40,16 @@ struct RpcServerConfig {
   /// and duration, and bump wedge.rpc.slow_requests. 0 disables.
   Micros slow_request_micros = 0;
   /// Resolves the shard serving a tenant for the slow-request log (the
-  /// sharded daemon binds its engine's router); -1 when unset/unknown.
+  /// daemon binds its engine's router); -1 when unset/unknown.
   std::function<int(uint64_t tenant)> shard_for_tenant;
 };
 
-/// Epoll-based TCP RPC server fronting one OffchainNode: the real-transport
-/// counterpart of RemoteNodeServer (core/remote.h). One acceptor thread
-/// hands connections round-robin to `num_workers` event-loop threads; each
-/// connection carries length-prefixed frames (net/wire.h) whose payloads
-/// are SignedEnvelope-wrapped RpcRequests, exactly as on the sim bus.
+/// Epoll-based TCP RPC server: the client <-> Offchain Node boundary.
+/// One acceptor thread hands connections round-robin to `num_workers`
+/// event-loop threads; each connection carries length-prefixed frames
+/// (net/wire.h) whose payloads are SignedEnvelope-wrapped RpcRequests.
+/// Every request goes to one Handler — in this tree always
+/// DispatchEngineRpc (shard/shard_rpc.h) bound to a ShardedLogEngine.
 /// Replies are signed with the node operator's transport key.
 ///
 /// Robustness rules (tested by wire_test/rpc_test):
@@ -62,21 +61,16 @@ struct RpcServerConfig {
 ///
 /// Telemetry (`wedge.rpc.*`): connections gauge, conns_accepted /
 /// requests / responses_error / malformed_frames / bytes_in / bytes_out
-/// counters, and per-op latency histograms (append_us, read_us,
-/// read_batch_us) measured on the real clock around dispatch.
+/// counters, and one latency histogram per op (`op_us{op=<op>}`)
+/// measured on the real clock around dispatch.
 class RpcServer {
  public:
   /// Decodes an op body and produces a reply body (or a typed error the
-  /// server encodes into the error response). DispatchNodeRpc bound to a
-  /// node and DispatchEngineRpc bound to a sharded engine are the two
-  /// handlers in the tree; any Result-returning dispatcher works. Must be
-  /// thread-safe — every worker calls it concurrently.
+  /// server encodes into the error response). Must be thread-safe —
+  /// every worker calls it concurrently.
   using Handler =
       std::function<Result<Bytes>(std::string_view op, const Bytes& body)>;
 
-  RpcServer(OffchainNode* node, KeyPair transport_key, RpcServerConfig config,
-            Telemetry* telemetry = nullptr);
-  /// Serves an arbitrary dispatch handler (e.g. a ShardedLogEngine).
   RpcServer(Handler handler, KeyPair transport_key, RpcServerConfig config,
             Telemetry* telemetry = nullptr);
   ~RpcServer();
@@ -157,9 +151,6 @@ class RpcServer {
   Counter* malformed_counter_ = nullptr;
   Counter* bytes_in_counter_ = nullptr;
   Counter* bytes_out_counter_ = nullptr;
-  Histogram* append_hist_ = nullptr;
-  Histogram* read_hist_ = nullptr;
-  Histogram* read_batch_hist_ = nullptr;
   Counter* slow_requests_counter_ = nullptr;
 
   /// Lazily-resolved per-op latency histograms

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "core/rpc_codec.h"
 #include "net/fault_transport.h"
-#include "net/sim_network.h"
 #include "net/wire.h"
 #include "telemetry/telemetry.h"
 
@@ -48,14 +47,14 @@ struct TcpClientConfig {
   Telemetry* telemetry = nullptr;
 };
 
-/// Real-socket counterpart of RemoteNodeClient (core/remote.h): same
-/// interface shape, same signed envelope payloads, but over a pool of TCP
-/// connections with request pipelining. Each pooled connection has one
-/// reader thread that correlates responses to waiting callers by rpc_id,
-/// so many threads can have calls in flight on one socket and responses
-/// may return out of order. A response with an unknown rpc_id (stale,
-/// duplicated, or forged) is counted and discarded — it is never handed
-/// to the wrong waiter.
+/// The client side of the RPC boundary: signed envelope payloads
+/// (net/wire.h) over a pool of TCP connections with request pipelining.
+/// Each pooled connection has one reader thread that correlates responses
+/// to waiting callers by rpc_id, so many threads can have calls in flight
+/// on one socket and responses may return out of order. A response with
+/// an unknown rpc_id (stale, duplicated, or forged) or signed by any key
+/// but the pinned server key is counted and discarded — it is never
+/// handed to a waiter.
 ///
 /// Failure behaviour: a broken socket fails all of its in-flight calls
 /// with kUnavailable and is redialed lazily with exponential backoff;
@@ -67,7 +66,7 @@ struct TcpClientConfig {
 /// backoff + seeded jitter, but for non-idempotent ops (appends) only
 /// while the request provably never reached the wire.
 ///
-/// Thread-safe: any number of threads may call Append/ReadOne/ReadBatch
+/// Thread-safe: any number of threads may call the op methods
 /// concurrently.
 class TcpNodeClient {
  public:
@@ -87,16 +86,11 @@ class TcpNodeClient {
   /// the destructor calls it.
   void Close();
 
-  Result<std::vector<Stage1Response>> Append(
-      const std::vector<AppendRequest>& requests);
-  Result<Stage1Response> ReadOne(const EntryIndex& index);
-  Result<BatchReadResponse> ReadBatch(uint64_t log_id,
-                                      const std::vector<uint32_t>& offsets);
-
-  /// Tenant-scoped variants against a sharded daemon (core/rpc_codec.h
-  /// "appendT"/"readT"/"readBatchT"). Server-side quota rejections come
-  /// back as typed Code::kResourceExhausted statuses, not transport
-  /// errors — the connection stays usable.
+  /// The tenant-scoped ops (core/rpc_codec.h "appendT"/"readT"/
+  /// "readBatchT"); a single-tenant client uses tenant 0. Server-side
+  /// quota rejections come back as typed Code::kResourceExhausted
+  /// statuses, not transport errors — the connection stays usable.
+  /// ReadBatchForTenant with no offsets reads the whole position.
   Result<std::vector<Stage1Response>> AppendForTenant(
       TenantId tenant, const std::vector<AppendRequest>& requests);
   Result<Stage1Response> ReadOneForTenant(TenantId tenant,

@@ -4,8 +4,6 @@ namespace wedge {
 
 namespace {
 
-constexpr TenantId kLegacyTenant = 0;
-
 Result<Bytes> DispatchAppend(ShardedLogEngine& engine, TenantId tenant,
                              ByteReader& reader) {
   WEDGE_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
@@ -91,13 +89,6 @@ Result<Bytes> DispatchEngineRpc(ShardedLogEngine& engine,
     WEDGE_ASSIGN_OR_RETURN(AggregationProof proof,
                            engine.ProveAggregation(tenant, log_id));
     return proof.Serialize();
-  }
-  // Legacy single-node ops keep working against a sharded daemon,
-  // scoped to tenant 0.
-  if (op == kOpAppend) return DispatchAppend(engine, kLegacyTenant, reader);
-  if (op == kOpRead) return DispatchRead(engine, kLegacyTenant, reader);
-  if (op == kOpReadBatch) {
-    return DispatchReadBatch(engine, kLegacyTenant, reader);
   }
   return Status::NotFound("unknown rpc op");
 }

@@ -6,10 +6,10 @@
 
 namespace wedge {
 
-/// Server-side dispatch for the sharded engine: the tenant-scoped ops
-/// ("appendT"/"readT"/"readBatchT"/"aggProof", see core/rpc_codec.h) plus
-/// the legacy single-node ops, which are served as tenant 0 — so a
-/// pre-sharding client keeps working against a sharded daemon.
+/// The server-side request decoder: serves the tenant-scoped ops
+/// ("appendT"/"readT"/"readBatchT"/"aggProof", see core/rpc_codec.h)
+/// against the engine. Every RpcServer in the tree runs this handler; a
+/// single node is the 1-shard engine with the classic stage-2 stream.
 ///
 /// Quota rejections propagate as typed ResourceExhausted errors; the RPC
 /// server encodes them into the error response via Status::ToString and

@@ -1,7 +1,9 @@
-// Loopback end-to-end tests for the real TCP transport (src/rpc/):
-// RpcServer + TcpNodeClient against a live Deployment on an ephemeral
-// 127.0.0.1 port. Also replays the malformed-frame corpus against both the
-// TCP server and the sim-bus server to pin down the shared hardening rules.
+// Loopback end-to-end tests for the TCP transport (src/rpc/): RpcServer +
+// TcpNodeClient against a live single-shard engine (the classic stage-2
+// configuration wedgeblockd serves by default) on an ephemeral 127.0.0.1
+// port. Also replays a malformed-frame corpus against the server and
+// drives the client against hand-written servers (impostor keys, stale
+// rpc_ids, slow replies) to pin down the hardening rules.
 //
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime (sandboxes without
 // loopback networking); the WEDGE_SKIP_SOCKET_TESTS CMake option removes
@@ -14,17 +16,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/remote.h"
-#include "core/wedgeblock.h"
 #include "rpc/rpc_server.h"
 #include "rpc/tcp_client.h"
+#include "shard/shard_rpc.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -78,26 +82,108 @@ Result<Bytes> ReadOneFrame(int fd) {
   }
 }
 
+// Loopback listener on an ephemeral port, for hand-written servers.
+int ListenLoopback(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;  // Port 0: ephemeral.
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 1) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+// Reads one request frame off `fd` and returns its rpc_id.
+Result<uint64_t> ReadRequestId(int fd) {
+  WEDGE_ASSIGN_OR_RETURN(Bytes frame, ReadOneFrame(fd));
+  WEDGE_ASSIGN_OR_RETURN(SignedEnvelope envelope,
+                         SignedEnvelope::Deserialize(frame));
+  WEDGE_ASSIGN_OR_RETURN(RpcRequest request,
+                         RpcRequest::Decode(envelope.payload));
+  return request.rpc_id;
+}
+
+// A one-connection server that answers the first request it reads with a
+// reply signed by `key` under the wrong rpc_id and — when
+// `genuine_body` is set — then the real reply, and holds the socket open
+// until the client hangs up.
+void ServeStaleThenGenuine(int listen_fd, const KeyPair& key,
+                           const Bytes& stale_body,
+                           const std::optional<Bytes>& genuine_body) {
+  int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) return;
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  auto rpc_id = ReadRequestId(fd);
+  if (rpc_id.ok()) {
+    auto send = [&](uint64_t id, const Bytes& body) {
+      Bytes reply = RpcResponse::Success(id, body).Encode();
+      WriteAll(fd, EncodeFrame(
+                       SignedEnvelope::Create(key, std::move(reply))
+                           .Serialize()));
+    };
+    send(*rpc_id + 1000, stale_body);
+    if (genuine_body.has_value()) send(*rpc_id, *genuine_body);
+    uint8_t byte;
+    while (::read(fd, &byte, 1) > 0) {
+    }
+  }
+  ::close(fd);
+}
+
+// Polls `done` for up to five seconds.
+template <typename Pred>
+bool Eventually(Pred done) {
+  for (int i = 0; i < 500 && !done(); ++i) ::usleep(10'000);
+  return done();
+}
+
+constexpr TenantId kTenant = 0;
+
 class RpcTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (SocketTestsDisabled()) {
       GTEST_SKIP() << "WEDGE_SKIP_SOCKET_TESTS=1";
     }
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.node.worker_threads = 1;
-    auto d = Deployment::Create(config);
+    ShardedDeploymentConfig config = Config();
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     deployment_ = std::move(d).value();
     server_key_ = std::make_unique<KeyPair>(
-        KeyPair::FromSeed(config.offchain_key_seed));
+        KeyPair::FromSeed(config.engine_key_seed));
     RpcServerConfig server_config;  // Ephemeral port.
-    server_ = std::make_unique<RpcServer>(&deployment_->node(), *server_key_,
+    server_ = std::make_unique<RpcServer>(EngineHandler(), *server_key_,
                                           server_config,
                                           &deployment_->telemetry());
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
+  }
+
+  // A bare node: one shard with the classic stage-2 stream.
+  static ShardedDeploymentConfig Config() {
+    ShardedDeploymentConfig config;
+    config.engine.num_shards = 1;
+    config.engine.forest_stage2 = false;
+    config.engine.node.batch_size = 4;
+    config.engine.node.worker_threads = 1;
+    return config;
+  }
+
+  ShardedLogEngine& engine() { return deployment_->engine(); }
+
+  RpcServer::Handler EngineHandler() {
+    ShardedLogEngine& e = engine();
+    return [&e](std::string_view op, const Bytes& body) {
+      return DispatchEngineRpc(e, op, body);
+    };
   }
 
   void TearDown() override {
@@ -127,7 +213,7 @@ class RpcTest : public ::testing::Test {
     return out;
   }
 
-  std::unique_ptr<Deployment> deployment_;
+  std::unique_ptr<ShardedDeployment> deployment_;
   std::unique_ptr<KeyPair> server_key_;
   std::unique_ptr<RpcServer> server_;
 };
@@ -138,27 +224,28 @@ TEST_F(RpcTest, AppendReadAndBatchReadOverLoopback) {
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
 
-  auto responses = client->Append(MakeBatch(publisher, seq, 4));
+  auto responses =
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses->size(), 4u);
   for (const auto& r : *responses) {
-    EXPECT_TRUE(r.Verify(deployment_->node().address()));
+    EXPECT_TRUE(r.Verify(engine().address()));
   }
 
-  auto read = client->ReadOne(EntryIndex{0, 2});
+  auto read = client->ReadOneForTenant(kTenant, EntryIndex{0, 2});
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->index, (EntryIndex{0, 2}));
-  EXPECT_TRUE(read->Verify(deployment_->node().address()));
+  EXPECT_TRUE(read->Verify(engine().address()));
 
-  auto missing = client->ReadOne(EntryIndex{9, 0});
+  auto missing = client->ReadOneForTenant(kTenant, EntryIndex{9, 0});
   ASSERT_FALSE(missing.ok());
   // Remote errors arrive typed (Status::FromWireString round-trip).
   EXPECT_EQ(missing.status().code(), Code::kNotFound);
 
-  auto batch = client->ReadBatch(0, {0, 3});
+  auto batch = client->ReadBatchForTenant(kTenant, 0, {0, 3});
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->entries.size(), 2u);
-  EXPECT_TRUE(batch->Verify(deployment_->node().address()));
+  EXPECT_TRUE(batch->Verify(engine().address()));
 
   EXPECT_EQ(client->discarded_responses(), 0u);
   EXPECT_EQ(server_->requests_served(), 4u);
@@ -178,18 +265,19 @@ TEST_F(RpcTest, ConcurrentPipelinedClientsEveryProofVerifies) {
       KeyPair publisher = KeyPair::FromSeed(1000 + t);
       uint64_t seq = 0;
       for (int round = 0; round < kRounds; ++round) {
-        auto responses = client->Append(
+        auto responses = client->AppendForTenant(
+            kTenant,
             MakeBatch(publisher, seq, 4, "t" + std::to_string(t) + "-"));
         if (!responses.ok() || responses->size() != 4) {
           ++failures;
           continue;
         }
         for (const auto& r : *responses) {
-          if (!r.Verify(deployment_->node().address())) ++failures;
+          if (!r.Verify(engine().address())) ++failures;
         }
-        auto read = client->ReadOne(responses->front().index);
+        auto read = client->ReadOneForTenant(kTenant, responses->front().index);
         if (!read.ok() || read->index != responses->front().index ||
-            !read->Verify(deployment_->node().address())) {
+            !read->Verify(engine().address())) {
           ++failures;
         }
       }
@@ -215,7 +303,8 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
   ASSERT_TRUE(client->Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  ASSERT_TRUE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  ASSERT_TRUE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
 
   std::atomic<int> failures{0};
   std::thread writer([&] {
@@ -228,12 +317,13 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
                                             ToBytes("big"),
                                             Bytes(16 * 1024, 0xAB)));
       }
-      if (!client->Append(batch).ok()) ++failures;
+      if (!client->AppendForTenant(kTenant, batch).ok()) ++failures;
     }
   });
   std::thread reader([&] {
     for (int i = 0; i < 40; ++i) {
-      auto read = client->ReadOne(EntryIndex{0, static_cast<uint32_t>(i % 4)});
+      auto read = client->ReadOneForTenant(
+          kTenant, EntryIndex{0, static_cast<uint32_t>(i % 4)});
       if (!read.ok() ||
           read->index.offset != static_cast<uint32_t>(i % 4)) {
         ++failures;
@@ -247,64 +337,81 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
   client->Close();
 }
 
-TEST_F(RpcTest, SimAndTcpTransportsAreCodecIdentical) {
-  // The same deterministic workload through the sim bus and through TCP
-  // must produce byte-identical stage-1 responses (RFC 6979 signing makes
-  // the node's signatures deterministic). This is the protocol-identity
-  // guarantee the shared codec exists for.
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  config.node.worker_threads = 1;
-  auto sim_deployment = Deployment::Create(config);
-  ASSERT_TRUE(sim_deployment.ok());
-  MessageBus bus(&(*sim_deployment)->clock(), NetworkConfig{}, 77);
-  KeyPair sim_server_key = KeyPair::FromSeed(config.offchain_key_seed);
-  RemoteNodeServer sim_server(&(*sim_deployment)->node(), sim_server_key,
-                              &bus, "offchain-node");
-  RemoteNodeClient sim_client(KeyPair::FromSeed(0xC11E), &bus,
-                              &(*sim_deployment)->clock(), "offchain-node",
-                              sim_server_key.address());
-
-  auto tcp_client = MakeClient();
-  ASSERT_TRUE(tcp_client->Connect().ok());
+TEST_F(RpcTest, TcpAndInProcessEngineRepliesAreByteIdentical) {
+  // One seeded workload over TCP and, in lock step, through an
+  // identically seeded in-process engine must produce byte-identical
+  // replies (RFC 6979 signing makes the node's signatures
+  // deterministic): the transport frames, signs and routes, but never
+  // changes what the engine says.
+  auto local = ShardedDeployment::Create(Config());
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ShardedLogEngine& in_process = (*local)->engine();
+  auto client = MakeClient();
+  ASSERT_TRUE(client->Connect().ok());
 
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
-  uint64_t sim_seq = 0, tcp_seq = 0;
-  auto sim_responses = sim_client.Append(MakeBatch(publisher, sim_seq, 4));
-  auto tcp_responses = tcp_client->Append(MakeBatch(publisher, tcp_seq, 4));
-  ASSERT_TRUE(sim_responses.ok());
-  ASSERT_TRUE(tcp_responses.ok());
-  ASSERT_EQ(sim_responses->size(), tcp_responses->size());
-  for (size_t i = 0; i < sim_responses->size(); ++i) {
-    EXPECT_EQ((*sim_responses)[i].Serialize(), (*tcp_responses)[i].Serialize())
-        << "response " << i << " differs across transports";
+  uint64_t tcp_seq = 0, local_seq = 0;
+  std::vector<EntryIndex> written;
+  Rng rng(0x5EED);
+  for (int op = 0; op < 40; ++op) {
+    uint64_t kind = written.empty() ? 0 : rng.Uniform(3);
+    if (kind == 0) {
+      int n = 1 + static_cast<int>(rng.Uniform(6));
+      auto tcp = client->AppendForTenant(kTenant,
+                                         MakeBatch(publisher, tcp_seq, n));
+      auto mem = in_process.Append(kTenant, MakeBatch(publisher, local_seq, n));
+      ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+      ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+      ASSERT_EQ(tcp->size(), mem->size());
+      for (size_t i = 0; i < tcp->size(); ++i) {
+        EXPECT_EQ((*tcp)[i].Serialize(), (*mem)[i].Serialize())
+            << "op " << op << " append response " << i;
+        written.push_back((*tcp)[i].index);
+      }
+    } else if (kind == 1) {
+      EntryIndex index = written[rng.Uniform(written.size())];
+      auto tcp = client->ReadOneForTenant(kTenant, index);
+      auto mem = in_process.ReadOne(kTenant, index);
+      ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+      ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+      EXPECT_EQ(tcp->Serialize(), mem->Serialize()) << "op " << op;
+    } else {
+      uint64_t log_id = written[rng.Uniform(written.size())].log_id;
+      std::vector<uint32_t> offsets;  // Empty: the whole position.
+      if (rng.Bernoulli(0.5)) offsets.push_back(0);
+      auto tcp = client->ReadBatchForTenant(kTenant, log_id, offsets);
+      auto mem = in_process.ReadBatch(kTenant, log_id, offsets);
+      ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+      ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+      EXPECT_EQ(tcp->Serialize(), mem->Serialize()) << "op " << op;
+    }
   }
-
-  auto sim_read = sim_client.ReadOne(EntryIndex{0, 1});
-  auto tcp_read = tcp_client->ReadOne(EntryIndex{0, 1});
-  ASSERT_TRUE(sim_read.ok());
-  ASSERT_TRUE(tcp_read.ok());
-  EXPECT_EQ(sim_read->Serialize(), tcp_read->Serialize());
-  tcp_client->Close();
+  // Failures are identical too: the typed status crosses the wire.
+  auto tcp_missing = client->ReadOneForTenant(kTenant, EntryIndex{999, 0});
+  auto mem_missing = in_process.ReadOne(kTenant, EntryIndex{999, 0});
+  ASSERT_FALSE(tcp_missing.ok());
+  ASSERT_FALSE(mem_missing.ok());
+  EXPECT_EQ(tcp_missing.status().code(), mem_missing.status().code());
+  client->Close();
 }
 
-TEST_F(RpcTest, MalformedFrameCorpusAgainstBothTransports) {
+TEST_F(RpcTest, MalformedFrameCorpusAgainstTcpServer) {
   // Build one valid append frame, then replay mutated copies against the
-  // TCP server (raw sockets) and the sim server (raw bus sends). Neither
-  // may crash, and both must keep serving valid traffic afterwards.
+  // server over raw sockets. It may not crash, and must keep serving
+  // valid traffic afterwards.
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
   RpcRequest request;
   request.rpc_id = 1;
-  request.op = std::string(kOpAppend);
-  request.body = EncodeAppendBody(MakeBatch(publisher, seq, 4));
+  request.op = std::string(kOpAppendTenant);
+  request.body = EncodeTenantAppendBody(kTenant, MakeBatch(publisher, seq, 4));
   SignedEnvelope envelope =
       SignedEnvelope::Create(publisher, request.Encode());
   const Bytes payload = envelope.Serialize();
   const Bytes frame = EncodeFrame(payload);
 
   Rng rng(0xC0FFEE);
-  // TCP side: a few adversarial connections, several mutants each.
+  // A few adversarial connections, several mutants each.
   for (int conn = 0; conn < 8; ++conn) {
     int fd = DialLoopback(server_->port());
     ASSERT_GE(fd, 0);
@@ -319,32 +426,15 @@ TEST_F(RpcTest, MalformedFrameCorpusAgainstBothTransports) {
     ::close(fd);
   }
 
-  // Sim side: the same mutation schedule against the bus transport.
-  MessageBus bus(&deployment_->clock(), NetworkConfig{}, 99);
-  RemoteNodeServer sim_server(&deployment_->node(), *server_key_, &bus,
-                              "offchain-node");
-  for (int m = 0; m < 64; ++m) {
-    Bytes mutant = payload;
-    size_t flips = 1 + rng.Uniform(8);
-    for (size_t f = 0; f < flips; ++f) {
-      mutant[rng.Uniform(mutant.size())] ^= 1 << rng.Uniform(8);
-    }
-    bus.Send("adversary", "offchain-node", std::move(mutant));
-    deployment_->clock().Advance(10'000);
-    bus.DeliverDue();
-  }
-
-  // Both transports still serve valid traffic.
+  // The server still serves valid traffic.
   EXPECT_TRUE(server_->running());
   auto tcp_client = MakeClient();
-  auto responses = tcp_client->Append(MakeBatch(publisher, seq, 4));
+  auto responses =
+      tcp_client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   for (const auto& r : *responses) {
-    EXPECT_TRUE(r.Verify(deployment_->node().address()));
+    EXPECT_TRUE(r.Verify(engine().address()));
   }
-  RemoteNodeClient sim_client(publisher, &bus, &deployment_->clock(),
-                              "offchain-node", server_key_->address());
-  EXPECT_TRUE(sim_client.Append(MakeBatch(publisher, seq, 4)).ok());
   tcp_client->Close();
 }
 
@@ -372,7 +462,8 @@ TEST_F(RpcTest, OversizeAndGarbageFramesCloseTheConnection) {
   auto client = MakeClient();
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  EXPECT_TRUE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  EXPECT_TRUE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
   client->Close();
 }
 
@@ -412,20 +503,21 @@ TEST_F(RpcTest, ClientReconnectsAfterServerRestart) {
   ASSERT_TRUE(client.Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  ASSERT_TRUE(client.Append(MakeBatch(publisher, seq, 4)).ok());
+  ASSERT_TRUE(
+      client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
 
   uint16_t port = server_->port();
   server_->Shutdown();
-  EXPECT_FALSE(client.ReadOne(EntryIndex{0, 0}).ok());
+  EXPECT_FALSE(client.ReadOneForTenant(kTenant, EntryIndex{0, 0}).ok());
 
   // Same node, same port: the client must redial with backoff and recover.
   RpcServerConfig server_config;
   server_config.port = port;
-  RpcServer revived(&deployment_->node(), *server_key_, server_config);
+  RpcServer revived(EngineHandler(), *server_key_, server_config);
   ASSERT_TRUE(revived.Start().ok());
   bool recovered = false;
   for (int attempt = 0; attempt < 100 && !recovered; ++attempt) {
-    recovered = client.ReadOne(EntryIndex{0, 0}).ok();
+    recovered = client.ReadOneForTenant(kTenant, EntryIndex{0, 0}).ok();
     if (!recovered) ::usleep(50'000);
   }
   EXPECT_TRUE(recovered);
@@ -456,7 +548,7 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   {
     auto setup_client = MakeClient();
     ASSERT_TRUE(setup_client->Connect().ok());
-    ASSERT_TRUE(setup_client->Append(big).ok());
+    ASSERT_TRUE(setup_client->AppendForTenant(kTenant, big).ok());
     setup_client->Close();
   }
 
@@ -465,8 +557,8 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   for (int i = 0; i < kPipelined; ++i) {
     RpcRequest request;
     request.rpc_id = 100 + static_cast<uint64_t>(i);
-    request.op = std::string(kOpReadBatch);
-    request.body = EncodeReadBatchBody(0, offsets);
+    request.op = std::string(kOpReadBatchTenant);
+    request.body = EncodeTenantReadBatchBody(kTenant, 0, offsets);
     SignedEnvelope envelope =
         SignedEnvelope::Create(publisher, request.Encode());
     Bytes frame = EncodeFrame(envelope.Serialize());
@@ -515,13 +607,13 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   server_->Shutdown();
   RpcServerConfig server_config;
   server_config.port = port;
-  RpcServer revived(&deployment_->node(), *server_key_, server_config);
+  RpcServer revived(EngineHandler(), *server_key_, server_config);
   ASSERT_TRUE(revived.Start().ok());
   auto client = MakeClient();
   bool recovered = false;
   for (int attempt = 0; attempt < 100 && !recovered; ++attempt) {
-    auto read = client->ReadOne(EntryIndex{0, 0});
-    recovered = read.ok() && read->Verify(deployment_->node().address());
+    auto read = client->ReadOneForTenant(kTenant, EntryIndex{0, 0});
+    recovered = read.ok() && read->Verify(engine().address());
     if (!recovered) ::usleep(50'000);
   }
   EXPECT_TRUE(recovered);
@@ -537,9 +629,237 @@ TEST_F(RpcTest, ShutdownIsIdempotentAndRefusesNewWork) {
   EXPECT_FALSE(server_->running());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  EXPECT_FALSE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  EXPECT_FALSE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
   client->Close();
   client->Close();  // Also idempotent.
+}
+
+TEST_F(RpcTest, EmptyOffsetListReadsTheWholePosition) {
+  auto client = MakeClient();
+  ASSERT_TRUE(client->Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+  auto whole = client->ReadBatchForTenant(kTenant, 0, {});
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(whole->entries.size(), 4u);
+  for (size_t i = 0; i < whole->entries.size(); ++i) {
+    EXPECT_EQ(whole->entries[i].first, i);
+  }
+  EXPECT_TRUE(whole->Verify(engine().address()));
+  client->Close();
+}
+
+TEST_F(RpcTest, RepliesSignedByAnotherKeyAreDiscarded) {
+  // A second server over the same engine signs with a key the client
+  // does not pin: it serves the request, but its reply can never satisfy
+  // the caller.
+  RpcServer impostor(EngineHandler(), KeyPair::FromSeed(666),
+                     RpcServerConfig{});
+  ASSERT_TRUE(impostor.Start().ok());
+  TcpClientConfig config;
+  config.port = impostor.port();
+  config.rpc_timeout = 300 * kMicrosPerMilli;
+  TcpNodeClient pinned(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(pinned.Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  auto result = pinned.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded);
+  EXPECT_TRUE(Eventually([&] { return pinned.discarded_responses() >= 1; }));
+  pinned.Close();
+  impostor.Shutdown();
+}
+
+TEST_F(RpcTest, MismatchedRpcIdIsNeverDeliveredToAWaiter) {
+  // Genuine entries make the stale reply maximally plausible: signed by
+  // the real server key, carrying a decodable Stage1Response — only the
+  // rpc_id is wrong.
+  auto seeding = MakeClient();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      seeding->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+  auto stale = seeding->ReadOneForTenant(kTenant, EntryIndex{0, 0});
+  auto genuine = seeding->ReadOneForTenant(kTenant, EntryIndex{0, 1});
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(genuine.ok());
+  seeding->Close();
+
+  // Reads entry {0,1} from a hand-written server that sends the stale
+  // reply first and then, when given, the genuine one.
+  auto read_via_fake = [&](const std::optional<Bytes>& genuine_body,
+                           Micros timeout, uint64_t* discarded) {
+    uint16_t port = 0;
+    int listen_fd = ListenLoopback(&port);
+    EXPECT_GE(listen_fd, 0);
+    std::thread fake([&] {
+      ServeStaleThenGenuine(listen_fd, *server_key_, stale->Serialize(),
+                            genuine_body);
+    });
+    TcpClientConfig config;
+    config.port = port;
+    config.rpc_timeout = timeout;
+    TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                         config);
+    auto read = client.ReadOneForTenant(kTenant, EntryIndex{0, 1});
+    Eventually([&] { return client.discarded_responses() >= 1; });
+    *discarded = client.discarded_responses();
+    client.Close();  // Lets the fake server see EOF.
+    fake.join();
+    ::close(listen_fd);
+    return read;
+  };
+
+  // Case 1: a stale reply races a live call. The client must skip it and
+  // return the answer for the rpc_id it actually issued.
+  uint64_t discarded = 0;
+  auto read = read_via_fake(genuine->Serialize(), 5 * kMicrosPerSecond,
+                            &discarded);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->index, (EntryIndex{0, 1}));  // Not the stale {0,0}.
+  EXPECT_EQ(read->Serialize(), genuine->Serialize());
+  EXPECT_EQ(discarded, 1u);
+
+  // Case 2: the stale reply is the only traffic. If a mismatched rpc_id
+  // could satisfy a waiter this would "succeed" with the stale entry;
+  // instead it must time out.
+  auto alone = read_via_fake(std::nullopt, 300 * kMicrosPerMilli, &discarded);
+  ASSERT_FALSE(alone.ok());
+  EXPECT_EQ(alone.status().code(), Code::kDeadlineExceeded);
+  EXPECT_EQ(discarded, 1u);
+}
+
+TEST_F(RpcTest, TamperedEnvelopeClosesTheConnectionUnserved) {
+  // A well-framed envelope whose payload no longer matches its signature:
+  // the server closes the connection without serving or answering it.
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  RpcRequest request;
+  request.rpc_id = 7;
+  request.op = std::string(kOpAppendTenant);
+  request.body = EncodeTenantAppendBody(kTenant, MakeBatch(publisher, seq, 4));
+  SignedEnvelope envelope =
+      SignedEnvelope::Create(publisher, request.Encode());
+  envelope.payload.back() ^= 1;
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, EncodeFrame(envelope.Serialize())));
+  uint8_t buf[16];
+  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // EOF, no reply.
+  ::close(fd);
+  EXPECT_EQ(server_->requests_served(), 0u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+}
+
+TEST_F(RpcTest, EveryFrameDroppedFailsTheCallAndLogsNothing) {
+  // Total omission on the client's link: every frame send kills the
+  // connection instead of delivering. The append fails typed, is not
+  // resent, and the node logs nothing.
+  FaultSpec spec;
+  spec.send_drop_rate = 1.0;
+  TcpClientConfig config;
+  config.port = server_->port();
+  config.faults = std::make_shared<FaultyTransport>(spec);
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  auto result = client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kUnavailable)
+      << result.status().ToString();
+  EXPECT_EQ(client.retries(), 0u);
+  client.Close();
+  EXPECT_EQ(server_->requests_served(), 0u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+}
+
+TEST_F(RpcTest, RequestOverTheClientCapIsRejectedBeforeSending) {
+  TcpClientConfig config;
+  config.port = server_->port();
+  config.max_frame_bytes = 2048;
+  TcpNodeClient capped(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(capped.Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  std::vector<AppendRequest> batch;
+  batch.push_back(AppendRequest::Make(publisher, 0, ToBytes("k"),
+                                      Bytes(4096, 0x55)));  // Past the cap.
+  auto result = capped.AppendForTenant(kTenant, batch);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kInvalidArgument);
+  // Nothing crossed the wire and nothing was logged.
+  capped.Close();
+  EXPECT_EQ(server_->requests_served(), 0u);
+  EXPECT_EQ(deployment_->telemetry().metrics.Snapshot().CounterValue(
+                "wedge.rpc.bytes_in"),
+            0u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+}
+
+TEST_F(RpcTest, RequestOverTheServerCapFailsWithoutRetryAndLogsNothing) {
+  RpcServerConfig server_config;
+  server_config.max_frame_bytes = 1024;
+  RpcServer capped(EngineHandler(), *server_key_, server_config);
+  ASSERT_TRUE(capped.Start().ok());
+  TcpClientConfig config;  // Default (32 MiB) client cap.
+  config.port = capped.port();
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(client.Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  std::vector<AppendRequest> batch;
+  batch.push_back(AppendRequest::Make(publisher, 0, ToBytes("k"),
+                                      Bytes(2048, 0x55)));
+  auto result = client.AppendForTenant(kTenant, batch);
+  ASSERT_FALSE(result.ok());
+  // The server closes the connection on the oversize frame. The append
+  // reached the wire, so it may not be resent (it might have executed).
+  EXPECT_EQ(result.status().code(), Code::kUnavailable)
+      << result.status().ToString();
+  EXPECT_EQ(client.retries(), 0u);
+  EXPECT_EQ(capped.requests_served(), 0u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+  client.Close();
+  capped.Shutdown();
+}
+
+TEST_F(RpcTest, SlowReplyIsDeadlineExceededAndTheAppendLandsOnce) {
+  // The node serves the request, but the reply cannot arrive before the
+  // deadline — the client must see kDeadlineExceeded (the omission
+  // surface), not a late success, and must not resend the append.
+  RpcServer::Handler dispatch = EngineHandler();
+  RpcServer slow(
+      [dispatch](std::string_view op, const Bytes& body) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        return dispatch(op, body);
+      },
+      *server_key_, RpcServerConfig{});
+  ASSERT_TRUE(slow.Start().ok());
+  TcpClientConfig config;
+  config.port = slow.port();
+  config.rpc_timeout = 50 * kMicrosPerMilli;
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(client.Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  auto result = client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded);
+  // The late reply arrives after the waiter left and is discarded; by
+  // then the append has executed — exactly once.
+  EXPECT_TRUE(Eventually([&] { return client.discarded_responses() == 1; }));
+  EXPECT_EQ(client.retries(), 0u);
+  EXPECT_EQ(slow.requests_served(), 1u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 1u);
+  client.Close();
+  slow.Shutdown();
 }
 
 }  // namespace

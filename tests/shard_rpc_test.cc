@@ -2,7 +2,7 @@
 // RpcServer serving DispatchEngineRpc over a live ShardedDeployment.
 // Pins down the multi-tenant wire contract — tenant-scoped routing, typed
 // quota rejections that leave the connection usable, aggregation-proof
-// fetch, and legacy single-node ops served as tenant 0.
+// fetch, and the slow-request log naming the routed tenant and shard.
 //
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime.
 
@@ -26,7 +26,8 @@ bool SocketTestsDisabled() {
 
 class ShardRpcTest : public ::testing::Test {
  protected:
-  void StartServer(uint32_t shards, TenantQuotaConfig quota = {}) {
+  void StartServer(uint32_t shards, TenantQuotaConfig quota = {},
+                   RpcServerConfig server_config = {}) {
     ShardedDeploymentConfig config;
     config.engine.num_shards = shards;
     config.engine.node.batch_size = 4;
@@ -39,7 +40,6 @@ class ShardRpcTest : public ::testing::Test {
     server_key_ = std::make_unique<KeyPair>(
         KeyPair::FromSeed(config.engine_key_seed));
     ShardedLogEngine& engine = deployment_->engine();
-    RpcServerConfig server_config;  // Ephemeral port.
     server_ = std::make_unique<RpcServer>(
         RpcServer::Handler([&engine](std::string_view op, const Bytes& body) {
           return DispatchEngineRpc(engine, op, body);
@@ -107,6 +107,9 @@ TEST_F(ShardRpcTest, TenantAppendAndReadRoundTrip) {
         tenant, responses->front().index.log_id, {0, 1, 2, 3});
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     EXPECT_EQ(batch->entries.size(), 4u);
+    // The signed batch names the shard the tenant routes to.
+    EXPECT_EQ(batch->shard_id, deployment_->engine().ShardFor(tenant));
+    EXPECT_TRUE(batch->Verify(deployment_->engine().address()));
   }
 }
 
@@ -174,22 +177,29 @@ TEST_F(ShardRpcTest, AggregationProofFetchVerifiesLocally) {
   EXPECT_EQ(agg->mroot, responses->front().proof.mroot);
 }
 
-TEST_F(ShardRpcTest, LegacyOpsServeTenantZero) {
-  StartServer(/*shards=*/2);
+TEST_F(ShardRpcTest, SlowRequestLogNamesTheRoutedTenantAndShard) {
+  // Every op body opens with the tenant id, so the slow-request log reads
+  // it for every op — aggProof included — and names the shard the router
+  // sends that tenant to.
+  RpcServerConfig server_config;
+  server_config.slow_request_micros = 1;  // Log every request.
+  server_config.shard_for_tenant = [this](uint64_t tenant) {
+    return static_cast<int>(deployment_->engine().ShardFor(tenant));
+  };
+  StartServer(/*shards=*/2, {}, server_config);
+  TenantId tenant = 1;
+  while (deployment_->engine().ShardFor(tenant) != 1) ++tenant;
   auto client = MakeClient();
   ASSERT_TRUE(client->Connect().ok());
-  KeyPair publisher = KeyPair::FromSeed(0xC11E);
-  uint64_t seq = 0;
 
-  // A pre-sharding client (plain Append/ReadOne) lands on tenant 0's
-  // shard; the tenant-scoped route sees exactly the same data.
-  auto responses = client->Append(MakeBatch(publisher, seq, 4));
-  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-  auto via_legacy = client->ReadOne(responses->front().index);
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
-  auto via_tenant = client->ReadOneForTenant(0, responses->front().index);
-  ASSERT_TRUE(via_tenant.ok()) << via_tenant.status().ToString();
-  EXPECT_EQ(via_legacy->Serialize(), via_tenant->Serialize());
+  testing::internal::CaptureStderr();
+  auto proof = client->FetchAggregationProof(tenant, /*log_id=*/0);
+  std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(proof.ok());  // Nothing appended yet: typed NotFound.
+  EXPECT_NE(log.find("\"op\": \"aggProof\", \"tenant\": " +
+                     std::to_string(tenant) + ", \"shard\": 1,"),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace

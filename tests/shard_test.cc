@@ -482,6 +482,31 @@ TEST_F(ShardedEngineTest, CrossShardEvidenceCannotPunishHonestEngine) {
       << "honest engine's escrow seized by cross-shard evidence splice";
 }
 
+TEST_F(ShardedEngineTest, BatchReadStatementBindsItsShard) {
+  Build(4);
+  ShardedLogEngine& e = deployment_->engine();
+  // A tenant on shard 1: its first batch is that shard's log 0, a log id
+  // every other shard also has.
+  TenantId tenant = 0;
+  while (e.ShardFor(tenant) != 1) ++tenant;
+  auto responses = AppendBatch(tenant);
+  ASSERT_FALSE(responses.empty());
+  auto batch = e.ReadBatch(tenant, responses.front().index.log_id, {});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->shard_id, 1u);
+  EXPECT_TRUE(batch->Verify(e.address()));
+  // Relabelled as shard 0's log 0 the engine-signed batch no longer
+  // verifies: the shard id is inside the signed statement.
+  BatchReadResponse spliced = *batch;
+  spliced.shard_id = 0;
+  EXPECT_FALSE(spliced.Verify(e.address()));
+  // And the serialized reply carries it.
+  auto back = BatchReadResponse::Deserialize(batch->Serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->shard_id, 1u);
+  EXPECT_TRUE(back->Verify(e.address()));
+}
+
 TEST_F(ShardedEngineTest, HonestProofDoesNotPunish) {
   Build(4);
   TenantId tenant = 6;

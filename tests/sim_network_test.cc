@@ -1,4 +1,5 @@
 #include "net/sim_network.h"
+#include "net/wire.h"
 
 #include <gtest/gtest.h>
 

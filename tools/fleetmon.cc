@@ -247,7 +247,7 @@ int Run(const Options& opts) {
             static_cast<unsigned long long>(
                 merged.CounterValue("wedge.engine.epochs_closed")));
     const HistogramSnapshot* append_us =
-        merged.FindHistogram("wedge.rpc.append_us");
+        merged.FindHistogram("wedge.rpc.op_us{op=appendT}");
     if (append_us != nullptr && append_us->count > 0) {
       AppendF(row, ", \"append_p50_us\": %llu, \"append_p99_us\": %llu",
               static_cast<unsigned long long>(append_us->ValueAtQuantile(0.5)),

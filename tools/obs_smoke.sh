@@ -101,7 +101,7 @@ for admin in "${admin_ports[@]}"; do
   prom=$(probe "$admin" /metrics)
   grep -q '^wedge_rpc_requests [1-9]' <<<"$prom" \
     || { echo "obs_smoke: /metrics on $admin missing live samples" >&2; exit 1; }
-  grep -q '^# TYPE wedge_rpc_append_us histogram' <<<"$prom" \
+  grep -q '^# TYPE wedge_rpc_op_us histogram' <<<"$prom" \
     || { echo "obs_smoke: /metrics on $admin missing histogram TYPE" >&2; exit 1; }
   probe "$admin" /metrics.json | grep -q '"kind": "counter"' \
     || { echo "obs_smoke: /metrics.json on $admin malformed" >&2; exit 1; }

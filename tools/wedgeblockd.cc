@@ -29,9 +29,9 @@
 //   for N > 1 — one epoch forest root on chain per --epoch-blocks blocks
 //   instead of a stage-2 tx stream per shard. One shard is the bare
 //   Offchain Node with the paper's per-batch updateRecords stream
-//   (byte-identical responses). Shard clients use the tenant-scoped ops
-//   (TcpNodeClient::AppendForTenant et al.); the legacy ops keep working
-//   as tenant 0. --tenants caps the number of distinct tenants admitted
+//   (byte-identical responses). Clients use the tenant-scoped ops
+//   (TcpNodeClient::AppendForTenant et al.; a single-tenant client is
+//   tenant 0). --tenants caps the number of distinct tenants admitted
 //   (0 = unlimited); --tenant-rate/--tenant-burst/--tenant-inflight set
 //   the per-tenant token-bucket append quota (0 = unlimited). Quota
 //   rejections surface to clients as typed ResourceExhausted errors.
