@@ -11,8 +11,7 @@ AppendRequest AppendRequest::Make(const KeyPair& publisher_key,
   req.sequence = sequence;
   req.key = std::move(key);
   req.value = std::move(value);
-  req.signature =
-      EcdsaSign(publisher_key.private_key(), Sha256::Digest(req.SignedPayload()));
+  req.signature = EcdsaSign(publisher_key.private_key(), req.SignedHash());
   return req;
 }
 
@@ -26,11 +25,15 @@ Bytes AppendRequest::SignedPayload() const {
   return out;
 }
 
+Hash256 AppendRequest::SignedHash() const {
+  return Sha256::Digest(SignedPayload());
+}
+
 bool AppendRequest::VerifySignature() const {
   // RecoverSigner returns the zero address on failure, so a request that
   // *claims* the zero address must never pass.
   if (publisher.IsZero()) return false;
-  return RecoverSigner(Sha256::Digest(SignedPayload()), signature) == publisher;
+  return RecoverSigner(SignedHash(), signature) == publisher;
 }
 
 Bytes AppendRequest::Serialize() const {

@@ -24,6 +24,8 @@ struct AppendRequest {
 
   /// The signed portion [n, X] plus the publisher address.
   Bytes SignedPayload() const;
+  /// SHA-256 of SignedPayload(): the hash the publisher signs.
+  Hash256 SignedHash() const;
 
   /// True iff the signature verifies against the publisher address.
   bool VerifySignature() const;

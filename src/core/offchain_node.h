@@ -73,6 +73,9 @@ struct OffchainNodeStats {
   uint64_t entries_ingested = 0;
   uint64_t batches_created = 0;
   uint64_t invalid_signatures_rejected = 0;
+  /// Entries whose signature was checked against a per-call key table
+  /// instead of being recovered (see OffchainNode::Append).
+  uint64_t key_table_checks = 0;
   uint64_t stage2_txs_submitted = 0;
   uint64_t reads_served = 0;
   uint64_t tree_cache_hits = 0;
@@ -110,7 +113,9 @@ class OffchainNode {
   /// groups them into batches of config.batch_size, builds one log
   /// position per batch and returns a signed stage-1 response per valid
   /// request (in input order; invalid-signature requests are dropped and
-  /// counted in stats).
+  /// counted in stats). A publisher with many requests in the call has
+  /// its key recovered once and the rest checked against a key table,
+  /// with the same verdicts as recovering each.
   Result<std::vector<Stage1Response>> Append(
       const std::vector<AppendRequest>& requests);
   /// Move overload for the hot path: valid requests are moved into the
@@ -199,6 +204,17 @@ class OffchainNode {
   void set_byzantine_mode(ByzantineMode mode);
 
  private:
+  /// valid[i] = 1 iff requests[i].VerifySignature(). Groups of at least
+  /// kMinGroup requests by one publisher recover the key from their
+  /// first entry that recovers to the claimed address and check the rest
+  /// against a FixedPointTable built for this call.
+  void VerifyClientSignatures(const std::vector<AppendRequest>& requests,
+                              std::vector<uint8_t>* valid);
+  /// The table path for one publisher's requests, `idx` ascending.
+  void VerifyPublisherGroup(const std::vector<AppendRequest>& requests,
+                            const std::vector<size_t>& idx,
+                            std::vector<uint8_t>* valid);
+
   /// Seals `batch` into a log position and produces signed responses.
   Result<std::vector<Stage1Response>> SealBatch(
       std::vector<AppendRequest> batch);
@@ -245,6 +261,7 @@ class OffchainNode {
   Counter* entries_ingested_counter_ = nullptr;
   Counter* batches_counter_ = nullptr;
   Counter* invalid_sig_counter_ = nullptr;
+  Counter* key_table_checks_counter_ = nullptr;
   Counter* reads_counter_ = nullptr;
   Counter* tree_cache_hits_counter_ = nullptr;
   Counter* tree_cache_misses_counter_ = nullptr;

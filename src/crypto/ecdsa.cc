@@ -1,7 +1,7 @@
 #include "crypto/ecdsa.h"
 
-#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "crypto/hmac_sha256.h"
 #include "crypto/keccak256.h"
@@ -131,6 +131,22 @@ U256 DeriveNonce(const U256& private_key, const Hash256& msg_hash) {
   }
 }
 
+/// The checks recovery makes before any point arithmetic: r and s in
+/// [1, n), and the x-coordinate of R that (r, recovery id) names — r, or
+/// r + n when id bit 1 is set — below p. On success stores that x.
+bool RecoveryPointX(const EcdsaSignature& sig, U256* x) {
+  const U256& n = secp256k1::GroupOrder();
+  if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= n || sig.s >= n) {
+    return false;
+  }
+  *x = sig.r;
+  if (sig.recovery_id & 2) {
+    bool overflow = U256::AddWithCarry(sig.r, n, x);
+    if (overflow || *x >= secp256k1::FieldPrime()) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 EcdsaSignature EcdsaSign(const U256& private_key, const Hash256& msg_hash) {
@@ -213,54 +229,6 @@ std::vector<EcdsaSignature> EcdsaSignMany(const U256& private_key,
   return out;
 }
 
-void EcdsaVerifyMany(const AffinePoint* public_keys, const Hash256* hashes,
-                     const EcdsaSignature* sigs, size_t n, uint8_t* ok) {
-  using namespace secp256k1;  // NOLINT(build/namespaces)
-  if (n == 0) return;
-  const U256& order = GroupOrder();
-
-  // Range-check everything first so the batch inversion only ever sees
-  // nonzero scalars, then invert all s values at once.
-  std::vector<U256> svals;
-  std::vector<size_t> idx;
-  svals.reserve(n);
-  idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const EcdsaSignature& sig = sigs[i];
-    if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= order ||
-        sig.s >= order || public_keys[i].infinity ||
-        !IsOnCurve(public_keys[i])) {
-      ok[i] = 0;
-      continue;
-    }
-    svals.push_back(sig.s);
-    idx.push_back(i);
-  }
-  if (svals.empty()) return;
-  FnInvMany(svals.data(), svals.size(), svals.data());
-
-  for (size_t j = 0; j < idx.size(); ++j) {
-    size_t i = idx[j];
-    U256 z = FnReduce(U256::FromHash(hashes[i]));
-    U256 u1 = FnMul(z, svals[j]);
-    U256 u2 = FnMul(sigs[i].r, svals[j]);
-    AffinePoint p = DoubleScalarMulBase(u1, public_keys[i], u2);
-    ok[i] = (!p.infinity && FnReduce(p.x) == sigs[i].r) ? 1 : 0;
-  }
-}
-
-std::vector<uint8_t> EcdsaVerifyMany(const AffinePoint& public_key,
-                                     const std::vector<Hash256>& hashes,
-                                     const std::vector<EcdsaSignature>& sigs) {
-  size_t n = std::min(hashes.size(), sigs.size());
-  std::vector<AffinePoint> keys(n, public_key);
-  std::vector<uint8_t> ok(n, 0);
-  if (n > 0) {
-    EcdsaVerifyMany(keys.data(), hashes.data(), sigs.data(), n, ok.data());
-  }
-  return ok;
-}
-
 bool EcdsaVerify(const AffinePoint& public_key, const Hash256& msg_hash,
                  const EcdsaSignature& sig) {
   using namespace secp256k1;  // NOLINT(build/namespaces)
@@ -281,17 +249,9 @@ bool EcdsaVerify(const AffinePoint& public_key, const Hash256& msg_hash,
 Result<AffinePoint> EcdsaRecover(const Hash256& msg_hash,
                                  const EcdsaSignature& sig) {
   using namespace secp256k1;  // NOLINT(build/namespaces)
-  const U256& n = GroupOrder();
-  if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= n || sig.s >= n) {
-    return Status::Verification("signature scalars out of range");
-  }
-  // Reconstruct R from r and the recovery id.
-  U256 x = sig.r;
-  if (sig.recovery_id & 2) {
-    bool overflow = U256::AddWithCarry(sig.r, n, &x);
-    if (overflow || x >= FieldPrime()) {
-      return Status::Verification("invalid recovery id for r");
-    }
+  U256 x;
+  if (!RecoveryPointX(sig, &x)) {
+    return Status::Verification("signature scalars or recovery id invalid");
   }
   WEDGE_ASSIGN_OR_RETURN(AffinePoint rp, LiftX(x, (sig.recovery_id & 1) != 0));
 
@@ -311,6 +271,46 @@ Address RecoverSigner(const Hash256& msg_hash, const EcdsaSignature& sig) {
   auto pub = EcdsaRecover(msg_hash, sig);
   if (!pub.ok()) return Address::Zero();
   return AddressFromPublicKey(pub.value());
+}
+
+void VerifyRecoverableMany(const secp256k1::FixedPointTable& key,
+                           const Hash256* hashes, const EcdsaSignature* sigs,
+                           size_t n, uint8_t* ok) {
+  using namespace secp256k1;  // NOLINT(build/namespaces)
+  // Items EcdsaRecover would reject before any point arithmetic fail
+  // here too; the rest share one inversion of their s values.
+  std::vector<size_t> idx;
+  std::vector<U256> xs;
+  std::vector<U256> sinvs;
+  idx.reserve(n);
+  xs.reserve(n);
+  sinvs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ok[i] = 0;
+    U256 x;
+    if (!RecoveryPointX(sigs[i], &x)) continue;
+    idx.push_back(i);
+    xs.push_back(x);
+    sinvs.push_back(sigs[i].s);
+  }
+  if (idx.empty()) return;
+  FnInvMany(sinvs.data(), sinvs.size(), sinvs.data());
+
+  // R = u1*G + u2*Q with u1 = z/s, u2 = r/s: the recovery equation
+  // Q = r^-1 (s*R - z*G) solved for R.
+  std::vector<U256> u1s(idx.size());
+  std::vector<U256> u2s(idx.size());
+  for (size_t j = 0; j < idx.size(); ++j) {
+    const size_t i = idx[j];
+    u1s[j] = FnMul(FnReduce(U256::FromHash(hashes[i])), sinvs[j]);
+    u2s[j] = FnMul(sigs[i].r, sinvs[j]);
+  }
+  std::vector<AffinePoint> rs(idx.size());
+  key.DoubleScalarMulBaseMany(u1s.data(), u2s.data(), idx.size(), rs.data());
+  for (size_t j = 0; j < idx.size(); ++j) {
+    const bool odd_y = (sigs[idx[j]].recovery_id & 1) != 0;
+    ok[idx[j]] = !rs[j].infinity && rs[j].x == xs[j] && rs[j].y.Bit(0) == odd_y;
+  }
 }
 
 }  // namespace wedge

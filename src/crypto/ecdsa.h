@@ -94,20 +94,6 @@ void EcdsaSignMany(const U256& private_key, const Hash256* hashes, size_t n,
 std::vector<EcdsaSignature> EcdsaSignMany(const U256& private_key,
                                           const std::vector<Hash256>& hashes);
 
-/// Batch verification: ok[i] = EcdsaVerify(public_keys[i], hashes[i],
-/// sigs[i]) ? 1 : 0, with the per-signature s-inversions batched into
-/// one simultaneous inversion. This is plain per-item verification with
-/// shared inversions — NOT probabilistic batch validation; each result
-/// is exactly what the scalar call returns.
-void EcdsaVerifyMany(const secp256k1::AffinePoint* public_keys,
-                     const Hash256* hashes, const EcdsaSignature* sigs,
-                     size_t n, uint8_t* ok);
-/// Convenience for the common one-signer case (e.g. a client checking a
-/// batch of stage-1 responses from one node).
-std::vector<uint8_t> EcdsaVerifyMany(const secp256k1::AffinePoint& public_key,
-                                     const std::vector<Hash256>& hashes,
-                                     const std::vector<EcdsaSignature>& sigs);
-
 /// Recovers the signing public key from (hash, signature). This mirrors
 /// Ethereum's ecrecover precompile.
 Result<secp256k1::AffinePoint> EcdsaRecover(const Hash256& msg_hash,
@@ -115,6 +101,19 @@ Result<secp256k1::AffinePoint> EcdsaRecover(const Hash256& msg_hash,
 
 /// Convenience: recovers the signer's address, or Address::Zero on failure.
 Address RecoverSigner(const Hash256& msg_hash, const EcdsaSignature& sig);
+
+/// Fixed-key verification with recovery semantics: ok[i] = 1 iff
+/// EcdsaRecover(hashes[i], sigs[i]) returns the table's point Q. With
+/// u1 = z/s and u2 = r/s it accepts exactly when u1*G + u2*Q is the
+/// point R that (r, recovery id) names: x equal to r (or to r + n when
+/// id bit 1 is set) and y parity equal to id bit 0. So for the key's
+/// owner it gives RecoverSigner's verdict (a different key can share
+/// the address only through a 160-bit Keccak collision), at a fraction
+/// of recovery's cost. The n items share one s-inversion and one batch
+/// normalization, and each gets its own verdict.
+void VerifyRecoverableMany(const secp256k1::FixedPointTable& key,
+                           const Hash256* hashes, const EcdsaSignature* sigs,
+                           size_t n, uint8_t* ok);
 
 }  // namespace wedge
 

@@ -52,6 +52,9 @@ constexpr U256 kG1(0xE893209A45DBB031ULL, 0x3DAA8A1471E8CA7FULL,
                    0xE86C90E49284EB15ULL, 0x3086D221A7D46BCDULL);
 constexpr U256 kG2(0x1571B4AE8AC47F71ULL, 0x221208AC9DF506C6ULL,
                    0x6F547FA90ABFE4C4ULL, 0xE4437ED6010E8828ULL);
+// Bound on a split half's magnitude, with margin over the true ~2^128:
+// a residue longer than this is a negative component.
+constexpr int kGlvMaxBits = 132;
 
 [[noreturn]] void DieZeroInverse(const char* fn) {
   std::fprintf(stderr,
@@ -525,11 +528,11 @@ void SplitScalarGlvImpl(const U256& k_in, U256* k1, bool* neg1, U256* k2,
   *neg2 = false;
   // The true components are signed values of magnitude < ~2^128; a
   // residue near n is a negative component.
-  if (r1.BitLength() > 132) {
+  if (r1.BitLength() > kGlvMaxBits) {
     r1 = kN - r1;
     *neg1 = true;
   }
-  if (r2.BitLength() > 132) {
+  if (r2.BitLength() > kGlvMaxBits) {
     r2 = kN - r2;
     *neg2 = true;
   }
@@ -624,7 +627,86 @@ AffinePoint FastDoubleScalarMulBase(const U256& u1, const AffinePoint& p,
   return FromJacobian(acc);
 }
 
+// --- Fixed-point table (FixedPointTable) ---
+// A GLV half (< 2^132) recoded into signed 6-bit digits in [-31, 32]
+// needs 22 windows plus one for the final carry. A wider window trades
+// a slower build for fewer additions per check (DESIGN.md "Fixed-key
+// verification" has the measured trade-off).
+constexpr int kKeyWindowBits = 6;
+constexpr int kKeyDigits = 1 << (kKeyWindowBits - 1);  // |digit| <= 32
+constexpr int kKeyWindows =
+    (kGlvMaxBits + kKeyWindowBits - 1) / kKeyWindowBits + 1;  // 23
+
+/// Adds k * Q (sign-flipped when `neg`; phi(Q) = (beta*x, y) in place of
+/// Q when `phi`) to `acc` from a FixedPointTable's multiples: one mixed
+/// addition per non-zero signed digit. Requires k < 2^kGlvMaxBits.
+void AddKeyTableDigits(const AffinePoint* table, const U256& k, bool neg,
+                       bool phi, Jacobian* acc) {
+  constexpr int kRadix = 1 << kKeyWindowBits;
+  int carry = 0;
+  for (int w = 0; w < kKeyWindows; ++w) {
+    const int bit = w * kKeyWindowBits;
+    const int limb = bit / 64;
+    const int shift = bit % 64;
+    uint64_t bits = k.limb[limb] >> shift;
+    if (shift > 64 - kKeyWindowBits && limb < 3) {
+      bits |= k.limb[limb + 1] << (64 - shift);
+    }
+    int digit = static_cast<int>(bits & (kRadix - 1)) + carry;
+    carry = digit > kKeyDigits ? 1 : 0;
+    digit -= carry * kRadix;
+    if (digit == 0) continue;
+    AffinePoint e = table[w * kKeyDigits + std::abs(digit) - 1];
+    if (phi) e.x = FpMulInl(e.x, kBeta);
+    if ((digit < 0) != neg) e.y = FpSubInl(U256::Zero(), e.y);
+    *acc = JAddMixed(*acc, e);
+  }
+}
+
 }  // namespace
+
+FixedPointTable::FixedPointTable(const AffinePoint& q) : q_(q) {
+  if (ActiveEcBackend() == EcBackend::kReference) return;
+  std::vector<Jacobian> jac(static_cast<size_t>(kKeyWindows) * kKeyDigits);
+  Jacobian base = ToJacobian(q);
+  for (int w = 0; w < kKeyWindows; ++w) {
+    Jacobian* row = jac.data() + static_cast<size_t>(w) * kKeyDigits;
+    row[0] = base;
+    for (int d = 2; d <= kKeyDigits; ++d) {
+      row[d - 1] = d % 2 == 0 ? JDouble(row[d / 2 - 1])
+                              : JAdd(row[d - 2], base);
+    }
+    base = JDouble(row[kKeyDigits - 1]);  // 2^kKeyWindowBits * base.
+  }
+  multiples_.resize(jac.size());
+  BatchNormalize(jac.data(), jac.size(), multiples_.data());
+}
+
+void FixedPointTable::DoubleScalarMulBaseMany(const U256* u1s,
+                                              const U256* u2s, size_t n,
+                                              AffinePoint* out) const {
+  if (multiples_.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = reference::DoubleScalarMulBase(u1s[i], q_, u2s[i]);
+    }
+    return;
+  }
+  std::vector<Jacobian> accs(n);
+  for (size_t i = 0; i < n; ++i) {
+    FastScalarMulBaseAccum(FnReduce(u1s[i]), &accs[i]);
+    U256 k1, k2;
+    bool neg1 = false, neg2 = false;
+    SplitScalarGlvImpl(u2s[i], &k1, &neg1, &k2, &neg2);
+    if (k1.BitLength() > kGlvMaxBits || k2.BitLength() > kGlvMaxBits) {
+      // Outside the GLV bound (never observed): the generic path.
+      accs[i] = ToJacobian(FastDoubleScalarMulBase(u1s[i], q_, u2s[i]));
+      continue;
+    }
+    AddKeyTableDigits(multiples_.data(), k1, neg1, false, &accs[i]);
+    AddKeyTableDigits(multiples_.data(), k2, neg2, true, &accs[i]);
+  }
+  BatchNormalize(accs.data(), n, out);
+}
 
 const U256& FieldPrime() {
   static const U256 p = kP;

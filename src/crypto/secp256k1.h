@@ -1,6 +1,8 @@
 #ifndef WEDGEBLOCK_CRYPTO_SECP256K1_H_
 #define WEDGEBLOCK_CRYPTO_SECP256K1_H_
 
+#include <vector>
+
 #include "crypto/u256.h"
 
 namespace wedge {
@@ -96,6 +98,33 @@ void ScalarMulBaseMany(const U256* ks, size_t n, AffinePoint* out);
 /// ~130 doublings are needed. Used by ECDSA verification and recovery.
 AffinePoint DoubleScalarMulBase(const U256& u1, const AffinePoint& p,
                                 const U256& u2);
+
+/// Precomputed multiples of one fixed point Q, for evaluating many
+/// u1*G + u2*Q against the same Q (see DESIGN.md "Fixed-key
+/// verification"). On the fast backend it holds d * 2^(6j) * Q for
+/// d in [1, 32] and j in [0, 23): 736 affine points (~52 KiB), built
+/// with one batch inversion. The backend active at construction decides
+/// how it evaluates; under the reference backend no table is built and
+/// every product goes through reference::DoubleScalarMulBase.
+class FixedPointTable {
+ public:
+  /// `q` must be a finite curve point.
+  explicit FixedPointTable(const AffinePoint& q);
+
+  /// out[i] = u1s[i]*G + u2s[i]*Q for i in [0, n), point-identical
+  /// to DoubleScalarMulBase. u1 goes through the comb for G and u2's GLV
+  /// halves through this table (the phi half scales x by beta at
+  /// lookup), so there are no doublings; the n results share one batch
+  /// normalization.
+  void DoubleScalarMulBaseMany(const U256* u1s, const U256* u2s, size_t n,
+                               AffinePoint* out) const;
+
+ private:
+  AffinePoint q_;
+  /// multiples_[j * 32 + d - 1] = d * 2^(6j) * q_; empty under the
+  /// reference backend.
+  std::vector<AffinePoint> multiples_;
+};
 
 /// Naive double-and-add implementations with no precomputation: the
 /// equivalence oracles for the fast paths above, and the code the

@@ -7,6 +7,7 @@
 // and CI also builds with -DWEDGE_DISABLE_ECPRECOMP=ON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -218,38 +219,246 @@ TEST(EcEquivTest, SignManyMatchesAcrossBackends) {
   }
 }
 
-TEST(EcEquivTest, VerifyManyMatchesSingles) {
-  KeyPair kp = KeyPair::FromSeed(123);
-  KeyPair other = KeyPair::FromSeed(124);
+// --- Fixed-key verification (VerifyRecoverableMany) ---
+// Its verdict must be exactly RecoverSigner(h, sig) == address(Q) for
+// every input, valid or not; each case below targets one branch of the
+// recovery predicate.
+
+/// What the recovery path says about (hash, sig) for the key `q`.
+bool RecoversTo(const Hash256& h, const EcdsaSignature& sig,
+                const AffinePoint& q) {
+  return RecoverSigner(h, sig) == AddressFromPublicKey(q);
+}
+
+/// A signature whose R has x >= n, so its recovery id has bit 1 set and
+/// names x = r + n. A real signer produces one with probability ~2^-128,
+/// so it is built backwards: pick R, s and the hash, and take the key
+/// that recovery yields as the signer's.
+struct OverflowCase {
+  AffinePoint key;
+  Hash256 hash{};
+  EcdsaSignature sig;
+};
+
+OverflowCase MakeOverflowCase(uint64_t seed) {
+  const U256& n = GroupOrder();
+  Rng rng(seed);
+  OverflowCase c;
+  U256 x = n + U256(rng.Next() & 0xFFFF);
+  bool odd = (rng.Next() & 1) != 0;
+  while (!LiftX(x, odd).ok()) x = x + U256::One();
+  c.sig.r = x - n;
+  c.sig.s = FnReduce(U256(rng.Next(), rng.Next(), rng.Next(), 1));
+  c.sig.recovery_id = static_cast<uint8_t>(2 | (odd ? 1 : 0));
+  for (auto& b : c.hash) b = static_cast<uint8_t>(rng.Next());
+  c.key = EcdsaRecover(c.hash, c.sig).value();
+  return c;
+}
+
+/// A signature whose id bit 1 makes r + n wrap past 2^256. Recovery
+/// rejects it, although the wrapped value r + n - 2^256 is the x of a
+/// point R; `key` is what recovery would return if it let the wrap
+/// through, so a verifier that misses the wrap accepts the signature.
+OverflowCase MakeWrappingCase(uint64_t seed) {
+  Rng rng(seed);
+  OverflowCase c;
+  U256 x(rng.Next(), rng.Next(), rng.Next(), rng.Next() >> 2);
+  bool odd = (rng.Next() & 1) != 0;
+  while (!LiftX(x, odd).ok()) x = x + U256::One();
+  c.sig.r = x + OrderC();  // r + n = x + 2^256.
+  c.sig.s = FnReduce(U256(rng.Next(), rng.Next(), rng.Next(), 1));
+  c.sig.recovery_id = static_cast<uint8_t>(2 | (odd ? 1 : 0));
+  for (auto& b : c.hash) b = static_cast<uint8_t>(rng.Next());
+  const U256 z = FnReduce(U256::FromHash(c.hash));
+  const U256 rinv = FnInv(c.sig.r);
+  c.key = DoubleScalarMulBase(FnMul(FnSub(U256::Zero(), z), rinv),
+                              LiftX(x, odd).value(),
+                              FnMul(c.sig.s, rinv));
+  return c;
+}
+
+/// The cases, cycled over a key's messages by index.
+enum class SigCase {
+  kValid,
+  kParityFlipped,
+  kBit1Set,          // Names r + n, which is >= p for a real r.
+  kHighS,            // s -> n - s, same id: R's mirror, wrong parity.
+  kHighSParityFlipped,  // s -> n - s, id bit 0 flipped: recovery accepts.
+  kHashBitFlipped,
+  kRZero,
+  kSZero,
+  kREqualsN,
+  kSEqualsN,
+  kRAboveN,
+  kSAboveN,
+  kOtherKey,
+  kForeignOverflow,  // A valid r + n signature, by some other key.
+  kCount,
+};
+
+struct Item {
+  SigCase kind;
+  Hash256 hash{};
+  EcdsaSignature sig;
+};
+
+/// 256 distinct messages signed by `kp`, each mutated by its case, plus
+/// the two valid signatures over hashes that are 0 mod n (u1 = 0).
+std::vector<Item> KeyCorpus(const KeyPair& kp, const KeyPair& other,
+                            uint64_t seed) {
+  const U256& n = GroupOrder();
+  Rng rng(seed);
+  const OverflowCase foreign = MakeOverflowCase(seed ^ 0x0F);
+  std::vector<Item> items;
+  for (int i = 0; i < 256; ++i) {
+    Item it;
+    it.kind = static_cast<SigCase>(i % static_cast<int>(SigCase::kCount));
+    for (auto& b : it.hash) b = static_cast<uint8_t>(rng.Next());
+    it.sig = EcdsaSign(kp.private_key(), it.hash);
+    switch (it.kind) {
+      case SigCase::kValid: break;
+      case SigCase::kParityFlipped: it.sig.recovery_id ^= 1; break;
+      case SigCase::kBit1Set: it.sig.recovery_id |= 2; break;
+      case SigCase::kHighS: it.sig.s = n - it.sig.s; break;
+      case SigCase::kHighSParityFlipped:
+        it.sig.s = n - it.sig.s;
+        it.sig.recovery_id ^= 1;
+        break;
+      case SigCase::kHashBitFlipped: it.hash[i % 32] ^= 0x10; break;
+      case SigCase::kRZero: it.sig.r = U256::Zero(); break;
+      case SigCase::kSZero: it.sig.s = U256::Zero(); break;
+      case SigCase::kREqualsN: it.sig.r = n; break;
+      case SigCase::kSEqualsN: it.sig.s = n; break;
+      case SigCase::kRAboveN: it.sig.r = n + U256(i); break;
+      case SigCase::kSAboveN: it.sig.s = U256::Max(); break;
+      case SigCase::kOtherKey:
+        it.sig = EcdsaSign(other.private_key(), it.hash);
+        break;
+      case SigCase::kForeignOverflow:
+        it.hash = foreign.hash;
+        it.sig = foreign.sig;
+        break;
+      case SigCase::kCount: break;
+    }
+    items.push_back(it);
+  }
+  Hash256 zero{};
+  Hash256 order{};
+  Bytes nb = n.ToBytesBE();
+  std::copy(nb.begin(), nb.end(), order.begin());
+  for (const Hash256& h : {zero, order}) {
+    items.push_back({SigCase::kValid, h, EcdsaSign(kp.private_key(), h)});
+  }
+  return items;
+}
+
+std::vector<uint8_t> VerifyItems(const AffinePoint& q,
+                                 const std::vector<Item>& items) {
   std::vector<Hash256> hashes;
   std::vector<EcdsaSignature> sigs;
-  for (int i = 0; i < 64; ++i) {
-    Hash256 h{};
-    h[0] = static_cast<uint8_t>(i);
-    hashes.push_back(h);
-    sigs.push_back(EcdsaSign(kp.private_key(), h));
+  for (const Item& it : items) {
+    hashes.push_back(it.hash);
+    sigs.push_back(it.sig);
   }
-  // Poison a spread of entries so the batch path proves it fails
-  // per-item, not per-batch: flipped s, swapped hash, r out of range,
-  // zero scalars.
-  sigs[3].s = FnAdd(sigs[3].s, U256::One());
-  sigs[10] = EcdsaSign(other.private_key(), hashes[10]);  // wrong key
-  sigs[17].r = GroupOrder();
-  sigs[21].r = U256::Zero();
-  sigs[40].s = U256::Zero();
+  FixedPointTable table(q);
+  std::vector<uint8_t> ok(items.size(), 0xEE);
+  VerifyRecoverableMany(table, hashes.data(), sigs.data(), items.size(),
+                        ok.data());
+  return ok;
+}
 
-  std::vector<uint8_t> ok = EcdsaVerifyMany(kp.public_key(), hashes, sigs);
-  ASSERT_EQ(ok.size(), sigs.size());
-  for (size_t i = 0; i < sigs.size(); ++i) {
-    EXPECT_EQ(ok[i] != 0, EcdsaVerify(kp.public_key(), hashes[i], sigs[i]))
-        << "i = " << i;
+TEST(EcEquivTest, FixedPointTableMatchesReference) {
+  ScopedBackend fast(EcBackend::kFast);
+  if (!fast.active()) GTEST_SKIP() << "fast backend compiled out";
+  AffinePoint q = reference::ScalarMulBase(U256(0x7AB1E));
+  FixedPointTable table(q);
+  // u2 runs through the corpus backwards, so the edge scalars meet
+  // random partners on both sides.
+  std::vector<U256> u1s = SeededCorpus(300, 0x7AB);
+  std::vector<U256> u2s(u1s.rbegin(), u1s.rend());
+  std::vector<AffinePoint> out(u1s.size());
+  table.DoubleScalarMulBaseMany(u1s.data(), u2s.data(), u1s.size(),
+                                out.data());
+  for (size_t i = 0; i < u1s.size(); ++i) {
+    ASSERT_EQ(out[i], reference::DoubleScalarMulBase(u1s[i], q, u2s[i]))
+        << "u1 = " << u1s[i].ToHex() << " u2 = " << u2s[i].ToHex();
   }
-  EXPECT_EQ(ok[3], 0);
-  EXPECT_EQ(ok[10], 0);
-  EXPECT_EQ(ok[17], 0);
-  EXPECT_EQ(ok[21], 0);
-  EXPECT_EQ(ok[40], 0);
-  EXPECT_EQ(ok[0], 1);
+  // A sum that cancels to the identity: u1 = -d, u2 = 1 for Q = d*G.
+  U256 u1 = FnSub(U256::Zero(), U256(0x7AB1E));
+  U256 u2 = U256::One();
+  AffinePoint sum;
+  table.DoubleScalarMulBaseMany(&u1, &u2, 1, &sum);
+  EXPECT_TRUE(sum.infinity);
+}
+
+TEST(EcEquivTest, VerifyRecoverableManyEqualsRecoveryPredicate) {
+  // 8 keys x (256 mutated messages + 2 with u1 = 0), one mixed batch per
+  // key: every item gets its own verdict, and it is recovery's.
+  std::vector<std::vector<uint8_t>> fast_verdicts;
+  std::vector<std::vector<Item>> corpora;
+  std::vector<KeyPair> keys;
+  for (uint64_t k = 0; k < 8; ++k) {
+    KeyPair kp = KeyPair::FromSeed(500 + k);
+    KeyPair other = KeyPair::FromSeed(600 + k);
+    std::vector<Item> items = KeyCorpus(kp, other, 0xC0DE + k);
+    std::vector<uint8_t> ok = VerifyItems(kp.public_key(), items);
+    ASSERT_EQ(ok.size(), items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      const Item& it = items[i];
+      ASSERT_LE(ok[i], 1) << "i = " << i;
+      EXPECT_EQ(ok[i] == 1, RecoversTo(it.hash, it.sig, kp.public_key()))
+          << "key " << k << " item " << i << " case "
+          << static_cast<int>(it.kind);
+      // Each case lands on the side of the predicate it was built for.
+      const bool accept = it.kind == SigCase::kValid ||
+                          it.kind == SigCase::kHighSParityFlipped;
+      EXPECT_EQ(ok[i] == 1, accept)
+          << "key " << k << " item " << i << " case "
+          << static_cast<int>(it.kind);
+    }
+    keys.push_back(kp);
+    corpora.push_back(std::move(items));
+    fast_verdicts.push_back(std::move(ok));
+  }
+
+  // The same corpus through the reference backend: identical verdicts.
+  ScopedBackend ref(EcBackend::kReference);
+  ASSERT_TRUE(ref.active());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(VerifyItems(keys[k].public_key(), corpora[k]),
+              fast_verdicts[k])
+        << "key " << k;
+  }
+}
+
+TEST(EcEquivTest, VerifyRecoverableManyNamesRPlusN) {
+  // Recovery id bit 1 names x = r + n: the verifier must accept such a
+  // signature for its key, and reject one where r + n wraps past 2^256,
+  // on both backends.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    OverflowCase c = MakeOverflowCase(seed);
+    ASSERT_TRUE(RecoversTo(c.hash, c.sig, c.key));
+    std::vector<Item> items(3, Item{SigCase::kValid, c.hash, c.sig});
+    items[1].sig.recovery_id ^= 1;  // The mirror of R.
+    items[2].sig.recovery_id ^= 2;  // Names x = r instead.
+    const std::vector<uint8_t> expect = {1, 0, 0};
+    for (size_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(RecoversTo(items[i].hash, items[i].sig, c.key),
+                expect[i] == 1)
+          << "seed " << seed << " item " << i;
+    }
+    OverflowCase w = MakeWrappingCase(seed);
+    const std::vector<Item> wrapping = {{SigCase::kValid, w.hash, w.sig}};
+    ASSERT_FALSE(RecoversTo(w.hash, w.sig, w.key)) << "seed " << seed;
+
+    EXPECT_EQ(VerifyItems(c.key, items), expect) << "seed " << seed;
+    EXPECT_EQ(VerifyItems(w.key, wrapping), std::vector<uint8_t>{0})
+        << "seed " << seed;
+    ScopedBackend ref(EcBackend::kReference);
+    EXPECT_EQ(VerifyItems(c.key, items), expect) << "seed " << seed;
+    EXPECT_EQ(VerifyItems(w.key, wrapping), std::vector<uint8_t>{0})
+        << "seed " << seed;
+  }
 }
 
 TEST(EcEquivTest, RecoverConsistentAcrossBackends) {

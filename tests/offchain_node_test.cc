@@ -357,5 +357,186 @@ TEST_F(OffchainNodeTest, OrderingPreservedAcrossStage2) {
   }
 }
 
+// --- Ingest signature checks: key table vs per-entry recovery ---
+// A publisher's large group in one call is checked against a key table;
+// these tests pin that the node still accepts exactly what recovering
+// each entry accepts.
+
+/// Ways to break (or, for kMalleated, merely re-shape) a request's
+/// signature.
+enum class Forgery { kTamperedValue, kParityFlipped, kOtherKey, kSZero,
+                     kMalleated };
+
+void Forge(AppendRequest* r, Forgery how) {
+  const U256& n = secp256k1::GroupOrder();
+  switch (how) {
+    case Forgery::kTamperedValue: r->value.push_back(0x5A); break;
+    case Forgery::kParityFlipped: r->signature.recovery_id ^= 1; break;
+    case Forgery::kOtherKey:
+      r->signature =
+          EcdsaSign(KeyPair::FromSeed(777).private_key(), r->SignedHash());
+      break;
+    case Forgery::kSZero: r->signature.s = U256::Zero(); break;
+    case Forgery::kMalleated:
+      // High s with the mirrored parity: still recovers to the signer.
+      r->signature.s = n - r->signature.s;
+      r->signature.recovery_id ^= 1;
+      break;
+  }
+}
+
+/// `count` signed requests by `key`; sequence numbers start at `first`
+/// so every request of a call is identifiable by its sequence alone.
+std::vector<AppendRequest> SignedRequests(const KeyPair& key, size_t count,
+                                          uint64_t first) {
+  std::vector<AppendRequest> out;
+  for (size_t i = 0; i < count; ++i) {
+    out.push_back(AppendRequest::Make(key, first + i,
+                                      ToBytes("k" + std::to_string(i)),
+                                      ToBytes("v" + std::to_string(i))));
+  }
+  return out;
+}
+
+class IngestVerifyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DeploymentConfig config;
+    config.node.batch_size = 64;
+    config.node.worker_threads = 2;
+    config.node.verify_client_signatures = true;
+    auto d = Deployment::Create(config);
+    ASSERT_TRUE(d.ok());
+    d_ = std::move(d).value();
+  }
+
+  OffchainNode& node() { return d_->node(); }
+
+  /// Appends `requests` in one call and checks that the accepted
+  /// responses (in order) and the rejection count are exactly those of
+  /// the per-entry recovery predicate. Returns the call's key-table
+  /// checks.
+  uint64_t AppendAndCheck(const std::vector<AppendRequest>& requests) {
+    std::vector<uint64_t> expected;
+    for (const AppendRequest& r : requests) {
+      if (r.VerifySignature()) expected.push_back(r.sequence);
+    }
+    const OffchainNodeStats before = node().stats();
+    auto responses = node().Append(requests);
+    const OffchainNodeStats after = node().stats();
+    if (expected.empty()) {
+      EXPECT_FALSE(responses.ok());
+      EXPECT_EQ(responses.status().code(), Code::kInvalidArgument);
+    } else {
+      EXPECT_TRUE(responses.ok()) << responses.status().ToString();
+      std::vector<uint64_t> accepted;
+      if (responses.ok()) {
+        for (const Stage1Response& r : *responses) {
+          auto req = AppendRequest::Deserialize(r.entry);
+          EXPECT_TRUE(req.ok());
+          if (req.ok()) accepted.push_back(req->sequence);
+        }
+      }
+      EXPECT_EQ(accepted, expected);
+    }
+    EXPECT_EQ(after.invalid_signatures_rejected -
+                  before.invalid_signatures_rejected,
+              requests.size() - expected.size());
+    return after.key_table_checks - before.key_table_checks;
+  }
+
+  std::unique_ptr<Deployment> d_;
+};
+
+TEST_F(IngestVerifyTest, CleanLargeCallChecksAllButTheAnchorAgainstTable) {
+  EXPECT_EQ(AppendAndCheck(SignedRequests(KeyPair::FromSeed(1), 256, 0)),
+            255u);
+}
+
+TEST_F(IngestVerifyTest, SmallCallRecoversEveryEntry) {
+  std::vector<AppendRequest> requests =
+      SignedRequests(KeyPair::FromSeed(1), 15, 0);
+  Forge(&requests[7], Forgery::kParityFlipped);
+  EXPECT_EQ(AppendAndCheck(requests), 0u);
+}
+
+TEST_F(IngestVerifyTest, ScatteredForgeriesInLargeCall) {
+  std::vector<AppendRequest> requests =
+      SignedRequests(KeyPair::FromSeed(2), 256, 0);
+  const Forgery kinds[] = {Forgery::kTamperedValue, Forgery::kParityFlipped,
+                           Forgery::kOtherKey, Forgery::kSZero,
+                           Forgery::kMalleated};
+  const size_t forged[] = {1, 5, 17, 63, 64, 100, 101, 130, 200, 254, 255};
+  for (size_t j = 0; j < std::size(forged); ++j) {
+    Forge(&requests[forged[j]], kinds[j % std::size(kinds)]);
+  }
+  EXPECT_EQ(AppendAndCheck(requests), 255u);
+}
+
+TEST_F(IngestVerifyTest, KeyComesFromFirstEntryThatRecovers) {
+  std::vector<AppendRequest> requests =
+      SignedRequests(KeyPair::FromSeed(3), 64, 0);
+  Forge(&requests[0], Forgery::kOtherKey);
+  Forge(&requests[1], Forgery::kTamperedValue);
+  Forge(&requests[2], Forgery::kParityFlipped);
+  Forge(&requests[40], Forgery::kOtherKey);
+  const uint64_t table_checks = AppendAndCheck(requests);
+  // Entry 3 is the anchor; a recovery wave may have covered a few more.
+  EXPECT_GT(table_checks, 0u);
+  EXPECT_LE(table_checks, 60u);
+}
+
+TEST_F(IngestVerifyTest, TwoPublishersEitherSideOfTheCutoff) {
+  KeyPair a = KeyPair::FromSeed(4);
+  KeyPair b = KeyPair::FromSeed(5);
+  std::vector<AppendRequest> big = SignedRequests(a, 40, 0);
+  std::vector<AppendRequest> small = SignedRequests(b, 8, 1000);
+  Forge(&big[9], Forgery::kOtherKey);
+  Forge(&big[33], Forgery::kMalleated);
+  Forge(&small[2], Forgery::kTamperedValue);
+  std::vector<AppendRequest> requests;
+  for (size_t i = 0; i < big.size(); ++i) {
+    requests.push_back(big[i]);
+    if (i % 5 == 0) requests.push_back(small[i / 5]);
+  }
+  // Only the 40-entry group takes the table: 39 checks after its anchor.
+  EXPECT_EQ(AppendAndCheck(requests), 39u);
+}
+
+TEST_F(IngestVerifyTest, AllForgedGroup) {
+  std::vector<AppendRequest> forged =
+      SignedRequests(KeyPair::FromSeed(6), 20, 0);
+  for (AppendRequest& r : forged) Forge(&r, Forgery::kOtherKey);
+  std::vector<AppendRequest> requests = forged;
+  for (AppendRequest& r : SignedRequests(KeyPair::FromSeed(7), 4, 100)) {
+    requests.push_back(std::move(r));
+  }
+  EXPECT_EQ(AppendAndCheck(requests), 0u);
+  // Nothing valid at all: the call still fails as a whole.
+  EXPECT_EQ(AppendAndCheck(forged), 0u);
+}
+
+TEST_F(IngestVerifyTest, ZeroAddressPublisherNeverPasses) {
+  // A group claiming the zero address (which failed recovery also
+  // yields) stays on per-entry recovery, and none of it passes.
+  std::vector<AppendRequest> zero;
+  KeyPair signer = KeyPair::FromSeed(8);
+  for (uint64_t i = 0; i < 20; ++i) {
+    AppendRequest r;
+    r.publisher = Address::Zero();
+    r.sequence = i;
+    r.key = ToBytes("k");
+    r.value = ToBytes("v");
+    r.signature = EcdsaSign(signer.private_key(), r.SignedHash());
+    zero.push_back(std::move(r));
+  }
+  EXPECT_EQ(AppendAndCheck(zero), 0u);
+  std::vector<AppendRequest> mixed = zero;
+  for (AppendRequest& r : SignedRequests(signer, 16, 100)) {
+    mixed.push_back(std::move(r));
+  }
+  EXPECT_EQ(AppendAndCheck(mixed), 15u);
+}
+
 }  // namespace
 }  // namespace wedge

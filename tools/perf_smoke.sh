@@ -13,6 +13,10 @@
 #   - BM_SealBatch/2000 >= 5.0x over seed with the dispatched backend
 #     (the ISSUE 9 secp256k1 fast-path gate; stretch target is 10x)
 #   - BM_EcdsaVerify >= 3.0x over seed with the dispatched backend
+#   - BM_VerifyRecoverableMany/256 (the fixed-key ingest check) takes at
+#     most 0.5x the time of BM_RecoverSignerMany/256 (per-entry recovery
+#     of the same 256 signatures), dispatched backend: a ratio of two
+#     rows of one run, so it holds on any host
 #
 # Also runs the sharded-engine scaling bench (bench/shard_scaling), which
 # writes BENCH_shard.json and enforces its own criteria: exactly one
@@ -31,7 +35,7 @@ echo "==> [perf] building microbench + shard_scaling + obs_overhead + storage_sw
 cmake --build "$build_dir" -j "$(nproc)" \
   --target microbench shard_scaling obs_overhead storage_sweep >/dev/null
 
-filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_EcdsaVerifyMany/256'
+filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_RecoverSignerMany/256|BM_VerifyRecoverableMany/256|BM_FixedPointTableBuild'
 tmp_dispatched="$(mktemp)"
 tmp_scalar="$(mktemp)"
 trap 'rm -f "$tmp_dispatched" "$tmp_scalar"' EXIT
@@ -67,6 +71,11 @@ CRITERIA = [
     ("BM_MerkleBuild/2000", "scalar_forced", 1.5),
     ("BM_SealBatch/2000", "dispatched", 5.0),
     ("BM_EcdsaVerify", "dispatched", 3.0),
+]
+RATIO_CRITERIA = [
+    # (benchmark, baseline benchmark of the same run, run, maximum ratio)
+    ("BM_VerifyRecoverableMany/256", "BM_RecoverSignerMany/256",
+     "dispatched", 0.5),
 ]
 
 def rows(path):
@@ -111,6 +120,22 @@ for name, run, minimum in CRITERIA:
           f"(minimum {minimum:.1f}x) -> {status}")
     if speedup < minimum:
         failures.append(f"{name} ({run}): {speedup:.2f}x < {minimum:.1f}x")
+
+for name, base, run, maximum in RATIO_CRITERIA:
+    measured = dispatched if run == "dispatched" else scalar
+    missing = [b for b in (name, base) if b not in measured]
+    if missing:
+        failures.append(f"{name} / {base} ({run}): missing {missing}")
+        continue
+    ratio = measured[name] / measured[base]
+    report.setdefault("ratios", []).append(
+        {"name": name, "base": base, "run": run, "ratio": round(ratio, 3),
+         "maximum": maximum})
+    status = "ok" if ratio <= maximum else "REGRESSED"
+    print(f"    {name} / {base} [{run}]: {ratio:.2f}x "
+          f"(maximum {maximum:.2f}x) -> {status}")
+    if ratio > maximum:
+        failures.append(f"{name} / {base} ({run}): {ratio:.2f}x > {maximum:.2f}x")
 
 report["criteria_passed"] = not failures
 with open(sys.argv[3], "w") as f:
