@@ -736,6 +736,8 @@ int Run(const Options& opts) {
                    "server_append_us");
     StampQuantiles(row, server_snap, "wedge.rpc.op_us{op=readT}",
                    "server_read_us");
+    StampQuantiles(row, server_snap, "wedge.rpc.queue_wait_us",
+                   "server_queue_wait_us");
   }
   row.Print();
 

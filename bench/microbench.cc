@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the primitives every WedgeBlock
-// operation is built from: hashing, ECDSA, Merkle trees and the U256
-// field arithmetic. These bound the end-to-end numbers reported by the
-// figure harnesses.
+// operation is built from: hashing, ECDSA, Merkle trees, the U256 field
+// arithmetic and the RPC session handshake. These bound the end-to-end
+// numbers reported by the figure harnesses.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "crypto/keccak256.h"
 #include "crypto/sha256_dispatch.h"
 #include "merkle/merkle_tree.h"
+#include "net/wire.h"
 #include "storage/log_store.h"
 
 namespace wedge {
@@ -265,6 +266,34 @@ void BM_ScalarMulBase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScalarMulBase);
+
+// Variable-base k*P: the ECDH of the RPC session handshake.
+void BM_ScalarMul(benchmark::State& state) {
+  Rng rng(2);
+  const secp256k1::AffinePoint p = KeyPair::FromSeed(7).public_key();
+  U256 k(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::ScalarMul(p, k));
+    k = k + U256::One();
+  }
+}
+BENCHMARK(BM_ScalarMul)->Unit(benchmark::kMicrosecond);
+
+// One RPC connection's handshake CPU, both sides in one process: the
+// client's hello (a comb multiplication), the server's accept (one
+// variable-base multiplication) and the client's check (one more).
+void BM_SessionHandshake(benchmark::State& state) {
+  const KeyPair server = KeyPair::FromSeed(0x5E55);
+  for (auto _ : state) {
+    auto hello = StartClientHandshake();
+    auto accepted = AcceptClientHello(server, hello->payload);
+    auto session =
+        FinishClientHandshake(*hello, server.address(), accepted->reply);
+    if (!session.ok()) state.SkipWithError("handshake failed");
+    benchmark::DoNotOptimize(session);
+  }
+}
+BENCHMARK(BM_SessionHandshake)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace wedge

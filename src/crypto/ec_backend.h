@@ -7,8 +7,9 @@
 // point multiplication — stage-1 signing, client verification, ecrecover
 // — routes through one of two implementations selected once at startup:
 //
-//   kFast       precomputed 8-bit comb tables for G, wNAF variable-base
-//               multiplication, and GLV-endomorphism Shamir verification
+//   kFast       a precomputed signed 8-bit comb table for G, and
+//               GLV-endomorphism wNAF for variable-base multiplication
+//               and Shamir verification
 //   kReference  naive double-and-add with no precomputation (the
 //               equivalence oracle and the forced-slow CI configuration)
 //

@@ -404,21 +404,28 @@ void BatchNormalize(const Jacobian* js, size_t n, AffinePoint* out) {
 }
 
 // --- Fixed-base comb table ---
-// table[w * 255 + d - 1] = d * 256^w * G for w in [0, 32), d in [1, 256).
-// ScalarMulBase then needs no doublings at all: one mixed add per
-// non-zero byte of the scalar (<= 32). ~512 KiB, built lazily on first
-// use with a single batch normalization.
-constexpr int kCombWindows = 32;
+// table[w * 128 + d - 1] = d * 256^w * G for w in [0, 33), d in [1, 128].
+// ScalarMulBase recodes the scalar into signed byte digits in [-127, 128]
+// (the top byte's carry goes into a 33rd window) and adds the entry, or
+// its negation, per non-zero digit: <= 33 mixed additions and no
+// doublings. 4224 points (~300 KiB), built lazily on first use with a
+// single batch normalization.
+constexpr int kCombWindows = 33;
+constexpr int kCombDigits = 128;
 
 const std::vector<AffinePoint>& CombTable() {
   static const auto* table = [] {
-    std::vector<Jacobian> jac(static_cast<size_t>(kCombWindows) * 255);
+    std::vector<Jacobian> jac(static_cast<size_t>(kCombWindows) *
+                              kCombDigits);
     Jacobian base{kGx, kGy, U256::One()};
     for (int w = 0; w < kCombWindows; ++w) {
-      Jacobian* row = jac.data() + static_cast<size_t>(w) * 255;
+      Jacobian* row = jac.data() + static_cast<size_t>(w) * kCombDigits;
       row[0] = base;
-      for (int d = 2; d <= 255; ++d) row[d - 1] = JAdd(row[d - 2], base);
-      base = JAdd(row[254], base);  // 256 * previous window base.
+      for (int d = 2; d <= kCombDigits; ++d) {
+        row[d - 1] = d % 2 == 0 ? JDouble(row[d / 2 - 1])
+                                : JAdd(row[d - 2], base);
+      }
+      base = JDouble(row[kCombDigits - 1]);  // 256 * previous window base.
     }
     auto* t = new std::vector<AffinePoint>(jac.size());
     BatchNormalize(jac.data(), jac.size(), t->data());
@@ -545,13 +552,20 @@ void SplitScalarGlvImpl(const U256& k_in, U256* k1, bool* neg1, U256* k2,
 void FastScalarMulBaseAccum(const U256& k_reduced, Jacobian* acc) {
   const auto& table = CombTable();
   Jacobian result = Jacobian::Infinity();
+  int carry = 0;
   for (int w = 0; w < kCombWindows; ++w) {
-    unsigned digit = static_cast<unsigned>(
-        (k_reduced.limb[w / 8] >> ((w % 8) * 8)) & 0xFF);
-    if (digit != 0) {
-      result = JAddMixed(result, table[static_cast<size_t>(w) * 255 +
-                                       digit - 1]);
+    int digit = carry;
+    if (w < 32) {
+      digit += static_cast<int>((k_reduced.limb[w / 8] >> ((w % 8) * 8)) &
+                                0xFF);
     }
+    carry = digit > kCombDigits ? 1 : 0;
+    digit -= carry * 256;
+    if (digit == 0) continue;
+    AffinePoint e =
+        table[static_cast<size_t>(w) * kCombDigits + std::abs(digit) - 1];
+    if (digit < 0) e.y = FpSubInl(U256::Zero(), e.y);
+    result = JAddMixed(result, e);
   }
   *acc = result;
 }
@@ -561,21 +575,6 @@ AffinePoint FastScalarMulBase(const U256& k_in) {
   if (k.IsZero()) return AffinePoint::Infinity();
   Jacobian acc;
   FastScalarMulBaseAccum(k, &acc);
-  return FromJacobian(acc);
-}
-
-AffinePoint FastScalarMul(const AffinePoint& p, const U256& k_in) {
-  U256 k = FnReduce(k_in);
-  if (k.IsZero() || p.infinity) return AffinePoint::Infinity();
-  AffinePoint odd[8];
-  OddMultiples15(p, odd);
-  int8_t naf[kWnafMaxLen];
-  int len = ComputeWnaf(k, 5, naf);
-  Jacobian acc = Jacobian::Infinity();
-  for (int i = len - 1; i >= 0; --i) {
-    acc = JDouble(acc);
-    acc = AddWnafDigit(acc, naf[i], false, odd);
-  }
   return FromJacobian(acc);
 }
 
@@ -885,7 +884,9 @@ AffinePoint ScalarMul(const AffinePoint& p, const U256& k) {
   if (ActiveEcBackend() == EcBackend::kReference) {
     return reference::ScalarMul(p, k);
   }
-  return FastScalarMul(p, k);
+  // The u2 half of the Shamir loop alone: the GLV split runs ~130
+  // doublings where a plain wNAF over k runs 256.
+  return FastDoubleScalarMulBase(U256::Zero(), p, k);
 }
 
 AffinePoint ScalarMulBase(const U256& k) {

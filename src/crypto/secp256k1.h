@@ -75,16 +75,20 @@ AffinePoint Add(const AffinePoint& a, const AffinePoint& b);
 AffinePoint Double(const AffinePoint& a);
 AffinePoint Negate(const AffinePoint& a);
 
-/// k * P (width-5 wNAF on the fast backend). `k` is ALWAYS reduced mod n
-/// first, so ScalarMul(P, n + 5) == ScalarMul(P, 5) — callers comparing
-/// scalars for equality must compare them mod n, not as raw 256-bit
-/// values (pinned by tests/ec_equiv_test.cc). Constant-time is NOT a
-/// goal of this simulation-oriented implementation.
+/// k * P. The fast backend splits k with the GLV endomorphism into two
+/// half-width scalars against P and phi(P) (width-5 wNAF, ~130
+/// doublings), as the u2 half of DoubleScalarMulBase. `k` is ALWAYS
+/// reduced mod n first, so ScalarMul(P, n + 5) == ScalarMul(P, 5) —
+/// callers comparing scalars for equality must compare them mod n, not
+/// as raw 256-bit values (pinned by tests/ec_equiv_test.cc).
+/// Constant-time is NOT a goal of this simulation-oriented
+/// implementation.
 AffinePoint ScalarMul(const AffinePoint& p, const U256& k);
 
-/// k * G via a precomputed 8-bit comb table for the generator (lazily
-/// built, batch-normalized to affine). `k` is reduced mod n like
-/// ScalarMul.
+/// k * G via a precomputed signed 8-bit comb table for the generator
+/// (lazily built, batch-normalized to affine): k recoded into 33 digits
+/// in [-127, 128], one mixed addition per non-zero digit. `k` is reduced
+/// mod n like ScalarMul.
 AffinePoint ScalarMulBase(const U256& k);
 
 /// Batch fixed-base multiplication: out[i] = ks[i] * G, amortizing the

@@ -27,8 +27,9 @@ struct FaultSpec {
   double send_delay_rate = 0;
   Micros send_delay_min = 0;
   Micros send_delay_max = 0;
-  /// Probability that a frame is written twice back-to-back. The receiver
-  /// must treat the second copy as a stale rpc_id and discard it.
+  /// Probability that a frame is written twice back-to-back. The copy
+  /// repeats a sealed frame's sequence number, so the receiver sees a
+  /// replay: it fails its tag and the connection closes.
   double send_duplicate_rate = 0;
 };
 

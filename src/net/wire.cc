@@ -1,7 +1,12 @@
 #include "net/wire.h"
 
+#include <errno.h>
+#include <sys/random.h>
+
 #include <algorithm>
 #include <cstring>
+
+#include "crypto/hmac_sha256.h"
 
 namespace wedge {
 
@@ -50,44 +55,154 @@ Result<bool> FrameDecoder::Next(Bytes* out) {
   return true;
 }
 
-SignedEnvelope SignedEnvelope::Create(const KeyPair& key, Bytes payload) {
-  SignedEnvelope env;
-  env.sender = key.address();
-  env.payload = std::move(payload);
-  Bytes material;
-  Append(material, env.sender.ToBytes());
-  PutBytes(material, env.payload);
-  env.signature = EcdsaSign(key.private_key(), Sha256::Digest(material));
-  return env;
-}
+namespace {
 
-bool SignedEnvelope::Verify() const {
-  Bytes material;
-  Append(material, sender.ToBytes());
-  PutBytes(material, payload);
-  return RecoverSigner(Sha256::Digest(material), signature) == sender;
-}
+/// Domain label opening the handshake transcript hash.
+constexpr std::string_view kSessionLabel = "WedgeBlock RPC session v1";
 
-Bytes SignedEnvelope::Serialize() const {
-  Bytes out;
-  Append(out, sender.ToBytes());
-  PutBytes(out, payload);
-  Append(out, signature.Serialize());
-  return out;
-}
-
-Result<SignedEnvelope> SignedEnvelope::Deserialize(const Bytes& b) {
-  ByteReader reader(b);
-  SignedEnvelope env;
-  WEDGE_ASSIGN_OR_RETURN(Bytes addr, reader.ReadRaw(20));
-  std::copy(addr.begin(), addr.end(), env.sender.bytes.begin());
-  WEDGE_ASSIGN_OR_RETURN(env.payload, reader.ReadBytes());
-  WEDGE_ASSIGN_OR_RETURN(Bytes sig, reader.ReadRaw(65));
-  WEDGE_ASSIGN_OR_RETURN(env.signature, EcdsaSignature::Deserialize(sig));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after envelope");
+Status FillRandom(uint8_t* out, size_t n) {
+  while (n > 0) {
+    ssize_t got = getrandom(out, n, 0);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("getrandom: ") +
+                              std::strerror(errno));
+    }
+    out += got;
+    n -= static_cast<size_t>(got);
   }
-  return env;
+  return Status::Ok();
+}
+
+bool TagsEqual(const uint8_t* a, const uint8_t* b) {
+  uint8_t diff = 0;
+  for (size_t i = 0; i < kSessionTagBytes; ++i) diff |= a[i] ^ b[i];
+  return diff == 0;
+}
+
+struct SessionKeys {
+  Bytes c2s;
+  Bytes s2c;
+  Hash256 confirm;
+};
+
+/// The handshake's key schedule; `hello` is the whole hello payload and
+/// `q` the server key's 65-byte encoding.
+SessionKeys DeriveSessionKeys(const secp256k1::AffinePoint& shared,
+                              const Bytes& hello, const Bytes& q,
+                              const Bytes& nonce) {
+  Sha256 transcript;
+  transcript.Update(kSessionLabel);
+  transcript.Update(hello);
+  transcript.Update(q);
+  transcript.Update(nonce);
+  const Bytes t = HashToBytes(transcript.Finish());
+  const Bytes x = shared.x.ToBytesBE();
+  const Bytes c2s = ToBytes("c2s"), s2c = ToBytes("s2c");
+  const Bytes confirm = ToBytes("confirm");
+  return SessionKeys{HashToBytes(HmacSha256(x, {&t, &c2s})),
+                     HashToBytes(HmacSha256(x, {&t, &s2c})),
+                     HmacSha256(x, {&t, &confirm})};
+}
+
+}  // namespace
+
+void Session::Seal(const Bytes& payload, Bytes* out) {
+  Bytes seq;
+  PutU64(seq, send_seq_++);
+  const Hash256 tag = HmacSha256(send_key_, {&seq, &payload});
+  PutU32(*out, kFrameMagic);
+  PutU32(*out, static_cast<uint32_t>(payload.size() + kSessionTagBytes));
+  Append(*out, payload);
+  out->insert(out->end(), tag.begin(), tag.end());
+}
+
+Status Session::Open(Bytes* frame_payload) {
+  if (frame_payload->size() < kSessionTagBytes) {
+    return Status::Verification("frame shorter than its tag");
+  }
+  uint8_t tag[kSessionTagBytes];
+  std::memcpy(tag, frame_payload->data() + frame_payload->size() -
+                       kSessionTagBytes,
+              kSessionTagBytes);
+  frame_payload->resize(frame_payload->size() - kSessionTagBytes);
+  Bytes seq;
+  PutU64(seq, recv_seq_);
+  const Hash256 want = HmacSha256(recv_key_, {&seq, frame_payload});
+  if (!TagsEqual(want.data(), tag)) {
+    return Status::Verification("bad frame tag");
+  }
+  ++recv_seq_;
+  return Status::Ok();
+}
+
+Result<ClientHello> StartClientHandshake() {
+  ClientHello hello;
+  const U256& n = secp256k1::GroupOrder();
+  do {
+    Bytes secret(32);
+    WEDGE_RETURN_IF_ERROR(FillRandom(secret.data(), secret.size()));
+    WEDGE_ASSIGN_OR_RETURN(hello.ephemeral, U256::FromBytesBE(secret));
+  } while (hello.ephemeral.IsZero() || hello.ephemeral >= n);
+  WEDGE_ASSIGN_OR_RETURN(
+      Bytes share,
+      secp256k1::EncodeUncompressed(secp256k1::ScalarMulBase(hello.ephemeral)));
+  PutU32(hello.payload, kHelloMagic);
+  Append(hello.payload, share);
+  return hello;
+}
+
+Result<ServerHandshake> AcceptClientHello(const KeyPair& transport_key,
+                                          const Bytes& hello) {
+  if (hello.size() != kHelloBytes) {
+    return Status::InvalidArgument("client hello has the wrong length");
+  }
+  ByteReader reader(hello);
+  WEDGE_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
+  if (magic != kHelloMagic) {
+    return Status::InvalidArgument("first frame is not a client hello");
+  }
+  WEDGE_ASSIGN_OR_RETURN(Bytes share, reader.ReadRaw(65));
+  // Validated before any multiplication by the static key: an unchecked
+  // point would make the handshake an invalid-curve oracle against it.
+  WEDGE_ASSIGN_OR_RETURN(secp256k1::AffinePoint e_pub,
+                         secp256k1::DecodeUncompressed(share));
+  Bytes nonce(32);
+  WEDGE_RETURN_IF_ERROR(FillRandom(nonce.data(), nonce.size()));
+  WEDGE_ASSIGN_OR_RETURN(
+      Bytes q, secp256k1::EncodeUncompressed(transport_key.public_key()));
+  SessionKeys keys = DeriveSessionKeys(
+      secp256k1::ScalarMul(e_pub, transport_key.private_key()), hello, q,
+      nonce);
+  Bytes reply = std::move(q);
+  Append(reply, nonce);
+  reply.insert(reply.end(), keys.confirm.begin(), keys.confirm.end());
+  return ServerHandshake{std::move(reply),
+                         Session(std::move(keys.s2c), std::move(keys.c2s))};
+}
+
+Result<Session> FinishClientHandshake(const ClientHello& hello,
+                                      const Address& server_address,
+                                      const Bytes& reply) {
+  if (reply.size() != kHelloReplyBytes) {
+    return Status::InvalidArgument("handshake reply has the wrong length");
+  }
+  ByteReader reader(reply);
+  WEDGE_ASSIGN_OR_RETURN(Bytes q, reader.ReadRaw(65));
+  WEDGE_ASSIGN_OR_RETURN(Bytes nonce, reader.ReadRaw(32));
+  WEDGE_ASSIGN_OR_RETURN(Bytes confirm, reader.ReadRaw(kSessionTagBytes));
+  WEDGE_ASSIGN_OR_RETURN(secp256k1::AffinePoint q_pub,
+                         secp256k1::DecodeUncompressed(q));
+  if (AddressFromPublicKey(q_pub) != server_address) {
+    return Status::Verification("server key is not the pinned address " +
+                                server_address.ToHex());
+  }
+  SessionKeys keys = DeriveSessionKeys(
+      secp256k1::ScalarMul(q_pub, hello.ephemeral), hello.payload, q, nonce);
+  if (!TagsEqual(keys.confirm.data(), confirm.data())) {
+    return Status::Verification("handshake key confirmation failed");
+  }
+  return Session(std::move(keys.c2s), std::move(keys.s2c));
 }
 
 Bytes RpcRequest::Encode() const {

@@ -12,14 +12,23 @@ namespace wedge {
 /// The RPC wire protocol of WedgeBlock's client <-> Offchain Node
 /// boundary, spoken by the TCP stack (rpc/) and nothing else:
 ///
-///   frame:    [u32 magic "WDGB"][u32 payload length][payload]
-///   payload:  SignedEnvelope::Serialize() (sender, signed RPC message)
+///   frame:    [u32 magic "WDGB"][u32 length][payload][32-byte tag]
+///   tag:      HMAC-SHA256(k_dir, u64 seq || payload)
 ///   request:  [u64 rpc_id][string op][bytes body]
 ///   response: [u64 rpc_id][u8 ok][bytes body | string error]
 ///
-/// Op bodies live one layer up (core/rpc_codec.h). Every decoder here is
-/// bounds-checked and returns a typed error for truncated, oversized or
-/// garbage input — a malformed frame must never crash a server.
+/// A connection opens with a one-round-trip handshake (Noise "NK": the
+/// client knows the server's key, the server does not know the client)
+/// whose two frames carry no tag:
+///
+///   hello:    [u32 "WDBH"][E = e*G, 65-byte uncompressed]
+///   reply:    [Q, 65-byte uncompressed][32-byte nonce][32-byte confirm]
+///
+/// After it, every frame in each direction is tagged under that
+/// direction's key and sequence number (see Session). Op bodies live one
+/// layer up (core/rpc_codec.h). Every decoder here is bounds-checked and
+/// returns a typed error for truncated, oversized or garbage input — a
+/// malformed frame must never crash a server.
 
 /// Frame header magic: rejects non-WedgeBlock traffic (and most stream
 /// desynchronization) before any allocation happens.
@@ -45,7 +54,8 @@ constexpr uint32_t kTraceExtMagic = 0x54524143;  // "TRAC"
 /// ("loadgen", "fleetmon", "chaos").
 constexpr size_t kMaxTraceOriginBytes = 64;
 
-/// Wraps `payload` in a frame header for a byte-stream transport.
+/// Wraps `payload` in a frame header with no tag: the two handshake
+/// frames. Every later frame goes through Session::Seal.
 Bytes EncodeFrame(const Bytes& payload);
 
 /// Incremental frame parser for a TCP receive path: feed arbitrary byte
@@ -77,25 +87,78 @@ class FrameDecoder {
   bool poisoned_ = false;
 };
 
-/// A signed message envelope: the paper assumes every exchanged message is
-/// cryptographically signed (§3.1). Wraps (sender address, payload) with an
-/// ECDSA signature over their canonical encoding.
-struct SignedEnvelope {
-  Address sender;
-  Bytes payload;
-  EcdsaSignature signature;
+/// Inner magic of the client hello ("WDBH"), the first frame of every
+/// connection. A peer that opens with anything else is closed.
+constexpr uint32_t kHelloMagic = 0x57444248;
+constexpr size_t kHelloBytes = 4 + 65;
+/// Q || nonce || confirm.
+constexpr size_t kHelloReplyBytes = 65 + 32 + 32;
+/// Trailing HMAC-SHA256 tag on every frame after the handshake.
+constexpr size_t kSessionTagBytes = 32;
 
-  /// Signs `payload` with `key` and builds the envelope.
-  static SignedEnvelope Create(const KeyPair& key, Bytes payload);
+/// One authenticated connection: an HMAC-SHA256 key and a sequence
+/// number per direction, both counted from 0. Seal tags
+/// (seq || payload) under the send key; Open accepts a frame only under
+/// the receive key and the next receive sequence number, so a tampered,
+/// replayed, reordered, reflected or forged frame fails. Frames are
+/// authenticated, not encrypted.
+///
+/// Seal and Open touch disjoint state: one thread may seal while another
+/// opens. Built by the handshake functions below.
+class Session {
+ public:
+  Session(Bytes send_key, Bytes recv_key)
+      : send_key_(std::move(send_key)), recv_key_(std::move(recv_key)) {}
 
-  /// True iff the signature verifies against the claimed sender address.
-  bool Verify() const;
+  /// Appends the frame [magic][length][payload][tag] to *out and advances
+  /// the send sequence number.
+  void Seal(const Bytes& payload, Bytes* out);
 
-  Bytes Serialize() const;
-  static Result<SignedEnvelope> Deserialize(const Bytes& b);
+  /// Checks the trailing tag of one received frame payload (as
+  /// FrameDecoder returns it) and strips it in place, advancing the
+  /// receive sequence number. On failure the caller must close the
+  /// connection: the stream can no longer be trusted.
+  Status Open(Bytes* frame_payload);
+
+ private:
+  Bytes send_key_;
+  Bytes recv_key_;
+  uint64_t send_seq_ = 0;
+  uint64_t recv_seq_ = 0;
 };
 
-/// One RPC request as carried inside a SignedEnvelope payload.
+/// The client's open handshake: its ephemeral secret e and the hello
+/// payload carrying E = e*G.
+struct ClientHello {
+  U256 ephemeral;
+  Bytes payload;
+};
+
+/// The server's answer to a hello: the reply payload and its session.
+struct ServerHandshake {
+  Bytes reply;
+  Session session;
+};
+
+/// Draws e from the OS CSPRNG (getrandom(2)) and builds the hello.
+Result<ClientHello> StartClientHandshake();
+
+/// Server side. Decodes and validates E (on the curve, coordinates below
+/// p) before any scalar multiplication, because the ECDH runs on the
+/// static transport key. Draws a fresh nonce, so two handshakes over one
+/// hello give different keys. With T = SHA-256(label || hello || Q ||
+/// nonce) and x = (d*E).x, the keys are HMAC(x, T || "c2s") and
+/// HMAC(x, T || "s2c"), and confirm is HMAC(x, T || "confirm").
+Result<ServerHandshake> AcceptClientHello(const KeyPair& transport_key,
+                                          const Bytes& hello);
+
+/// Client side. Accepts the reply only when Q hashes to
+/// `server_address` and confirm proves knowledge of (e*Q).x.
+Result<Session> FinishClientHandshake(const ClientHello& hello,
+                                      const Address& server_address,
+                                      const Bytes& reply);
+
+/// One RPC request, the payload of a client frame.
 ///
 /// Wire layout: [u64 rpc_id][string op][bytes body] plus an optional
 /// trace-context extension [u32 "TRAC"][u64 trace_id][string origin].
@@ -114,7 +177,7 @@ struct RpcRequest {
   static Result<RpcRequest> Decode(const Bytes& payload);
 };
 
-/// One RPC response as carried inside a SignedEnvelope payload.
+/// One RPC response, the payload of a server frame.
 struct RpcResponse {
   uint64_t rpc_id = 0;
   bool ok = false;

@@ -46,6 +46,7 @@ RpcServer::RpcServer(Handler handler, KeyPair transport_key,
   bytes_in_counter_ = m.GetCounter("wedge.rpc.bytes_in");
   bytes_out_counter_ = m.GetCounter("wedge.rpc.bytes_out");
   slow_requests_counter_ = m.GetCounter("wedge.rpc.slow_requests");
+  queue_wait_hist_ = m.GetHistogram("wedge.rpc.queue_wait_us");
 }
 
 Histogram* RpcServer::OpHistogram(const std::string& op) {
@@ -212,6 +213,7 @@ void RpcServer::WorkerLoop(Worker& worker) {
     epoll_event events[64];
     int n = epoll_wait(worker.epoll_fd, events, 64, 500);
     if (n < 0 && errno != EINTR) break;
+    if (n > 0) worker.woke_at = RealClock::Global()->NowMicros();
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
       if (fd == worker.wake_fd) {
@@ -278,7 +280,6 @@ bool RpcServer::HandleReadable(Worker& worker, Connection& conn) {
 }
 
 bool RpcServer::ProcessFrames(Worker& worker, Connection& conn) {
-  (void)worker;
   int served_this_pass = 0;
   for (;;) {
     Bytes payload;
@@ -289,7 +290,26 @@ bool RpcServer::ProcessFrames(Worker& worker, Connection& conn) {
       return false;
     }
     if (!has.value()) break;
-    if (!ServePayload(conn, payload)) return false;
+    if (!conn.session.has_value()) {
+      // The first frame must be a hello; anything else (an envelope-era
+      // client, garbage) closes the connection.
+      auto handshake = AcceptClientHello(key_, payload);
+      if (!handshake.ok()) {
+        malformed_counter_->Add(1);
+        return false;
+      }
+      Append(conn.write_buf, EncodeFrame(handshake->reply));
+      conn.session.emplace(std::move(handshake->session));
+      continue;
+    }
+    if (!conn.session->Open(&payload).ok()) {
+      // Tampered, replayed, reordered or forged: close unserved, after a
+      // best-effort flush of replies already produced.
+      malformed_counter_->Add(1);
+      FlushWrites(conn);
+      return false;
+    }
+    if (!ServePayload(worker, conn, payload)) return false;
     // Bound the work (and reply memory) one pipelined peer can queue
     // before we push bytes back out.
     if (++served_this_pass >= config_.max_inflight_requests ||
@@ -305,18 +325,12 @@ bool RpcServer::ProcessFrames(Worker& worker, Connection& conn) {
   return FlushWrites(conn);
 }
 
-bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
-  auto envelope = SignedEnvelope::Deserialize(payload);
-  if (!envelope.ok() || !envelope->Verify()) {
-    // A byte-stream peer sending unsigned/forged envelopes is broken or
-    // malicious: close the connection.
-    malformed_counter_->Add(1);
-    return false;
-  }
-  auto request = RpcRequest::Decode(envelope->payload);
+bool RpcServer::ServePayload(Worker& worker, Connection& conn,
+                             const Bytes& payload) {
+  auto request = RpcRequest::Decode(payload);
   if (!request.ok()) {
     malformed_counter_->Add(1);
-    ByteReader reader(envelope->payload);
+    ByteReader reader(payload);
     auto rpc_id = reader.ReadU64();
     if (!rpc_id.ok()) return false;  // Not even correlatable: close.
     error_responses_counter_->Add(1);
@@ -327,6 +341,7 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
 
   requests_counter_->Add(1);
   Micros start = RealClock::Global()->NowMicros();
+  queue_wait_hist_->Record(start - worker.woke_at);
   Result<Bytes> result = Status::Internal("handler not invoked");
   {
     // Install the frame's trace context for the duration of the dispatch:
@@ -374,15 +389,13 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
 }
 
 void RpcServer::QueueReply(Connection& conn, const RpcResponse& response) {
-  SignedEnvelope envelope = SignedEnvelope::Create(key_, response.Encode());
-  Bytes frame = EncodeFrame(envelope.Serialize());
   // Compact the flushed prefix before growing the buffer.
   if (conn.write_pos > 0 && conn.write_pos >= conn.write_buf.size() / 2) {
     conn.write_buf.erase(conn.write_buf.begin(),
                          conn.write_buf.begin() + conn.write_pos);
     conn.write_pos = 0;
   }
-  Append(conn.write_buf, frame);
+  conn.session->Seal(response.Encode(), &conn.write_buf);
 }
 
 bool RpcServer::FlushWrites(Connection& conn) {
@@ -451,7 +464,7 @@ void RpcServer::DrainConnection(Worker& worker, Connection& conn,
 
 void RpcServer::DrainAndCloseAll(Worker& worker) {
   // Graceful shutdown must not swallow work the server already took in:
-  // every decoded request is served and every queued (signed) reply is
+  // every decoded request is served and every queued (sealed) reply is
   // flushed within the drain budget before the sockets close.
   Micros deadline = RealClock::Global()->NowMicros() + config_.drain_timeout;
   for (auto& [fd, conn] : worker.conns) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -47,22 +48,34 @@ struct RpcServerConfig {
 /// Epoll-based TCP RPC server: the client <-> Offchain Node boundary.
 /// One acceptor thread hands connections round-robin to `num_workers`
 /// event-loop threads; each connection carries length-prefixed frames
-/// (net/wire.h) whose payloads are SignedEnvelope-wrapped RpcRequests.
-/// Every request goes to one Handler — in this tree always
-/// DispatchEngineRpc (shard/shard_rpc.h) bound to a ShardedLogEngine.
-/// Replies are signed with the node operator's transport key.
+/// (net/wire.h). A connection opens with the client's hello, which the
+/// server answers with its transport public key, a fresh nonce and a
+/// key-confirmation tag (AcceptClientHello); every later frame in both
+/// directions carries an HMAC tag under the session's per-direction key
+/// and sequence number. No signature is made or checked per frame: the
+/// client is anonymous on the wire, and tenants are bound by the
+/// per-entry publisher signatures inside each append. Every request goes
+/// to one Handler — in this tree always DispatchEngineRpc
+/// (shard/shard_rpc.h) bound to a ShardedLogEngine.
 ///
-/// Robustness rules (tested by wire_test/rpc_test):
+/// Robustness rules (tested by wire_test/rpc_test), each close counted in
+/// wedge.rpc.malformed_frames:
 ///  - a malformed frame header (bad magic, oversize) closes the connection;
-///  - a well-signed but undecodable request gets an error response when
+///  - a first frame that is not a valid hello (wrong magic or length, an
+///    off-curve share) closes the connection;
+///  - a frame whose tag fails (tampered, replayed, reordered, forged)
+///    closes the connection unserved;
+///  - a well-tagged but undecodable request gets an error response when
 ///    its rpc_id prefix is readable, else the connection is closed;
-///  - unsigned/forged envelopes close the connection;
 ///  - the server never crashes on arbitrary bytes.
 ///
 /// Telemetry (`wedge.rpc.*`): connections gauge, conns_accepted /
 /// requests / responses_error / malformed_frames / bytes_in / bytes_out
-/// counters, and one latency histogram per op (`op_us{op=<op>}`)
-/// measured on the real clock around dispatch.
+/// counters, one latency histogram per op (`op_us{op=<op>}`) measured on
+/// the real clock around dispatch, and `queue_wait_us`: per served
+/// request, the time from the epoll_wait return that delivered its frame
+/// to the start of its dispatch — a lower bound on the time it waited
+/// behind other connections' inline dispatches.
 class RpcServer {
  public:
   /// Decodes an op body and produces a reply body (or a typed error the
@@ -101,6 +114,7 @@ class RpcServer {
     size_t write_pos = 0;  ///< Flushed prefix of write_buf.
     bool paused = false;   ///< EPOLLIN disabled for backpressure.
     uint32_t armed_events = 0;  ///< Events currently registered in epoll.
+    std::optional<Session> session;  ///< Set once the hello is answered.
 
     explicit Connection(int fd_in, size_t max_frame)
         : fd(fd_in), decoder(max_frame) {}
@@ -114,6 +128,7 @@ class RpcServer {
     std::mutex mu;                   ///< Guards incoming only.
     std::vector<int> incoming;       ///< Accepted fds awaiting adoption.
     std::unordered_map<int, std::unique_ptr<Connection>> conns;
+    Micros woke_at = 0;  ///< When the last epoll_wait returned events.
   };
 
   void AcceptLoop();
@@ -123,8 +138,9 @@ class RpcServer {
   bool HandleReadable(Worker& worker, Connection& conn);
   /// Decodes and serves buffered frames; returns false to close.
   bool ProcessFrames(Worker& worker, Connection& conn);
-  /// Serves one envelope payload; returns false to close the connection.
-  bool ServePayload(Connection& conn, const Bytes& payload);
+  /// Serves one opened request payload; returns false to close the
+  /// connection.
+  bool ServePayload(Worker& worker, Connection& conn, const Bytes& payload);
   void QueueReply(Connection& conn, const RpcResponse& response);
   /// Flushes write_buf until EAGAIN; returns false on socket error.
   bool FlushWrites(Connection& conn);
@@ -152,6 +168,7 @@ class RpcServer {
   Counter* bytes_in_counter_ = nullptr;
   Counter* bytes_out_counter_ = nullptr;
   Counter* slow_requests_counter_ = nullptr;
+  Histogram* queue_wait_hist_ = nullptr;
 
   /// Lazily-resolved per-op latency histograms
   /// (`wedge.rpc.op_us{op=<op>}`). Ops are a small fixed set, so the map

@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,10 +15,31 @@
 
 namespace wedge {
 
-TcpNodeClient::TcpNodeClient(KeyPair key, const Address& server_address,
+namespace {
+
+/// Writes all of `data` to the blocking socket `fd`.
+Status SendAll(int fd, const Bytes& data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    // MSG_NOSIGNAL: a server that closed on us must fail this call with
+    // EPIPE instead of delivering SIGPIPE to the process.
+    ssize_t n =
+        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable("write failed: " +
+                                 std::string(strerror(errno)));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+TcpNodeClient::TcpNodeClient(KeyPair /*key*/, const Address& server_address,
                              TcpClientConfig config)
-    : key_(std::move(key)),
-      server_address_(server_address),
+    : server_address_(server_address),
       config_(std::move(config)),
       endpoint_(config_.host + ":" + std::to_string(config_.port)),
       jitter_rng_(config_.retry_jitter_seed) {
@@ -67,29 +89,51 @@ Status TcpNodeClient::EnsureConnected(Conn& conn) {
     std::lock_guard<std::mutex> lock(conn.mu);
     if (conn.connected) return Status::Ok();
     Micros now = RealClock::Global()->NowMicros();
-    if (now < conn.next_attempt_at) {
+    if (conn.dialing || now < conn.next_attempt_at) {
       return Status::Unavailable("connection down, backing off");
     }
     // Claim this dial attempt: concurrent callers back off until it
-    // resolves (success resets the backoff state below).
-    conn.next_attempt_at =
-        now + (conn.backoff > 0 ? conn.backoff : config_.reconnect_backoff_min);
+    // resolves.
+    conn.dialing = true;
   }
   // The old reader has observed the dead socket (connected was false);
   // join it outside conn.mu — its exit path takes that mutex.
   if (conn.reader.joinable()) conn.reader.join();
 
-  if (config_.faults != nullptr && !config_.faults->AllowConnect(endpoint_)) {
-    std::lock_guard<std::mutex> lock(conn.mu);
+  Result<Dialed> dialed = Dial();
+  std::lock_guard<std::mutex> write_lock(conn.write_mu);
+  std::lock_guard<std::mutex> lock(conn.mu);
+  conn.dialing = false;
+  if (!dialed.ok()) {
     conn.backoff = conn.backoff == 0
                        ? config_.reconnect_backoff_min
                        : std::min(conn.backoff * 2,
                                   config_.reconnect_backoff_max);
     conn.next_attempt_at = RealClock::Global()->NowMicros() + conn.backoff;
+    return dialed.status();
+  }
+  if (closed_.load()) {
+    close(dialed->fd);
+    return Status::FailedPrecondition("client closed");
+  }
+  if (conn.fd >= 0) {
+    close(conn.fd);
+    reconnects_.fetch_add(1, std::memory_order_relaxed);
+  }
+  conn.fd = dialed->fd;
+  conn.session.emplace(std::move(dialed->session));
+  conn.connected = true;
+  conn.backoff = 0;
+  conn.next_attempt_at = 0;
+  conn.reader = std::thread([this, &conn] { ReaderLoop(conn); });
+  return Status::Ok();
+}
+
+Result<TcpNodeClient::Dialed> TcpNodeClient::Dial() {
+  if (config_.faults != nullptr && !config_.faults->AllowConnect(endpoint_)) {
     return Status::Unavailable("connect " + endpoint_ +
                                ": refused (injected fault)");
   }
-
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
   sockaddr_in addr{};
@@ -100,37 +144,57 @@ Status TcpNodeClient::EnsureConnected(Conn& conn) {
     return Status::InvalidArgument("bad host " + config_.host);
   }
   if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status s = Status::Unavailable("connect " + config_.host + ":" +
-                                   std::to_string(config_.port) + ": " +
+    Status s = Status::Unavailable("connect " + endpoint_ + ": " +
                                    strerror(errno));
     close(fd);
-    std::lock_guard<std::mutex> lock(conn.mu);
-    conn.backoff = conn.backoff == 0
-                       ? config_.reconnect_backoff_min
-                       : std::min(conn.backoff * 2,
-                                  config_.reconnect_backoff_max);
-    conn.next_attempt_at = RealClock::Global()->NowMicros() + conn.backoff;
     return s;
   }
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-  std::lock_guard<std::mutex> write_lock(conn.write_mu);
-  std::lock_guard<std::mutex> lock(conn.mu);
-  if (closed_.load()) {
+  Result<Session> session = Handshake(fd);
+  if (!session.ok()) {
     close(fd);
-    return Status::FailedPrecondition("client closed");
+    return Status::Unavailable("handshake with " + endpoint_ + " failed: " +
+                               session.status().ToString());
   }
-  if (conn.fd >= 0) {
-    close(conn.fd);
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
+  return Dialed{fd, std::move(session).value()};
+}
+
+Result<Session> TcpNodeClient::Handshake(int fd) {
+  WEDGE_ASSIGN_OR_RETURN(ClientHello hello, StartClientHandshake());
+  WEDGE_RETURN_IF_ERROR(SendAll(fd, EncodeFrame(hello.payload)));
+  // Read exactly the fixed-size reply frame: any later bytes are the
+  // reader thread's.
+  Bytes in(kFrameHeaderBytes + kHelloReplyBytes);
+  size_t got = 0;
+  const Micros deadline =
+      RealClock::Global()->NowMicros() + config_.rpc_timeout;
+  while (got < in.size()) {
+    Micros left = deadline - RealClock::Global()->NowMicros();
+    if (left <= 0) return Status::DeadlineExceeded("no reply in time");
+    pollfd pfd{fd, POLLIN, 0};
+    int ready = poll(&pfd, 1, static_cast<int>((left + 999) / 1000));
+    if (ready < 0 && errno != EINTR) {
+      return Status::Unavailable("poll: " + std::string(strerror(errno)));
+    }
+    if (ready <= 0) continue;
+    ssize_t n = read(fd, in.data() + got, in.size() - got);
+    if (n == 0) return Status::Unavailable("server closed the connection");
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable("read: " + std::string(strerror(errno)));
+    }
+    got += static_cast<size_t>(n);
   }
-  conn.fd = fd;
-  conn.connected = true;
-  conn.backoff = 0;
-  conn.next_attempt_at = 0;
-  conn.reader = std::thread([this, &conn] { ReaderLoop(conn); });
-  return Status::Ok();
+  FrameDecoder decoder(kHelloReplyBytes);
+  decoder.Feed(in.data(), in.size());
+  Bytes reply;
+  WEDGE_ASSIGN_OR_RETURN(bool framed, decoder.Next(&reply));
+  if (!framed || decoder.buffered() != 0) {
+    return Status::Corruption("reply is not one frame");
+  }
+  return FinishClientHandshake(hello, server_address_, reply);
 }
 
 void TcpNodeClient::ReaderLoop(Conn& conn) {
@@ -158,24 +222,23 @@ void TcpNodeClient::ReaderLoop(Conn& conn) {
         break;
       }
       if (!has.value()) break;
-      HandlePayload(conn, payload);
+      if (!HandlePayload(conn, payload)) {
+        broken = true;  // Tag failed: nothing after it can be trusted.
+        break;
+      }
     }
   }
   if (broken) shutdown(fd, SHUT_RDWR);
   FailAllWaiters(conn, Status::Unavailable("connection lost"));
 }
 
-void TcpNodeClient::HandlePayload(Conn& conn, const Bytes& payload) {
-  auto envelope = SignedEnvelope::Deserialize(payload);
-  if (!envelope.ok() || !envelope->Verify() ||
-      envelope->sender != server_address_) {
-    discarded_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto response = RpcResponse::Decode(envelope->payload);
+bool TcpNodeClient::HandlePayload(Conn& conn, Bytes& payload) {
+  // Only this reader thread opens frames on the connection's session.
+  if (!conn.session->Open(&payload).ok()) return false;
+  auto response = RpcResponse::Decode(payload);
   if (!response.ok()) {
     discarded_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return true;
   }
   std::shared_ptr<Waiter> waiter;
   {
@@ -190,7 +253,7 @@ void TcpNodeClient::HandlePayload(Conn& conn, const Bytes& payload) {
     // Stale (timed-out caller already left) or mismatched rpc_id: never
     // deliver it to some other waiter.
     discarded_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return true;
   }
   {
     std::lock_guard<std::mutex> lock(waiter->mu);
@@ -198,6 +261,7 @@ void TcpNodeClient::HandlePayload(Conn& conn, const Bytes& payload) {
     waiter->done = true;
   }
   waiter->cv.notify_all();
+  return true;
 }
 
 void TcpNodeClient::FailAllWaiters(Conn& conn, const Status& status) {
@@ -218,7 +282,7 @@ void TcpNodeClient::FailAllWaiters(Conn& conn, const Status& status) {
   }
 }
 
-Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& frame) {
+Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& payload) {
   std::lock_guard<std::mutex> write_lock(conn.write_mu);
   int fd;
   {
@@ -226,6 +290,10 @@ Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& frame) {
     if (!conn.connected) return Status::Unavailable("connection lost");
     fd = conn.fd;
   }
+  // Sealed under write_mu, so sequence order is write order, for the
+  // session of the connection that carries it.
+  Bytes frame;
+  conn.session->Seal(payload, &frame);
   int copies = 1;
   if (config_.faults != nullptr) {
     FaultyTransport::SendDecision decision = config_.faults->OnSend(endpoint_);
@@ -239,24 +307,15 @@ Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& frame) {
       return Status::Unavailable("write failed: dropped (injected fault)");
     }
     if (decision.action == FaultyTransport::SendAction::kDuplicate) {
-      copies = 2;
+      copies = 2;  // One sealed frame twice: the server sees a replay.
     }
   }
   for (int copy = 0; copy < copies; ++copy) {
-    size_t sent = 0;
-    while (sent < frame.size()) {
-      // MSG_NOSIGNAL: a server that closed on us must fail this call with
-      // EPIPE instead of delivering SIGPIPE to the process.
-      ssize_t n = send(fd, frame.data() + sent, frame.size() - sent,
-                       MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        // Wake the reader so in-flight calls fail fast, not at timeout.
-        shutdown(fd, SHUT_RDWR);
-        return Status::Unavailable("write failed: " +
-                                   std::string(strerror(errno)));
-      }
-      sent += static_cast<size_t>(n);
+    Status sent = SendAll(fd, frame);
+    if (!sent.ok()) {
+      // Wake the reader so in-flight calls fail fast, not at timeout.
+      shutdown(fd, SHUT_RDWR);
+      return sent;
     }
   }
   return Status::Ok();
@@ -296,15 +355,13 @@ Result<Bytes> TcpNodeClient::Call(std::string_view op, const Bytes& body,
   // wire; untraced calls encode byte-identically to the legacy format.
   request.trace_id = CurrentTraceId();
   if (request.trace_id != 0) request.origin = CurrentTraceOrigin();
-  SignedEnvelope envelope = SignedEnvelope::Create(key_, request.Encode());
-  Bytes payload = envelope.Serialize();
-  if (payload.size() > config_.max_frame_bytes) {
-    return Status::InvalidArgument("request exceeds frame limit (" +
-                                   std::to_string(payload.size()) + " > " +
-                                   std::to_string(config_.max_frame_bytes) +
-                                   ")");
+  const Bytes payload = request.Encode();
+  if (payload.size() + kSessionTagBytes > config_.max_frame_bytes) {
+    return Status::InvalidArgument(
+        "request exceeds frame limit (" +
+        std::to_string(payload.size() + kSessionTagBytes) + " > " +
+        std::to_string(config_.max_frame_bytes) + ")");
   }
-  Bytes frame = EncodeFrame(payload);
 
   int attempts = std::max(1, config_.max_call_attempts);
   Micros backoff = config_.retry_backoff_min;
@@ -323,7 +380,7 @@ Result<Bytes> TcpNodeClient::Call(std::string_view op, const Bytes& body,
       if (closed_.load()) return Status::FailedPrecondition("client closed");
     }
     bool request_sent = false;
-    result = CallAttempt(request.rpc_id, frame, &request_sent);
+    result = CallAttempt(request.rpc_id, payload, &request_sent);
     if (result.ok()) return result;
     // Only kUnavailable is retry-safe: the peer never replied. A sent
     // non-idempotent request (append) may still have executed before the
@@ -338,7 +395,8 @@ Result<Bytes> TcpNodeClient::Call(std::string_view op, const Bytes& body,
   return result;
 }
 
-Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id, const Bytes& frame,
+Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id,
+                                         const Bytes& payload,
                                          bool* request_sent) {
   Status last = Status::Unavailable("connection pool exhausted");
   size_t start = next_conn_.fetch_add(1, std::memory_order_relaxed);
@@ -356,7 +414,7 @@ Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id, const Bytes& frame,
       conn.waiters.emplace(rpc_id, waiter);
     }
     *request_sent = true;  // Bytes may hit the wire from here on.
-    st = WriteFrame(conn, frame);
+    st = WriteFrame(conn, payload);
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(conn.mu);
       conn.waiters.erase(rpc_id);

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -47,17 +48,26 @@ struct TcpClientConfig {
   Telemetry* telemetry = nullptr;
 };
 
-/// The client side of the RPC boundary: signed envelope payloads
-/// (net/wire.h) over a pool of TCP connections with request pipelining.
+/// The client side of the RPC boundary: tagged frames (net/wire.h) over a
+/// pool of TCP connections with request pipelining. Each dial runs the
+/// session handshake before the connection carries any call: it sends a
+/// fresh ephemeral share and accepts the server only when its transport
+/// key hashes to the pinned `server_address` and its key-confirmation
+/// tag checks (waiting up to rpc_timeout). After that every frame in both
+/// directions carries an HMAC tag under a per-direction key and sequence
+/// number. The client is anonymous on the wire: tenants are bound by the
+/// per-entry publisher signatures, not by the channel.
+///
 /// Each pooled connection has one reader thread that correlates responses
 /// to waiting callers by rpc_id, so many threads can have calls in flight
 /// on one socket and responses may return out of order. A response with
-/// an unknown rpc_id (stale, duplicated, or forged) or signed by any key
-/// but the pinned server key is counted and discarded — it is never
-/// handed to a waiter.
+/// an unknown rpc_id (stale or late) is counted and discarded — it is
+/// never handed to a waiter. A frame whose tag fails (tampered, replayed,
+/// reordered, forged) closes the connection.
 ///
-/// Failure behaviour: a broken socket fails all of its in-flight calls
-/// with kUnavailable and is redialed lazily with exponential backoff;
+/// Failure behaviour: a broken socket or a bad frame tag fails all of the
+/// connection's in-flight calls with kUnavailable. A dropped connection,
+/// like a failed handshake, is redialed lazily with exponential backoff;
 /// calls spill over to the other pool connections meanwhile. A call that
 /// sees no reply within rpc_timeout returns kDeadlineExceeded (the
 /// omission-attack surface, §4.7) — the request may have executed
@@ -70,7 +80,8 @@ struct TcpClientConfig {
 /// concurrently.
 class TcpNodeClient {
  public:
-  /// `server_address` pins the transport key replies must be signed with.
+  /// `server_address` pins the server's transport key. `key` is unused:
+  /// the client does not authenticate itself on the wire.
   TcpNodeClient(KeyPair key, const Address& server_address,
                 TcpClientConfig config);
   ~TcpNodeClient();
@@ -126,7 +137,16 @@ class TcpNodeClient {
     std::unordered_map<uint64_t, std::shared_ptr<Waiter>> waiters;
     Micros backoff = 0;
     Micros next_attempt_at = 0;
+    bool dialing = false;  ///< One dial (and handshake) at a time.
     std::mutex write_mu;  ///< Serializes frame writes from pipelined callers.
+    /// The live connection's keys. Replaced only under write_mu with no
+    /// reader running; writers seal under write_mu, the reader opens.
+    std::optional<Session> session;
+  };
+
+  struct Dialed {
+    int fd;
+    Session session;
   };
 
   /// `idempotent` ops (reads, proof fetches) retry on any kUnavailable;
@@ -135,19 +155,25 @@ class TcpNodeClient {
   Result<Bytes> Call(std::string_view op, const Bytes& body, bool idempotent);
   /// One pass over the pool. Sets *request_sent once any attempt started
   /// writing the request to a socket.
-  Result<Bytes> CallAttempt(uint64_t rpc_id, const Bytes& frame,
+  Result<Bytes> CallAttempt(uint64_t rpc_id, const Bytes& payload,
                             bool* request_sent);
   /// Lazily-resolved `wedge.client.rpc_us{op=<op>}` histogram (null when
   /// the config carries no telemetry).
   Histogram* OpHistogram(std::string_view op);
   Status EnsureConnected(Conn& conn);
+  /// Opens a socket to the server and runs the session handshake on it.
+  Result<Dialed> Dial();
+  /// Sends the hello on `fd` and checks the reply within rpc_timeout.
+  Result<Session> Handshake(int fd);
   void ReaderLoop(Conn& conn);
-  void HandlePayload(Conn& conn, const Bytes& payload);
+  /// Opens one received frame and hands its response to the waiter.
+  /// Returns false when the frame's tag fails: the connection must close.
+  bool HandlePayload(Conn& conn, Bytes& payload);
   /// Fails every in-flight waiter on `conn` (socket died).
   void FailAllWaiters(Conn& conn, const Status& status);
-  Status WriteFrame(Conn& conn, const Bytes& frame);
+  /// Seals `payload` for the connection and writes the frame.
+  Status WriteFrame(Conn& conn, const Bytes& payload);
 
-  const KeyPair key_;
   const Address server_address_;
   const TcpClientConfig config_;
   const std::string endpoint_;  ///< "host:port" key for fault injection.

@@ -56,8 +56,8 @@ class FleetRouter {
  public:
   enum class ShardHealth { kClosed, kOpen, kHalfOpen };
 
-  /// `engine_address` pins the transport key every shard process signs
-  /// replies with (the fleet shares one engine key).
+  /// `engine_address` pins the transport key every shard process proves
+  /// in its session handshake (the fleet shares one engine key).
   FleetRouter(KeyPair client_key, const Address& engine_address,
               FleetRouterConfig config, Telemetry* telemetry = nullptr);
   ~FleetRouter();

@@ -37,7 +37,7 @@ class ScopedBackend {
 std::vector<U256> SeededCorpus(size_t count, uint64_t seed) {
   const U256& n = GroupOrder();
   std::vector<U256> out;
-  out.reserve(count + 16);
+  out.reserve(count + 24);
   // Edge cases first: identity-adjacent scalars, order boundaries, and
   // values exercising the mod-n reduction documented on ScalarMul.
   out.push_back(U256::Zero());
@@ -50,6 +50,20 @@ std::vector<U256> SeededCorpus(size_t count, uint64_t seed) {
   out.push_back(U256::Max());       // 2^256 - 1
   out.push_back(U256::One().Shl(128));  // GLV split boundary region
   out.push_back(n.Shr(1));
+  // Carry-heavy scalars for the signed-digit comb: bytes at and around
+  // the 128 digit boundary, and a carry out of the top byte.
+  auto every_byte = [](uint64_t byte) {
+    const uint64_t limb = byte * 0x0101010101010101ULL;
+    return U256(limb, limb, limb, limb);
+  };
+  out.push_back(every_byte(0x80));
+  out.push_back(every_byte(0x81));
+  out.push_back(every_byte(0x7F));
+  out.push_back(U256(0x80).Shl(248));  // 0x80 in the top byte only.
+  out.push_back(U256(128));
+  out.push_back(U256(129));
+  out.push_back(U256(255));
+  out.push_back(U256(256));
   Rng rng(seed);
   for (size_t i = 0; i < count; ++i) {
     out.push_back(U256(rng.Next(), rng.Next(), rng.Next(), rng.Next()));

@@ -1,9 +1,11 @@
 // Loopback end-to-end tests for the TCP transport (src/rpc/): RpcServer +
 // TcpNodeClient against a live single-shard engine (the classic stage-2
 // configuration wedgeblockd serves by default) on an ephemeral 127.0.0.1
-// port. Also replays a malformed-frame corpus against the server and
-// drives the client against hand-written servers (impostor keys, stale
-// rpc_ids, slow replies) to pin down the hardening rules.
+// port. Also replays malformed, tampered, replayed and reordered frames
+// against the server over raw sockets that run the session handshake,
+// and drives the client against hand-written servers (impostor keys,
+// stale rpc_ids, bad reply tags, slow replies) to pin down the hardening
+// rules.
 //
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime (sandboxes without
 // loopback networking); the WEDGE_SKIP_SOCKET_TESTS CMake option removes
@@ -100,42 +102,80 @@ int ListenLoopback(uint16_t* port) {
   return fd;
 }
 
-// Reads one request frame off `fd` and returns its rpc_id.
-Result<uint64_t> ReadRequestId(int fd) {
+// The client side of the session handshake over a raw socket.
+Result<Session> HandshakeAsClient(int fd, const Address& server) {
+  WEDGE_ASSIGN_OR_RETURN(ClientHello hello, StartClientHandshake());
+  if (!WriteAll(fd, EncodeFrame(hello.payload))) {
+    return Status::Unavailable("hello not sent");
+  }
+  WEDGE_ASSIGN_OR_RETURN(Bytes reply, ReadOneFrame(fd));
+  return FinishClientHandshake(hello, server, reply);
+}
+
+// The server side of the session handshake over an accepted raw socket.
+Result<Session> HandshakeAsServer(int fd, const KeyPair& key) {
+  WEDGE_ASSIGN_OR_RETURN(Bytes hello, ReadOneFrame(fd));
+  WEDGE_ASSIGN_OR_RETURN(ServerHandshake handshake,
+                         AcceptClientHello(key, hello));
+  if (!WriteAll(fd, EncodeFrame(handshake.reply))) {
+    return Status::Unavailable("reply not sent");
+  }
+  return std::move(handshake.session);
+}
+
+Bytes Sealed(Session& session, const Bytes& payload) {
+  Bytes frame;
+  session.Seal(payload, &frame);
+  return frame;
+}
+
+// Reads one request frame off `fd`, opens it and returns its rpc_id.
+Result<uint64_t> ReadRequestId(int fd, Session& session) {
   WEDGE_ASSIGN_OR_RETURN(Bytes frame, ReadOneFrame(fd));
-  WEDGE_ASSIGN_OR_RETURN(SignedEnvelope envelope,
-                         SignedEnvelope::Deserialize(frame));
-  WEDGE_ASSIGN_OR_RETURN(RpcRequest request,
-                         RpcRequest::Decode(envelope.payload));
+  WEDGE_RETURN_IF_ERROR(session.Open(&frame));
+  WEDGE_ASSIGN_OR_RETURN(RpcRequest request, RpcRequest::Decode(frame));
   return request.rpc_id;
 }
 
-// A one-connection server that answers the first request it reads with a
-// reply signed by `key` under the wrong rpc_id and — when
-// `genuine_body` is set — then the real reply, and holds the socket open
-// until the client hangs up.
-void ServeStaleThenGenuine(int listen_fd, const KeyPair& key,
-                           const Bytes& stale_body,
-                           const std::optional<Bytes>& genuine_body) {
+// A one-connection server that completes the handshake with `key`, reads
+// one request, and answers it with whatever `reply` writes to the socket
+// (given the session and the request's rpc_id). It then holds the socket
+// open until the client hangs up.
+template <typename ReplyFn>
+void ServeOneRequest(int listen_fd, const KeyPair& key, ReplyFn reply) {
   int fd = ::accept(listen_fd, nullptr, nullptr);
   if (fd < 0) return;
   timeval tv{.tv_sec = 5, .tv_usec = 0};
   setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  auto rpc_id = ReadRequestId(fd);
-  if (rpc_id.ok()) {
-    auto send = [&](uint64_t id, const Bytes& body) {
-      Bytes reply = RpcResponse::Success(id, body).Encode();
-      WriteAll(fd, EncodeFrame(
-                       SignedEnvelope::Create(key, std::move(reply))
-                           .Serialize()));
-    };
-    send(*rpc_id + 1000, stale_body);
-    if (genuine_body.has_value()) send(*rpc_id, *genuine_body);
-    uint8_t byte;
-    while (::read(fd, &byte, 1) > 0) {
+  auto session = HandshakeAsServer(fd, key);
+  if (session.ok()) {
+    auto rpc_id = ReadRequestId(fd, *session);
+    if (rpc_id.ok()) {
+      reply(fd, *session, *rpc_id);
+      uint8_t byte;
+      while (::read(fd, &byte, 1) > 0) {
+      }
     }
   }
   ::close(fd);
+}
+
+// Answers the first request with a reply under the wrong rpc_id and —
+// when `genuine_body` is set — then the real reply, both sealed in the
+// session the real server key established.
+void ServeStaleThenGenuine(int listen_fd, const KeyPair& key,
+                           const Bytes& stale_body,
+                           const std::optional<Bytes>& genuine_body) {
+  ServeOneRequest(listen_fd, key,
+                  [&](int fd, Session& session, uint64_t rpc_id) {
+                    auto send = [&](uint64_t id, const Bytes& body) {
+                      WriteAll(fd, Sealed(session,
+                                          RpcResponse::Success(id, body)
+                                              .Encode()));
+                    };
+                    send(rpc_id + 1000, stale_body);
+                    if (genuine_body.has_value()) send(rpc_id, *genuine_body);
+                  });
 }
 
 // Polls `done` for up to five seconds.
@@ -249,6 +289,12 @@ TEST_F(RpcTest, AppendReadAndBatchReadOverLoopback) {
 
   EXPECT_EQ(client->discarded_responses(), 0u);
   EXPECT_EQ(server_->requests_served(), 4u);
+  // One queue-wait sample per served request (the hello is not one).
+  MetricsSnapshot snap = deployment_->telemetry().metrics.Snapshot();
+  const HistogramSnapshot* queue_wait =
+      snap.FindHistogram("wedge.rpc.queue_wait_us");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->count, server_->requests_served());
   client->Close();
 }
 
@@ -396,35 +442,37 @@ TEST_F(RpcTest, TcpAndInProcessEngineRepliesAreByteIdentical) {
 }
 
 TEST_F(RpcTest, MalformedFrameCorpusAgainstTcpServer) {
-  // Build one valid append frame, then replay mutated copies against the
-  // server over raw sockets. It may not crash, and must keep serving
-  // valid traffic afterwards.
+  // Complete a real handshake, seal one valid append frame, then send
+  // mutated copies of it. The server may not crash or serve a mutant,
+  // and must keep serving valid traffic afterwards.
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
   RpcRequest request;
   request.rpc_id = 1;
   request.op = std::string(kOpAppendTenant);
   request.body = EncodeTenantAppendBody(kTenant, MakeBatch(publisher, seq, 4));
-  SignedEnvelope envelope =
-      SignedEnvelope::Create(publisher, request.Encode());
-  const Bytes payload = envelope.Serialize();
-  const Bytes frame = EncodeFrame(payload);
+  const Bytes payload = request.Encode();
 
   Rng rng(0xC0FFEE);
   // A few adversarial connections, several mutants each.
   for (int conn = 0; conn < 8; ++conn) {
     int fd = DialLoopback(server_->port());
     ASSERT_GE(fd, 0);
+    auto session = HandshakeAsClient(fd, server_key_->address());
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const Bytes frame = Sealed(*session, payload);
     for (int m = 0; m < 8; ++m) {
       Bytes mutant = frame;
       size_t flips = 1 + rng.Uniform(8);
       for (size_t f = 0; f < flips; ++f) {
         mutant[rng.Uniform(mutant.size())] ^= 1 << rng.Uniform(8);
       }
+      if (mutant == frame) continue;  // The flips cancelled out.
       if (!WriteAll(fd, mutant)) break;  // Server closed on us: expected.
     }
     ::close(fd);
   }
+  EXPECT_EQ(server_->requests_served(), 0u);
 
   // The server still serves valid traffic.
   EXPECT_TRUE(server_->running());
@@ -467,26 +515,23 @@ TEST_F(RpcTest, OversizeAndGarbageFramesCloseTheConnection) {
   client->Close();
 }
 
-TEST_F(RpcTest, WellSignedUndecodableRequestGetsTypedErrorReply) {
-  // A well-signed envelope whose payload has a readable rpc_id but is
+TEST_F(RpcTest, WellTaggedUndecodableRequestGetsTypedErrorReply) {
+  // A well-tagged frame whose payload has a readable rpc_id but is
   // otherwise garbage: the server must answer with an error response
   // carrying that rpc_id (not crash, not stay silent).
-  KeyPair publisher = KeyPair::FromSeed(0xC11E);
   Bytes payload;
   PutU64(payload, 5555);
   PutU32(payload, 0xFFFFFFFF);  // Absurd op-name length.
-  SignedEnvelope envelope = SignedEnvelope::Create(publisher, payload);
   int fd = DialLoopback(server_->port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(WriteAll(fd, EncodeFrame(envelope.Serialize())));
+  auto session = HandshakeAsClient(fd, server_key_->address());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(WriteAll(fd, Sealed(*session, payload)));
 
   auto reply = ReadOneFrame(fd);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  auto reply_env = SignedEnvelope::Deserialize(*reply);
-  ASSERT_TRUE(reply_env.ok());
-  EXPECT_TRUE(reply_env->Verify());
-  EXPECT_EQ(reply_env->sender, server_key_->address());
-  auto response = RpcResponse::Decode(reply_env->payload);
+  ASSERT_TRUE(session->Open(&*reply).ok());
+  auto response = RpcResponse::Decode(*reply);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->rpc_id, 5555u);
   EXPECT_FALSE(response->ok);
@@ -553,19 +598,18 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   }
 
   constexpr int kPipelined = 6;
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  auto session = HandshakeAsClient(fd, server_key_->address());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   Bytes wire;
   for (int i = 0; i < kPipelined; ++i) {
     RpcRequest request;
     request.rpc_id = 100 + static_cast<uint64_t>(i);
     request.op = std::string(kOpReadBatchTenant);
     request.body = EncodeTenantReadBatchBody(kTenant, 0, offsets);
-    SignedEnvelope envelope =
-        SignedEnvelope::Create(publisher, request.Encode());
-    Bytes frame = EncodeFrame(envelope.Serialize());
-    wire.insert(wire.end(), frame.begin(), frame.end());
+    session->Seal(request.Encode(), &wire);
   }
-  int fd = DialLoopback(server_->port());
-  ASSERT_GE(fd, 0);
   ASSERT_TRUE(WriteAll(fd, wire));
   ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);  // Server sees EOF immediately.
 
@@ -590,10 +634,8 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
     auto reply = read_next_frame();
     ASSERT_TRUE(reply.ok())
         << "reply " << i << " lost: " << reply.status().ToString();
-    auto envelope = SignedEnvelope::Deserialize(*reply);
-    ASSERT_TRUE(envelope.ok());
-    EXPECT_TRUE(envelope->Verify());
-    auto response = RpcResponse::Decode(envelope->payload);
+    ASSERT_TRUE(session->Open(&*reply).ok()) << "reply " << i;
+    auto response = RpcResponse::Decode(*reply);
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(response->ok) << response->error;
     rpc_ids.insert(response->rpc_id);
@@ -652,10 +694,10 @@ TEST_F(RpcTest, EmptyOffsetListReadsTheWholePosition) {
   client->Close();
 }
 
-TEST_F(RpcTest, RepliesSignedByAnotherKeyAreDiscarded) {
-  // A second server over the same engine signs with a key the client
-  // does not pin: it serves the request, but its reply can never satisfy
-  // the caller.
+TEST_F(RpcTest, ImpostorServerFailsTheHandshake) {
+  // A second server over the same engine holds a transport key the
+  // client does not pin: the handshake fails at dial time, so no request
+  // ever reaches it.
   RpcServer impostor(EngineHandler(), KeyPair::FromSeed(666),
                      RpcServerConfig{});
   ASSERT_TRUE(impostor.Start().ok());
@@ -664,14 +706,18 @@ TEST_F(RpcTest, RepliesSignedByAnotherKeyAreDiscarded) {
   config.rpc_timeout = 300 * kMicrosPerMilli;
   TcpNodeClient pinned(KeyPair::FromSeed(0xC11E), server_key_->address(),
                        config);
-  ASSERT_TRUE(pinned.Connect().ok());
+  Status connected = pinned.Connect();
+  ASSERT_FALSE(connected.ok());
+  EXPECT_EQ(connected.code(), Code::kUnavailable);
+  EXPECT_NE(connected.ToString().find("handshake"), std::string::npos)
+      << connected.ToString();
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
   auto result = pinned.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded);
-  EXPECT_TRUE(Eventually([&] { return pinned.discarded_responses() >= 1; }));
+  EXPECT_EQ(result.status().code(), Code::kUnavailable);
   pinned.Close();
+  EXPECT_EQ(impostor.requests_served(), 0u);
   impostor.Shutdown();
 }
 
@@ -734,26 +780,224 @@ TEST_F(RpcTest, MismatchedRpcIdIsNeverDeliveredToAWaiter) {
   EXPECT_EQ(discarded, 1u);
 }
 
-TEST_F(RpcTest, TamperedEnvelopeClosesTheConnectionUnserved) {
-  // A well-framed envelope whose payload no longer matches its signature:
-  // the server closes the connection without serving or answering it.
+// A sealed append request of 4 entries (one full log position).
+Bytes AppendRequestPayload(uint64_t rpc_id, uint64_t* seq) {
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
-  uint64_t seq = 0;
+  std::vector<AppendRequest> batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back(AppendRequest::Make(publisher, (*seq)++,
+                                        ToBytes("k" + std::to_string(i)),
+                                        ToBytes("v")));
+  }
   RpcRequest request;
-  request.rpc_id = 7;
+  request.rpc_id = rpc_id;
   request.op = std::string(kOpAppendTenant);
-  request.body = EncodeTenantAppendBody(kTenant, MakeBatch(publisher, seq, 4));
-  SignedEnvelope envelope =
-      SignedEnvelope::Create(publisher, request.Encode());
-  envelope.payload.back() ^= 1;
+  request.body = EncodeTenantAppendBody(kTenant, batch);
+  return request.Encode();
+}
+
+TEST_F(RpcTest, TamperedFrameClosesTheConnectionUnserved) {
+  // A sealed frame with one payload byte flipped no longer matches its
+  // tag: the server closes the connection without serving or answering.
+  uint64_t seq = 0;
   int fd = DialLoopback(server_->port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(WriteAll(fd, EncodeFrame(envelope.Serialize())));
+  auto session = HandshakeAsClient(fd, server_key_->address());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Bytes frame = Sealed(*session, AppendRequestPayload(7, &seq));
+  frame[kFrameHeaderBytes + 3] ^= 1;
+  ASSERT_TRUE(WriteAll(fd, frame));
   uint8_t buf[16];
   EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // EOF, no reply.
   ::close(fd);
   EXPECT_EQ(server_->requests_served(), 0u);
   EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+}
+
+TEST_F(RpcTest, ReplayedFrameIsServedOnceThenTheConnectionCloses) {
+  // The same sealed append frame twice: the copy carries a used sequence
+  // number, so the append lands once and the connection closes.
+  const uint64_t malformed_before =
+      deployment_->telemetry().metrics.Snapshot().CounterValue(
+          "wedge.rpc.malformed_frames");
+  uint64_t seq = 0;
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  auto session = HandshakeAsClient(fd, server_key_->address());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const Bytes frame = Sealed(*session, AppendRequestPayload(8, &seq));
+  Bytes twice = frame;
+  Append(twice, frame);
+  ASSERT_TRUE(WriteAll(fd, twice));
+  // The first copy's reply, then EOF.
+  FrameDecoder decoder;
+  uint8_t buf[4096];
+  std::vector<Bytes> replies;
+  for (;;) {
+    Bytes reply;
+    auto got = decoder.Next(&reply);
+    ASSERT_TRUE(got.ok());
+    if (*got) {
+      replies.push_back(std::move(reply));
+      continue;
+    }
+    ssize_t n = ::read(fd, buf, sizeof(buf));
+    ASSERT_GE(n, 0) << "no EOF";
+    if (n == 0) break;
+    decoder.Feed(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  // The server flushes the reply it already produced before it closes.
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(session->Open(&replies[0]).ok());
+  auto response = RpcResponse::Decode(replies[0]);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->rpc_id, 8u);
+  EXPECT_TRUE(response->ok) << response->error;
+  EXPECT_EQ(server_->requests_served(), 1u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 1u);
+  EXPECT_EQ(deployment_->telemetry().metrics.Snapshot().CounterValue(
+                "wedge.rpc.malformed_frames"),
+            malformed_before + 1);
+}
+
+TEST_F(RpcTest, ReorderedFramesCloseTheConnectionUnserved) {
+  // Frame 1 arrives before frame 0: it fails its tag at sequence number
+  // 0, and the connection closes before either is served.
+  uint64_t seq = 0;
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  auto session = HandshakeAsClient(fd, server_key_->address());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const Bytes first = Sealed(*session, AppendRequestPayload(1, &seq));
+  const Bytes second = Sealed(*session, AppendRequestPayload(2, &seq));
+  Bytes swapped = second;
+  Append(swapped, first);
+  ASSERT_TRUE(WriteAll(fd, swapped));
+  uint8_t buf[16];
+  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // EOF, no reply.
+  ::close(fd);
+  EXPECT_EQ(server_->requests_served(), 0u);
+  EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
+}
+
+TEST_F(RpcTest, EnvelopeEraFirstFrameClosesTheConnection) {
+  // An old client opens with a signed envelope, [sender][bytes
+  // payload][65-byte signature], instead of a hello. The server closes
+  // that connection, counts it, and keeps serving everyone else.
+  const uint64_t malformed_before =
+      deployment_->telemetry().metrics.Snapshot().CounterValue(
+          "wedge.rpc.malformed_frames");
+  KeyPair old_client = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  const Bytes request = AppendRequestPayload(3, &seq);
+  Bytes material;
+  Append(material, old_client.address().ToBytes());
+  PutBytes(material, request);
+  Bytes envelope = material;
+  Append(envelope, EcdsaSign(old_client.private_key(),
+                             Sha256::Digest(material))
+                       .Serialize());
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, EncodeFrame(envelope)));
+  uint8_t buf[16];
+  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // EOF, no reply.
+  ::close(fd);
+  EXPECT_EQ(deployment_->telemetry().metrics.Snapshot().CounterValue(
+                "wedge.rpc.malformed_frames"),
+            malformed_before + 1);
+  EXPECT_EQ(server_->requests_served(), 0u);
+
+  auto client = MakeClient();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t client_seq = 0;
+  EXPECT_TRUE(client
+                  ->AppendForTenant(kTenant,
+                                    MakeBatch(publisher, client_seq, 4))
+                  .ok());
+  client->Close();
+}
+
+TEST_F(RpcTest, PeerThatNeverCompletesTheHandshakeFailsConnect) {
+  // An envelope-era server reads the hello, fails to parse it and
+  // closes; a stalled one never answers. Either way Connect() fails
+  // kUnavailable, naming the handshake, within rpc_timeout.
+  for (bool answer_with_close : {true, false}) {
+    uint16_t port = 0;
+    int listen_fd = ListenLoopback(&port);
+    ASSERT_GE(listen_fd, 0);
+    std::thread peer([&] {
+      int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      timeval tv{.tv_sec = 5, .tv_usec = 0};
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      auto hello = ReadOneFrame(fd);
+      EXPECT_TRUE(hello.ok());
+      if (!answer_with_close) {
+        uint8_t byte;
+        while (::read(fd, &byte, 1) > 0) {
+        }
+      }
+      ::close(fd);
+    });
+    TcpClientConfig config;
+    config.port = port;
+    config.rpc_timeout = 200 * kMicrosPerMilli;
+    TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                         config);
+    Status connected = client.Connect();
+    ASSERT_FALSE(connected.ok());
+    EXPECT_EQ(connected.code(), Code::kUnavailable);
+    EXPECT_NE(connected.ToString().find("handshake"), std::string::npos)
+        << connected.ToString();
+    client.Close();  // Lets the stalled peer see EOF.
+    peer.join();
+    ::close(listen_fd);
+  }
+}
+
+TEST_F(RpcTest, BadReplyTagFailsInFlightCallsAndDeliversNothing) {
+  // A hand-written server with the real key completes the handshake,
+  // then answers with a genuine reply whose tag has one bit flipped. The
+  // client must drop the connection and fail the call kUnavailable
+  // without handing the reply to anyone.
+  auto seeding = MakeClient();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      seeding->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+  auto genuine = seeding->ReadOneForTenant(kTenant, EntryIndex{0, 1});
+  ASSERT_TRUE(genuine.ok());
+  seeding->Close();
+
+  uint16_t port = 0;
+  int listen_fd = ListenLoopback(&port);
+  ASSERT_GE(listen_fd, 0);
+  std::thread fake([&] {
+    ServeOneRequest(listen_fd, *server_key_,
+                    [&](int fd, Session& session, uint64_t rpc_id) {
+                      Bytes frame = Sealed(
+                          session, RpcResponse::Success(rpc_id,
+                                                        genuine->Serialize())
+                                       .Encode());
+                      frame.back() ^= 0x01;
+                      WriteAll(fd, frame);
+                    });
+  });
+  TcpClientConfig config;
+  config.port = port;
+  config.max_call_attempts = 1;  // One connection, one verdict.
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  auto read = client.ReadOneForTenant(kTenant, EntryIndex{0, 1});
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), Code::kUnavailable)
+      << read.status().ToString();
+  EXPECT_EQ(client.discarded_responses(), 0u);
+  client.Close();
+  fake.join();
+  ::close(listen_fd);
 }
 
 TEST_F(RpcTest, EveryFrameDroppedFailsTheCallAndLogsNothing) {
@@ -786,6 +1030,13 @@ TEST_F(RpcTest, RequestOverTheClientCapIsRejectedBeforeSending) {
   TcpNodeClient capped(KeyPair::FromSeed(0xC11E), server_key_->address(),
                        config);
   ASSERT_TRUE(capped.Connect().ok());
+  // Connect() sent the 77-byte hello; the rejected call adds nothing.
+  auto bytes_in = [&] {
+    return deployment_->telemetry().metrics.Snapshot().CounterValue(
+        "wedge.rpc.bytes_in");
+  };
+  const uint64_t bytes_in_after_connect = bytes_in();
+  EXPECT_EQ(bytes_in_after_connect, kFrameHeaderBytes + kHelloBytes);
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   std::vector<AppendRequest> batch;
   batch.push_back(AppendRequest::Make(publisher, 0, ToBytes("k"),
@@ -796,9 +1047,7 @@ TEST_F(RpcTest, RequestOverTheClientCapIsRejectedBeforeSending) {
   // Nothing crossed the wire and nothing was logged.
   capped.Close();
   EXPECT_EQ(server_->requests_served(), 0u);
-  EXPECT_EQ(deployment_->telemetry().metrics.Snapshot().CounterValue(
-                "wedge.rpc.bytes_in"),
-            0u);
+  EXPECT_EQ(bytes_in(), bytes_in_after_connect);
   EXPECT_EQ(engine().shard(0).LogPositions(), 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "crypto/secp256k1.h"
 
 namespace wedge {
 namespace {
@@ -263,6 +264,225 @@ TEST(RpcCodecTest, MutatedFrameCorpus) {
       (void)RpcRequest::Decode(out);  // Must not crash on mutated payloads.
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Session handshake and sealed frames.
+
+KeyPair ServerKey() { return KeyPair::FromSeed(0x5E55); }
+
+struct SessionPair {
+  Session client;
+  Session server;
+};
+
+Result<SessionPair> Handshake() {
+  const KeyPair key = ServerKey();
+  WEDGE_ASSIGN_OR_RETURN(ClientHello hello, StartClientHandshake());
+  WEDGE_ASSIGN_OR_RETURN(ServerHandshake accepted,
+                         AcceptClientHello(key, hello.payload));
+  WEDGE_ASSIGN_OR_RETURN(
+      Session client,
+      FinishClientHandshake(hello, key.address(), accepted.reply));
+  return SessionPair{std::move(client), std::move(accepted.session)};
+}
+
+// Seals `payload` and returns the frame payload the receiver's
+// FrameDecoder would pop: payload || tag.
+Bytes SealedPayload(Session& sender, const Bytes& payload) {
+  Bytes frame;
+  sender.Seal(payload, &frame);
+  FrameDecoder decoder;
+  decoder.Feed(frame.data(), frame.size());
+  Bytes out;
+  auto got = decoder.Next(&out);
+  EXPECT_TRUE(got.ok() && *got);
+  EXPECT_EQ(decoder.buffered(), 0u);
+  return out;
+}
+
+TEST(SessionTest, RoundTripInBothDirections) {
+  auto pair = Handshake();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  for (int i = 0; i < 4; ++i) {
+    const Bytes request = ToBytes("request-" + std::to_string(i));
+    Bytes frame = SealedPayload(pair->client, request);
+    EXPECT_EQ(frame.size(), request.size() + kSessionTagBytes);
+    ASSERT_TRUE(pair->server.Open(&frame).ok()) << "request " << i;
+    EXPECT_EQ(frame, request);
+
+    const Bytes response = i == 3 ? Bytes{} : ToBytes("response-" +
+                                                      std::to_string(i));
+    frame = SealedPayload(pair->server, response);
+    ASSERT_TRUE(pair->client.Open(&frame).ok()) << "response " << i;
+    EXPECT_EQ(frame, response);
+  }
+}
+
+TEST(SessionTest, AnySingleByteFlipFails) {
+  auto pair = Handshake();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  const Bytes sealed = SealedPayload(pair->client, SamplePayload());
+  // Every byte of the payload and of the tag.
+  for (size_t i = 0; i < sealed.size(); ++i) {
+    Bytes mutant = sealed;
+    mutant[i] ^= 0x01;
+    Session receiver = pair->server;
+    EXPECT_FALSE(receiver.Open(&mutant).ok()) << "byte " << i;
+  }
+  Bytes intact = sealed;
+  EXPECT_TRUE(pair->server.Open(&intact).ok());
+  // Too short to hold a tag.
+  Bytes stub(kSessionTagBytes - 1, 0);
+  EXPECT_FALSE(pair->server.Open(&stub).ok());
+}
+
+TEST(SessionTest, ReplayAndReorderFail) {
+  auto pair = Handshake();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  const Bytes frame0 = SealedPayload(pair->client, ToBytes("zero"));
+  const Bytes frame1 = SealedPayload(pair->client, ToBytes("one"));
+
+  Session replayed = pair->server;
+  Bytes copy = frame0;
+  ASSERT_TRUE(replayed.Open(&copy).ok());
+  copy = frame0;
+  EXPECT_FALSE(replayed.Open(&copy).ok()) << "replay opened";
+
+  Session reordered = pair->server;
+  copy = frame1;
+  EXPECT_FALSE(reordered.Open(&copy).ok()) << "frame 1 opened first";
+}
+
+TEST(SessionTest, ReflectedFrameFails) {
+  auto pair = Handshake();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  // A frame sent back to its own sender fails: each direction has its
+  // own key.
+  Bytes from_client = SealedPayload(pair->client, SamplePayload());
+  EXPECT_FALSE(pair->client.Open(&from_client).ok());
+  Bytes from_server = SealedPayload(pair->server, SamplePayload());
+  EXPECT_FALSE(pair->server.Open(&from_server).ok());
+}
+
+TEST(HandshakeTest, CutOrExtendedHandshakeFramesRejected) {
+  const KeyPair key = ServerKey();
+  auto hello = StartClientHandshake();
+  ASSERT_TRUE(hello.ok());
+  ASSERT_EQ(hello->payload.size(), kHelloBytes);
+  for (size_t n = 0; n < hello->payload.size(); ++n) {
+    Bytes cut(hello->payload.begin(), hello->payload.begin() + n);
+    EXPECT_FALSE(AcceptClientHello(key, cut).ok()) << "hello cut at " << n;
+  }
+  Bytes longer = hello->payload;
+  longer.push_back(0);
+  EXPECT_FALSE(AcceptClientHello(key, longer).ok());
+  Bytes wrong_magic = hello->payload;
+  wrong_magic[0] ^= 0x01;
+  EXPECT_FALSE(AcceptClientHello(key, wrong_magic).ok());
+
+  auto accepted = AcceptClientHello(key, hello->payload);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  const Bytes& reply = accepted->reply;
+  ASSERT_EQ(reply.size(), kHelloReplyBytes);
+  for (size_t n = 0; n < reply.size(); ++n) {
+    Bytes cut(reply.begin(), reply.begin() + n);
+    EXPECT_FALSE(FinishClientHandshake(*hello, key.address(), cut).ok())
+        << "reply cut at " << n;
+  }
+  Bytes reply_longer = reply;
+  reply_longer.push_back(0);
+  EXPECT_FALSE(
+      FinishClientHandshake(*hello, key.address(), reply_longer).ok());
+  EXPECT_TRUE(FinishClientHandshake(*hello, key.address(), reply).ok());
+}
+
+TEST(HandshakeTest, InvalidSharesRejected) {
+  using namespace secp256k1;
+  const KeyPair key = ServerKey();
+  auto hello_with = [](const U256& x, const U256& y) {
+    Bytes hello;
+    PutU32(hello, kHelloMagic);
+    hello.push_back(0x04);
+    Append(hello, x.ToBytesBE());
+    Append(hello, y.ToBytesBE());
+    return hello;
+  };
+  const AffinePoint g = Generator();
+  ASSERT_TRUE(AcceptClientHello(key, hello_with(g.x, g.y)).ok());
+
+  // Off the curve.
+  const U256 bad_y = FpAdd(g.y, U256::One());
+  ASSERT_FALSE(IsOnCurve(AffinePoint{g.x, bad_y, false}));
+  EXPECT_FALSE(AcceptClientHello(key, hello_with(g.x, bad_y)).ok());
+
+  // x >= p, including an x whose residue mod p is a curve point: the
+  // decoder must reject the non-canonical encoding, not reduce it.
+  EXPECT_FALSE(AcceptClientHello(key, hello_with(FieldPrime(), g.y)).ok());
+  uint64_t small = 1;
+  while (!LiftX(U256(small), false).ok()) ++small;
+  const U256 y = LiftX(U256(small), false)->y;
+  ASSERT_TRUE(AcceptClientHello(key, hello_with(U256(small), y)).ok());
+  const U256 alias = FieldPrime() + U256(small);  // Still < 2^256.
+  EXPECT_FALSE(AcceptClientHello(key, hello_with(alias, y)).ok())
+      << "x = p + " << small;
+}
+
+TEST(HandshakeTest, WrongPinOrBadConfirmRejected) {
+  const KeyPair key = ServerKey();
+  auto hello = StartClientHandshake();
+  ASSERT_TRUE(hello.ok());
+  auto accepted = AcceptClientHello(key, hello->payload);
+  ASSERT_TRUE(accepted.ok());
+
+  // The reply's key is not the pinned one.
+  const Address other = KeyPair::FromSeed(0x07E7).address();
+  EXPECT_FALSE(FinishClientHandshake(*hello, other, accepted->reply).ok());
+
+  // One flipped bit anywhere in confirm.
+  for (size_t bit = 0; bit < 8 * kSessionTagBytes; ++bit) {
+    Bytes reply = accepted->reply;
+    reply[kHelloReplyBytes - kSessionTagBytes + bit / 8] ^= 1 << (bit % 8);
+    EXPECT_FALSE(FinishClientHandshake(*hello, key.address(), reply).ok())
+        << "bit " << bit;
+  }
+
+  // An impostor swaps in its own key and pins it, but cannot produce the
+  // confirm tag for it without its secret in the real handshake.
+  const KeyPair impostor = KeyPair::FromSeed(0x07E7);
+  auto impostor_q = secp256k1::EncodeUncompressed(impostor.public_key());
+  ASSERT_TRUE(impostor_q.ok());
+  Bytes swapped = accepted->reply;
+  std::copy(impostor_q->begin(), impostor_q->end(), swapped.begin());
+  EXPECT_FALSE(
+      FinishClientHandshake(*hello, impostor.address(), swapped).ok());
+}
+
+TEST(HandshakeTest, TwoHandshakesOverOneHelloGiveDifferentKeys) {
+  const KeyPair key = ServerKey();
+  auto hello = StartClientHandshake();
+  ASSERT_TRUE(hello.ok());
+  auto first = AcceptClientHello(key, hello->payload);
+  auto second = AcceptClientHello(key, hello->payload);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(first->reply, second->reply);  // Fresh nonces.
+  auto client1 = FinishClientHandshake(*hello, key.address(), first->reply);
+  auto client2 = FinishClientHandshake(*hello, key.address(), second->reply);
+  ASSERT_TRUE(client1.ok());
+  ASSERT_TRUE(client2.ok());
+
+  const Bytes sealed1 = SealedPayload(first->session, SamplePayload());
+  const Bytes sealed2 = SealedPayload(second->session, SamplePayload());
+  EXPECT_NE(sealed1, sealed2);
+  // A frame of one session never opens in the other: a recorded session
+  // cannot be replayed into a new connection.
+  Bytes copy = sealed1;
+  EXPECT_FALSE(Session(*client2).Open(&copy).ok());
+  copy = sealed1;
+  EXPECT_TRUE(Session(*client1).Open(&copy).ok());
+  copy = sealed2;
+  EXPECT_TRUE(Session(*client2).Open(&copy).ok());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Hot-path performance smoke test: builds the Release microbenchmarks,
 # runs the sealing hot path (SHA-256 singles + batch, Merkle build,
-# ECDSA sign/verify/recover singles + batch, full-batch seal) with the
+# ECDSA sign/verify/recover singles + batch, full-batch seal) plus the
+# RPC session handshake and its scalar multiplications with the
 # dispatched backends AND with every acceleration forced off
 # (WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1), and writes
 # BENCH_hotpath.json at the repo root with before/after rows against the
@@ -35,7 +36,7 @@ echo "==> [perf] building microbench + shard_scaling + obs_overhead + storage_sw
 cmake --build "$build_dir" -j "$(nproc)" \
   --target microbench shard_scaling obs_overhead storage_sweep >/dev/null
 
-filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_RecoverSignerMany/256|BM_VerifyRecoverableMany/256|BM_FixedPointTableBuild'
+filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_RecoverSignerMany/256|BM_VerifyRecoverableMany/256|BM_FixedPointTableBuild|BM_ScalarMulBase$|BM_ScalarMul$|BM_SessionHandshake'
 tmp_dispatched="$(mktemp)"
 tmp_scalar="$(mktemp)"
 trap 'rm -f "$tmp_dispatched" "$tmp_scalar"' EXIT
