@@ -13,7 +13,9 @@
 //   file_nosync        FileLogStore default (flush, no sync)
 // The headline criterion: group-commit durable throughput >= 10x the
 // per-append-fsync baseline (the syncs coalesce; both arms are
-// power-loss durable before ack).
+// power-loss durable before ack). Segment arms also report their seals
+// (count, p50/max `wedge.store.seal_us`) and write amplification: the
+// /proc/self/io write_bytes the arm caused per byte it appended.
 //
 // Part 2 (recovery): writes a fixed number of entries at several
 // segment sizes and measures reopen time. Segment recovery is one
@@ -174,7 +176,24 @@ struct ArmResult {
   double mb_per_s = 0;
   uint64_t syncs = 0;        ///< Group-commit windows (segment arms).
   double mean_batch = 0;     ///< Appends amortized per sync.
+  bool segment = false;      ///< The fields below are set (segment arms).
+  uint64_t seals = 0;
+  uint64_t seal_us_p50 = 0;
+  uint64_t seal_us_max = 0;
+  double write_amplification = 0;  ///< write_bytes delta / bytes.
 };
+
+/// Bytes this process has caused to be written to storage
+/// (/proc/self/io `write_bytes`), or 0 where the kernel does not say.
+uint64_t ProcWriteBytes() {
+  std::ifstream in("/proc/self/io");
+  std::string key;
+  uint64_t value = 0;
+  while (in >> key >> value) {
+    if (key == "write_bytes:") return value;
+  }
+  return 0;
+}
 
 /// Runs one throughput arm: `threads` workers, ticketed prepare +
 /// unticketed durability wait, `positions` appends total. Each worker
@@ -194,6 +213,7 @@ ArmResult RunArm(const std::string& name, LogStore* store,
   uint64_t next_id = 0;
   std::atomic<uint64_t> failures{0};
 
+  const uint64_t write_bytes_before = ProcWriteBytes();
   Stopwatch watch(RealClock::Global());
   std::vector<std::thread> workers;
   workers.reserve(opts.threads);
@@ -255,6 +275,16 @@ ArmResult RunArm(const std::string& name, LogStore* store,
       result.mean_batch =
           static_cast<double>(positions) / static_cast<double>(batch->count);
     }
+    result.segment = true;
+    result.seals = snap.CounterValue("wedge.store.seals");
+    const HistogramSnapshot* seal = snap.FindHistogram("wedge.store.seal_us");
+    if (seal != nullptr && seal->count > 0) {
+      result.seal_us_p50 = static_cast<uint64_t>(seal->ValueAtQuantile(0.5));
+      result.seal_us_max = static_cast<uint64_t>(seal->max);
+    }
+    result.write_amplification =
+        static_cast<double>(ProcWriteBytes() - write_bytes_before) /
+        static_cast<double>(result.bytes);
   }
   return result;
 }
@@ -274,6 +304,12 @@ void PrintArm(const Options& opts, const ArmResult& r) {
       .Field("mb_per_s", r.mb_per_s);
   if (r.syncs > 0) {
     row.Field("syncs", r.syncs).Field("mean_commit_batch", r.mean_batch);
+  }
+  if (r.segment) {
+    row.Field("seals", r.seals)
+        .Field("seal_us_p50", r.seal_us_p50)
+        .Field("seal_us_max", r.seal_us_max)
+        .Field("write_amplification", r.write_amplification);
   }
   row.Print();
   std::fflush(stdout);
@@ -515,8 +551,14 @@ int Run(const Options& opts) {
         << ", \"positions_per_s\": " << static_cast<uint64_t>(r.positions_per_s)
         << ", \"entries_per_s\": " << static_cast<uint64_t>(r.entries_per_s)
         << ", \"mb_per_s\": " << r.mb_per_s << ", \"syncs\": " << r.syncs
-        << ", \"mean_commit_batch\": " << r.mean_batch << "}"
-        << (i + 1 < arms.size() ? "," : "") << "\n";
+        << ", \"mean_commit_batch\": " << r.mean_batch;
+      if (r.segment) {
+        f << ", \"seals\": " << r.seals
+          << ", \"seal_us_p50\": " << r.seal_us_p50
+          << ", \"seal_us_max\": " << r.seal_us_max
+          << ", \"write_amplification\": " << r.write_amplification;
+      }
+      f << "}" << (i + 1 < arms.size() ? "," : "") << "\n";
     }
     f << "  ],\n"
       << "  \"group_commit_speedup_vs_sync_each\": " << speedup << ",\n"

@@ -85,7 +85,7 @@ class ShardedLogEngine {
     uint64_t store_segments = 0;       ///< Sealed segments across all shards.
     uint64_t store_wal_positions = 0;  ///< Live WAL-tail positions replayed.
     uint64_t store_wal_truncated_bytes = 0;  ///< Torn WAL bytes dropped.
-    uint64_t store_tmp_files_removed = 0;    ///< Interrupted seal scratch.
+    uint64_t store_tmp_files_removed = 0;    ///< Compaction scratch.
   };
 
   /// One-pass crash recovery: every shard hands its root sink the

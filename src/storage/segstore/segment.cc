@@ -14,6 +14,63 @@ namespace {
 /// entry shorter than that cannot carry a publisher.
 constexpr size_t kAddressBytes = 20;
 constexpr size_t kMinOwnedEntryBytes = kAddressBytes + 8;
+
+Bytes EncodeFooter(const std::vector<SegmentIndexEntry>& entries,
+                   const std::vector<TenantExtent>& extents) {
+  Bytes out;
+  PutU32(out, static_cast<uint32_t>(entries.size()));
+  for (const SegmentIndexEntry& e : entries) {
+    PutU64(out, e.offset);
+    PutU32(out, e.record_len);
+    out.push_back(e.kind);
+    PutU64(out, e.owner);
+    PutU32(out, e.entry_count);
+    Append(out, HashToBytes(e.mroot));
+  }
+  PutU32(out, static_cast<uint32_t>(extents.size()));
+  for (const TenantExtent& x : extents) {
+    PutU64(out, x.tenant);
+    PutU64(out, x.first_id);
+    PutU64(out, x.last_id);
+  }
+  return out;
+}
+
+Bytes EncodeTrailer(const SegmentTrailer& trailer) {
+  Bytes out(kSegmentMagic, kSegmentMagic + 4);
+  PutU32(out, kSegmentVersion);
+  PutU64(out, trailer.base_id);
+  PutU32(out, trailer.count);
+  PutU64(out, trailer.footer_off);
+  PutU32(out, trailer.footer_len);
+  Append(out, HashToBytes(trailer.footer_sha));
+  return out;
+}
+
+Result<SegmentTrailer> DecodeTrailer(const Bytes& raw) {
+  if (raw.size() != kSegmentTrailerBytes) {
+    return Status::Corruption("segment trailer has wrong size");
+  }
+  if (std::memcmp(raw.data(), kSegmentMagic, 4) != 0) {
+    return Status::Corruption("segment trailer magic mismatch");
+  }
+  ByteReader reader(raw);
+  (void)reader.ReadRaw(4);  // Magic, checked above.
+  WEDGE_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
+  if (version != kSegmentVersion) {
+    return Status::Corruption("unsupported segment version " +
+                              std::to_string(version));
+  }
+  SegmentTrailer t;
+  WEDGE_ASSIGN_OR_RETURN(t.base_id, reader.ReadU64());
+  WEDGE_ASSIGN_OR_RETURN(t.count, reader.ReadU32());
+  WEDGE_ASSIGN_OR_RETURN(t.footer_off, reader.ReadU64());
+  WEDGE_ASSIGN_OR_RETURN(t.footer_len, reader.ReadU32());
+  WEDGE_ASSIGN_OR_RETURN(Bytes sha_raw, reader.ReadRaw(32));
+  WEDGE_ASSIGN_OR_RETURN(t.footer_sha, HashFromBytes(sha_raw));
+  return t;
+}
+
 }  // namespace
 
 uint64_t EntryOwnerTenant(const SharedBytes& entry) {
@@ -86,27 +143,6 @@ Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload) {
                             std::to_string(out.kind));
 }
 
-Bytes EncodeFooter(const std::vector<SegmentIndexEntry>& entries,
-                   const std::vector<TenantExtent>& extents) {
-  Bytes out;
-  PutU32(out, static_cast<uint32_t>(entries.size()));
-  for (const SegmentIndexEntry& e : entries) {
-    PutU64(out, e.offset);
-    PutU32(out, e.record_len);
-    out.push_back(e.kind);
-    PutU64(out, e.owner);
-    PutU32(out, e.entry_count);
-    Append(out, HashToBytes(e.mroot));
-  }
-  PutU32(out, static_cast<uint32_t>(extents.size()));
-  for (const TenantExtent& x : extents) {
-    PutU64(out, x.tenant);
-    PutU64(out, x.first_id);
-    PutU64(out, x.last_id);
-  }
-  return out;
-}
-
 Result<std::pair<std::vector<SegmentIndexEntry>, std::vector<TenantExtent>>>
 DecodeFooter(const Bytes& footer, uint32_t expect_count) {
   ByteReader reader(footer);
@@ -144,42 +180,6 @@ DecodeFooter(const Bytes& footer, uint32_t expect_count) {
   return std::make_pair(std::move(entries), std::move(extents));
 }
 
-Bytes EncodeTrailer(const SegmentTrailer& trailer) {
-  Bytes out;
-  out.insert(out.end(), kSegmentMagic, kSegmentMagic + 4);
-  PutU32(out, kSegmentVersion);
-  PutU64(out, trailer.base_id);
-  PutU32(out, trailer.count);
-  PutU64(out, trailer.footer_off);
-  PutU32(out, trailer.footer_len);
-  Append(out, HashToBytes(trailer.footer_sha));
-  return out;
-}
-
-Result<SegmentTrailer> DecodeTrailer(const Bytes& raw) {
-  if (raw.size() != kSegmentTrailerBytes) {
-    return Status::Corruption("segment trailer has wrong size");
-  }
-  if (std::memcmp(raw.data(), kSegmentMagic, 4) != 0) {
-    return Status::Corruption("segment trailer magic mismatch");
-  }
-  ByteReader reader(raw);
-  (void)reader.ReadRaw(4);  // Magic, checked above.
-  WEDGE_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (version != kSegmentVersion) {
-    return Status::Corruption("unsupported segment version " +
-                              std::to_string(version));
-  }
-  SegmentTrailer t;
-  WEDGE_ASSIGN_OR_RETURN(t.base_id, reader.ReadU64());
-  WEDGE_ASSIGN_OR_RETURN(t.count, reader.ReadU32());
-  WEDGE_ASSIGN_OR_RETURN(t.footer_off, reader.ReadU64());
-  WEDGE_ASSIGN_OR_RETURN(t.footer_len, reader.ReadU32());
-  WEDGE_ASSIGN_OR_RETURN(Bytes sha_raw, reader.ReadRaw(32));
-  WEDGE_ASSIGN_OR_RETURN(t.footer_sha, HashFromBytes(sha_raw));
-  return t;
-}
-
 std::vector<TenantExtent> BuildExtents(
     const std::vector<SegmentIndexEntry>& entries, uint64_t base_id) {
   std::vector<TenantExtent> extents;
@@ -197,9 +197,23 @@ std::vector<TenantExtent> BuildExtents(
   return extents;
 }
 
-Status WriteSegmentFile(const std::string& path, uint64_t base_id,
-                        const std::vector<Bytes>& payloads,
-                        std::vector<SegmentIndexEntry>* entries) {
+Bytes EncodeSegmentTail(const std::vector<SegmentIndexEntry>& entries,
+                        uint64_t base_id, uint64_t records_end,
+                        SegmentTrailer* trailer) {
+  Bytes tail = EncodeFooter(entries, BuildExtents(entries, base_id));
+  trailer->base_id = base_id;
+  trailer->count = static_cast<uint32_t>(entries.size());
+  trailer->footer_off = records_end;
+  trailer->footer_len = static_cast<uint32_t>(tail.size());
+  trailer->footer_sha = Sha256::Digest(tail);
+  Append(tail, EncodeTrailer(*trailer));
+  return tail;
+}
+
+Result<SegmentTrailer> WriteSegmentFile(
+    const std::string& path, uint64_t base_id,
+    const std::vector<Bytes>& payloads,
+    std::vector<SegmentIndexEntry>* entries) {
   if (payloads.size() != entries->size()) {
     return Status::InvalidArgument("payloads/entries size mismatch");
   }
@@ -210,15 +224,9 @@ Status WriteSegmentFile(const std::string& path, uint64_t base_id,
         static_cast<uint32_t>(payloads[i].size() + kFrameOverhead);
     AppendFrame(file_bytes, payloads[i]);
   }
-  Bytes footer = EncodeFooter(*entries, BuildExtents(*entries, base_id));
   SegmentTrailer trailer;
-  trailer.base_id = base_id;
-  trailer.count = static_cast<uint32_t>(entries->size());
-  trailer.footer_off = file_bytes.size();
-  trailer.footer_len = static_cast<uint32_t>(footer.size());
-  trailer.footer_sha = Sha256::Digest(footer);
-  Append(file_bytes, footer);
-  Append(file_bytes, EncodeTrailer(trailer));
+  Append(file_bytes,
+         EncodeSegmentTail(*entries, base_id, file_bytes.size(), &trailer));
 
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -241,7 +249,7 @@ Status WriteSegmentFile(const std::string& path, uint64_t base_id,
   if (::close(fd) != 0) {
     return Status::IoError("close failed on segment file: " + path);
   }
-  return Status::Ok();
+  return trailer;
 }
 
 Result<SegmentTrailer> ReadSegmentTrailer(const std::string& path) {
@@ -261,7 +269,12 @@ Result<SegmentTrailer> ReadSegmentTrailer(const std::string& path) {
   if (n != static_cast<ssize_t>(raw.size())) {
     return Status::IoError("cannot read segment trailer: " + path);
   }
-  return DecodeTrailer(raw);
+  WEDGE_ASSIGN_OR_RETURN(SegmentTrailer trailer, DecodeTrailer(raw));
+  if (trailer.file_bytes() != static_cast<uint64_t>(size)) {
+    return Status::Corruption("segment trailer does not match file size: " +
+                              path);
+  }
+  return trailer;
 }
 
 Status SyncParentDir(const std::string& path) {

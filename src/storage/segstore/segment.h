@@ -38,10 +38,14 @@ namespace wedge {
 ///   trailer := [4B "WSGF"][u32 version][u64 base_id][u32 count]
 ///              [u64 footer_off][u32 footer_len][32B sha256(footer)]
 ///
-/// The trailer is exactly kSegmentTrailerBytes long and always the last
-/// bytes of the file, so startup recovery learns a segment's id range
-/// with a single pread — O(segments) startup, not O(entries). The footer
-/// (checksummed by the trailer) is loaded lazily on first read access.
+/// So a full WAL becomes a segment by appending EncodeSegmentTail() to it
+/// and renaming it; compaction writes the same bytes in one go with
+/// WriteSegmentFile(). The trailer is exactly kSegmentTrailerBytes long
+/// and always the last bytes of the file, so startup recovery learns a
+/// segment's id range with a single pread — O(segments) startup, not
+/// O(entries). The footer (checksummed by the trailer) is loaded lazily
+/// on first read access. A tail appended to a WAL that is never renamed
+/// is not a valid frame, so WAL replay drops it as a torn tail.
 
 inline constexpr char kSegmentMagic[4] = {'W', 'S', 'G', 'F'};
 inline constexpr uint32_t kSegmentVersion = 1;
@@ -91,6 +95,11 @@ struct SegmentTrailer {
   uint64_t footer_off = 0;
   uint32_t footer_len = 0;
   Hash256 footer_sha{};
+
+  /// Size of the whole segment file: records, footer and trailer.
+  uint64_t file_bytes() const {
+    return footer_off + footer_len + kSegmentTrailerBytes;
+  }
 };
 
 /// Encodes a kind-0 record payload for `position`.
@@ -110,29 +119,35 @@ struct DecodedRecord {
 };
 Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload);
 
-/// Serializes the footer + trailer for a sealed segment.
-Bytes EncodeFooter(const std::vector<SegmentIndexEntry>& entries,
-                   const std::vector<TenantExtent>& extents);
+/// Parses a footer, which must hold `expect_count` rows.
 Result<std::pair<std::vector<SegmentIndexEntry>, std::vector<TenantExtent>>>
 DecodeFooter(const Bytes& footer, uint32_t expect_count);
-Bytes EncodeTrailer(const SegmentTrailer& trailer);
-Result<SegmentTrailer> DecodeTrailer(const Bytes& raw);
 
 /// Computes the per-tenant extents of an index (consecutive same-owner
 /// runs; kMixedOwnerTenant runs are excluded).
 std::vector<TenantExtent> BuildExtents(
     const std::vector<SegmentIndexEntry>& entries, uint64_t base_id);
 
+/// The footer + trailer that complete a segment whose records, indexed by
+/// `entries` (offsets dense from 0), end at byte `records_end`. Fills in
+/// `*trailer`.
+Bytes EncodeSegmentTail(const std::vector<SegmentIndexEntry>& entries,
+                        uint64_t base_id, uint64_t records_end,
+                        SegmentTrailer* trailer);
+
 /// Writes a complete sealed segment file (records + footer + trailer) at
 /// `path` and fsyncs it. `payloads[i]` is the unframed record payload for
 /// `(*entries)[i]`, whose kind/owner/entry_count/mroot the caller filled
 /// in; the writer frames each payload and fills in offset/record_len.
-/// Returns typed kIoError on any write/sync failure.
-Status WriteSegmentFile(const std::string& path, uint64_t base_id,
-                        const std::vector<Bytes>& payloads,
-                        std::vector<SegmentIndexEntry>* entries);
+/// Returns the trailer written, or typed kIoError on any write/sync
+/// failure.
+Result<SegmentTrailer> WriteSegmentFile(
+    const std::string& path, uint64_t base_id,
+    const std::vector<Bytes>& payloads,
+    std::vector<SegmentIndexEntry>* entries);
 
-/// Reads and validates the fixed trailer of a sealed segment.
+/// Reads and validates the fixed trailer of a sealed segment, including
+/// that it accounts for every byte of the file.
 Result<SegmentTrailer> ReadSegmentTrailer(const std::string& path);
 
 /// fsyncs the directory containing `path` so a rename into it is durable.

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "common/clock.h"
 
@@ -19,14 +20,6 @@ namespace {
 
 constexpr char kWalName[] = "wal.log";
 constexpr char kRetiredName[] = "retired.tenants";
-
-Result<uint64_t> FileSize(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IoError("cannot stat: " + path);
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
 
 /// seg-<seq>.seg -> seq, or nullopt-ish failure via bool.
 bool ParseSegmentName(const std::string& name, uint64_t* seq) {
@@ -50,6 +43,15 @@ bool HasSuffix(const std::string& name, const char* suffix) {
 
 }  // namespace
 
+SegmentLogStore::Segment::Segment(std::string path,
+                                  const SegmentTrailer& trailer,
+                                  std::vector<SegmentIndexEntry> entries)
+    : SegmentTrailer(trailer),
+      path(std::move(path)),
+      index_loaded(!entries.empty()),
+      entries(std::move(entries)),
+      extents(BuildExtents(this->entries, trailer.base_id)) {}
+
 SegmentLogStore::Segment::~Segment() {
   if (fd >= 0) ::close(fd);
 }
@@ -63,6 +65,8 @@ SegmentLogStore::SegmentLogStore(std::string dir, const Options& options)
         options_.metrics->GetHistogram("wedge.store.group_commit_wait_us");
     sync_hist_ =
         options_.metrics->GetHistogram("wedge.store.group_commit_sync_us");
+    seal_hist_ = options_.metrics->GetHistogram("wedge.store.seal_us");
+    wal_bytes_gauge_ = options_.metrics->GetGauge("wedge.store.wal_bytes");
     seals_counter_ = options_.metrics->GetCounter("wedge.store.seals");
     compactions_counter_ =
         options_.metrics->GetCounter("wedge.store.compactions");
@@ -85,6 +89,9 @@ SegmentLogStore::~SegmentLogStore() {
       ::fdatasync(fileno(wal_file_));
     }
     std::fclose(wal_file_);
+  }
+  if (wal_bytes_gauge_ != nullptr) {
+    wal_bytes_gauge_->Add(-static_cast<int64_t>(wal_bytes_));
   }
 }
 
@@ -112,9 +119,9 @@ Result<std::unique_ptr<SegmentLogStore>> SegmentLogStore::Open(
 }
 
 Status SegmentLogStore::RecoverLocked() {
-  // Pass 1: directory listing. Interrupted seal/compaction scratch
-  // (*.tmp) is deleted — a .tmp was never renamed into place, so the WAL
-  // (seal) or the original segment (compaction) still holds every byte.
+  // Pass 1: directory listing. Interrupted compaction scratch (*.tmp) is
+  // deleted — a .tmp was never renamed into place, so the original
+  // segment (or retired-tenant file) still holds every byte.
   std::vector<std::pair<uint64_t, std::string>> seg_names;
   DIR* d = ::opendir(dir_.c_str());
   if (d == nullptr) {
@@ -148,23 +155,16 @@ Status SegmentLogStore::RecoverLocked() {
     if (trailer.base_id != next_base) {
       return Status::Corruption("segment id gap at " + seg_names[i].second);
     }
-    auto seg = std::make_shared<Segment>();
-    seg->path = seg_names[i].second;
-    seg->base_id = trailer.base_id;
-    seg->count = trailer.count;
-    seg->footer_off = trailer.footer_off;
-    seg->footer_len = trailer.footer_len;
-    seg->footer_sha = trailer.footer_sha;
-    WEDGE_ASSIGN_OR_RETURN(seg->file_bytes, FileSize(seg->path));
     next_base = trailer.base_id + trailer.count;
-    segments_.push_back(std::move(seg));
+    segments_.push_back(
+        std::make_shared<Segment>(std::move(seg_names[i].second), trailer));
   }
   recovery_.segments = segments_.size();
   recovery_.sealed_positions = next_base;
 
   // Pass 3: replay the (bounded) WAL tail past the sealed range.
   wal_base_id_ = next_base;
-  WEDGE_RETURN_IF_ERROR(ReplayWalLocked(next_base));
+  WEDGE_RETURN_IF_ERROR(ReplayWalLocked());
   prepared_count_ = next_base + wal_positions_.size();
   durable_count_ = prepared_count_;
   recovery_.wal_positions = wal_positions_.size();
@@ -172,94 +172,51 @@ Status SegmentLogStore::RecoverLocked() {
   return LoadRetiredLocked();
 }
 
-Status SegmentLogStore::ReplayWalLocked(uint64_t sealed_end) {
+Status SegmentLogStore::ReplayWalLocked() {
   const std::string path = dir_ + "/" + kWalName;
   FILE* replay = std::fopen(path.c_str(), "rb");
-  long valid_end = 0;
-  if (replay != nullptr) {
-    valid_end = ReplayFrames(replay, [&](Bytes&& payload) {
-      auto decoded = DecodeRecordPayload(payload);
-      if (!decoded.ok() || decoded.value().kind != kRecordPosition) {
-        return false;
-      }
-      uint64_t id = decoded.value().log_id;
-      if (id < sealed_end) {
-        // A crash between segment rename and WAL truncation leaves the
-        // sealed prefix in the WAL; the segment is authoritative.
-        ++recovery_.wal_skipped;
-        return true;
-      }
-      if (id != sealed_end + wal_positions_.size()) return false;  // Torn.
-      wal_positions_.push_back(std::move(decoded).value().position);
-      return true;
-    });
-    std::fseek(replay, 0, SEEK_END);
-    long file_end = std::ftell(replay);
-    if (file_end > valid_end) {
-      recovery_.wal_truncated_bytes =
-          static_cast<uint64_t>(file_end - valid_end);
+  if (replay == nullptr) {
+    // No WAL: a fresh store, or a crash between a seal's rename and its
+    // new WAL. The latter finishes the seal: the new WAL's directory entry
+    // is synced before any append into it can be acked. (A fresh store's
+    // own directory is not synced into its parent either.)
+    WEDGE_RETURN_IF_ERROR(OpenWalLocked());
+    return segments_.empty() ? Status::Ok() : SyncParentDir(path);
+  }
+  // A record is accepted only as the next log id; anything else (a torn
+  // record, or the footer of a seal that crashed before its rename) ends
+  // the replay and is truncated below.
+  const long valid_end = ReplayFrames(replay, [&](Bytes&& payload) {
+    const uint64_t record_len = payload.size() + kFrameOverhead;
+    auto decoded = DecodeRecordPayload(payload);
+    if (!decoded.ok() || decoded.value().kind != kRecordPosition ||
+        decoded.value().log_id != wal_base_id_ + wal_positions_.size()) {
+      return false;
     }
-    std::fclose(replay);
+    TrackWalRecordLocked(std::move(decoded).value().position, record_len);
+    return true;
+  });
+  std::fseek(replay, 0, SEEK_END);
+  const long file_end = std::ftell(replay);
+  std::fclose(replay);
+  if (file_end > valid_end) {
+    recovery_.wal_truncated_bytes = static_cast<uint64_t>(file_end - valid_end);
+    // Appends go to the end of the file, so the tail must really go.
+    if (::truncate(path.c_str(), valid_end) != 0) {
+      return Status::IoError("cannot truncate torn WAL tail: " + path);
+    }
   }
+  return OpenWalLocked();
+}
 
-  if (recovery_.wal_skipped > 0) {
-    // Drop the already-sealed prefix so "the WAL holds only unsealed
-    // positions" is an invariant, not just a steady state.
-    return RewriteWalLocked();
-  }
-
-  FILE* f = std::fopen(path.c_str(), replay != nullptr ? "rb+" : "wb");
+Status SegmentLogStore::OpenWalLocked() {
+  const std::string path = dir_ + "/" + kWalName;
+  FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) {
     return Status::IoError("cannot open WAL: " + path);
   }
   std::setvbuf(f, nullptr, _IOFBF, 1 << 20);
-  if (replay != nullptr) {
-    if (std::fseek(f, 0, SEEK_END) == 0 && std::ftell(f) > valid_end) {
-      (void)!::ftruncate(fileno(f), valid_end);
-    }
-    std::fseek(f, valid_end, SEEK_SET);
-  }
   wal_file_ = f;
-  wal_bytes_ = static_cast<uint64_t>(valid_end);
-  return Status::Ok();
-}
-
-Status SegmentLogStore::RewriteWalLocked() {
-  const std::string path = dir_ + "/" + kWalName;
-  const std::string tmp = path + ".tmp";
-  if (wal_file_ != nullptr) {
-    std::fclose(wal_file_);
-    wal_file_ = nullptr;
-  }
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create WAL rewrite: " + tmp);
-  }
-  Bytes out;
-  for (const LogPosition& pos : wal_positions_) {
-    AppendFrame(out, EncodePositionPayload(pos));
-  }
-  if (!out.empty() && std::fwrite(out.data(), 1, out.size(), f) != out.size()) {
-    std::fclose(f);
-    return Status::IoError("short write rewriting WAL");
-  }
-  if (std::fflush(f) != 0 || ::fdatasync(fileno(f)) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot sync WAL rewrite");
-  }
-  std::fclose(f);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename WAL rewrite into place");
-  }
-  WEDGE_RETURN_IF_ERROR(SyncParentDir(path));
-  f = std::fopen(path.c_str(), "rb+");
-  if (f == nullptr) {
-    return Status::IoError("cannot reopen WAL: " + path);
-  }
-  std::setvbuf(f, nullptr, _IOFBF, 1 << 20);
-  std::fseek(f, 0, SEEK_END);
-  wal_file_ = f;
-  wal_bytes_ = out.size();
   return Status::Ok();
 }
 
@@ -309,45 +266,69 @@ Status SegmentLogStore::PersistRetiredLocked() {
   return SyncParentDir(path);
 }
 
-Status SegmentLogStore::WalWriteLocked(const Bytes& payload) {
+Status SegmentLogStore::PoisonLocked(Status poison) {
+  poison_ = std::move(poison);
+  commit_cv_.notify_all();
+  return poison_;
+}
+
+Status SegmentLogStore::WalWriteLocked(const LogPosition& position) {
   Bytes record;
-  AppendFrame(record, payload);
+  AppendFrame(record, EncodePositionPayload(position));
   if (std::fwrite(record.data(), 1, record.size(), wal_file_) !=
       record.size()) {
     // A partial frame may now sit in the stdio buffer where later appends
     // would land behind it; there is no clean rollback through stdio, so
     // fail the store (crash-equivalent: recovery truncates the torn tail,
     // and nothing unacked was ever exposed).
-    poison_ = Status::IoError("short write to WAL; store is read-only");
-    commit_cv_.notify_all();
-    return poison_;
+    return PoisonLocked(
+        Status::IoError("short write to WAL; store is read-only"));
   }
-  wal_bytes_ += record.size();
+  TrackWalRecordLocked(position, record.size());
   return Status::Ok();
 }
 
+void SegmentLogStore::TrackWalRecordLocked(LogPosition position,
+                                           uint64_t record_len) {
+  SegmentIndexEntry row;
+  row.offset = wal_bytes_;
+  row.record_len = static_cast<uint32_t>(record_len);
+  row.kind = kRecordPosition;
+  row.owner = PositionOwnerTenant(position);
+  row.entry_count = static_cast<uint32_t>(position.data_list.size());
+  row.mroot = position.mroot;
+  wal_index_.push_back(row);
+  wal_positions_.push_back(std::move(position));
+  wal_bytes_ += record_len;
+  if (wal_bytes_gauge_ != nullptr) {
+    wal_bytes_gauge_->Add(static_cast<int64_t>(record_len));
+  }
+}
+
 Result<uint64_t> SegmentLogStore::AppendPrepare(const LogPosition& position) {
+  // Declared before the lock, so the positions a seal hands over are freed
+  // after mu_ is released: a full WAL holds tens of thousands of entry
+  // buffers, and freeing them takes milliseconds.
+  std::vector<LogPosition> sealed;
   std::unique_lock<std::mutex> lock(mu_);
   WEDGE_RETURN_IF_ERROR(poison_);
   if (position.log_id != prepared_count_) {
     return Status::FailedPrecondition("log positions must be consecutive");
   }
-  WEDGE_RETURN_IF_ERROR(WalWriteLocked(EncodePositionPayload(position)));
-  wal_positions_.push_back(position);
+  WEDGE_RETURN_IF_ERROR(WalWriteLocked(position));
   ++prepared_count_;
 
   if (options_.durability == Durability::kSyncEachAppend) {
     if (std::fflush(wal_file_) != 0 || ::fsync(fileno(wal_file_)) != 0) {
-      poison_ = Status::IoError("WAL sync failed; store is read-only");
-      commit_cv_.notify_all();
-      return poison_;
+      return PoisonLocked(
+          Status::IoError("WAL sync failed; store is read-only"));
     }
     durable_count_ = prepared_count_;
   }
 
   if (wal_positions_.size() >= options_.segment_positions ||
       wal_bytes_ >= options_.segment_bytes) {
-    WEDGE_RETURN_IF_ERROR(SealLocked(lock));
+    WEDGE_RETURN_IF_ERROR(SealLocked(lock, &sealed));
   }
   return position.log_id;
 }
@@ -403,10 +384,8 @@ Status SegmentLogStore::WaitDurableLocked(uint64_t token,
       lock.lock();
       sync_in_flight_ = false;
       if (!ok) {
-        poison_ = Status::IoError("group commit sync failed; store is "
-                                  "read-only");
-        commit_cv_.notify_all();
-        return poison_;
+        return PoisonLocked(
+            Status::IoError("group commit sync failed; store is read-only"));
       }
       durable_count_ = std::max(durable_count_, target);
       if (durable_count_ > prev_durable) {
@@ -426,118 +405,65 @@ Status SegmentLogStore::WaitDurableLocked(uint64_t token,
 }
 
 Status SegmentLogStore::Append(const LogPosition& position) {
-  std::unique_lock<std::mutex> lock(mu_);
-  WEDGE_RETURN_IF_ERROR(poison_);
-  if (position.log_id != prepared_count_) {
-    return Status::FailedPrecondition("log positions must be consecutive");
-  }
-  WEDGE_RETURN_IF_ERROR(WalWriteLocked(EncodePositionPayload(position)));
-  wal_positions_.push_back(position);
-  ++prepared_count_;
-  if (options_.durability == Durability::kSyncEachAppend) {
-    if (std::fflush(wal_file_) != 0 || ::fsync(fileno(wal_file_)) != 0) {
-      poison_ = Status::IoError("WAL sync failed; store is read-only");
-      commit_cv_.notify_all();
-      return poison_;
-    }
-    durable_count_ = prepared_count_;
-  }
-  if (wal_positions_.size() >= options_.segment_positions ||
-      wal_bytes_ >= options_.segment_bytes) {
-    WEDGE_RETURN_IF_ERROR(SealLocked(lock));
-  }
-  return WaitDurableLocked(position.log_id, lock);
+  WEDGE_ASSIGN_OR_RETURN(uint64_t token, AppendPrepare(position));
+  return WaitDurable(token);
 }
 
-Status SegmentLogStore::SealLocked(std::unique_lock<std::mutex>& lock) {
+Status SegmentLogStore::SealLocked(std::unique_lock<std::mutex>& lock,
+                                   std::vector<LogPosition>* sealed) {
+  Stopwatch seal_watch(RealClock::Global());
   // A sync in flight is reading the WAL stream concurrently; wait it out
   // (syncs are bounded, and nothing new can start while we hold mu_).
   commit_cv_.wait(lock, [this] { return !sync_in_flight_; });
   WEDGE_RETURN_IF_ERROR(poison_);
   if (wal_positions_.empty()) return Status::Ok();
 
-  const uint64_t base_id = wal_base_id_;
-  const size_t seq = segments_.size();
-  const std::string final_path = SegmentPath(seq);
-  const std::string tmp_path = final_path + ".tmp";
-
-  std::vector<Bytes> payloads;
-  std::vector<SegmentIndexEntry> entries;
-  payloads.reserve(wal_positions_.size());
-  entries.reserve(wal_positions_.size());
-  for (const LogPosition& pos : wal_positions_) {
-    SegmentIndexEntry e;
-    e.kind = kRecordPosition;
-    e.owner = PositionOwnerTenant(pos);
-    e.entry_count = static_cast<uint32_t>(pos.data_list.size());
-    e.mroot = pos.mroot;
-    entries.push_back(e);
-    payloads.push_back(EncodePositionPayload(pos));
+  // The WAL's records already sit at the offsets of wal_index_, so a
+  // footer and trailer make it a complete segment.
+  SegmentTrailer trailer;
+  const Bytes tail =
+      EncodeSegmentTail(wal_index_, wal_base_id_, wal_bytes_, &trailer);
+  if (std::fwrite(tail.data(), 1, tail.size(), wal_file_) != tail.size() ||
+      std::fflush(wal_file_) != 0 || ::fdatasync(fileno(wal_file_)) != 0) {
+    return PoisonLocked(Status::IoError("cannot write segment tail to WAL"));
   }
-  Status written = WriteSegmentFile(tmp_path, base_id, payloads, &entries);
-  if (!written.ok()) {
-    poison_ = written;
-    commit_cv_.notify_all();
-    return poison_;
-  }
-  if (options_.crash_point == CrashPoint::kSealAfterTempWrite) {
-    poison_ = Status::Internal("simulated crash after segment temp write");
-    commit_cv_.notify_all();
-    return poison_;
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    poison_ = Status::IoError("cannot rename sealed segment into place");
-    commit_cv_.notify_all();
-    return poison_;
-  }
-  Status dir_sync = SyncParentDir(final_path);
-  if (!dir_sync.ok()) {
-    poison_ = dir_sync;
-    commit_cv_.notify_all();
-    return poison_;
+  if (options_.crash_point == CrashPoint::kSealAfterTailSync) {
+    return PoisonLocked(
+        Status::Internal("simulated crash after sealing the WAL tail"));
   }
 
-  auto seg = std::make_shared<Segment>();
-  seg->path = final_path;
-  seg->base_id = base_id;
-  seg->count = static_cast<uint32_t>(entries.size());
-  Bytes footer = EncodeFooter(entries, BuildExtents(entries, base_id));
-  seg->footer_off = entries.back().offset + entries.back().record_len;
-  seg->footer_len = static_cast<uint32_t>(footer.size());
-  seg->footer_sha = Sha256::Digest(footer);
-  seg->file_bytes = seg->footer_off + footer.size() + kSegmentTrailerBytes;
-  seg->index_loaded = true;
-  seg->entries = std::move(entries);
-  seg->extents = BuildExtents(seg->entries, base_id);
-  segments_.push_back(std::move(seg));
-  if (seals_counter_ != nullptr) seals_counter_->Add(1);
-
-  // The segment now owns [base_id, base_id + count); everything in it is
-  // fsynced, so any group-commit waiter in that range is satisfied.
-  durable_count_ =
-      std::max(durable_count_, base_id + wal_positions_.size());
-
-  if (options_.crash_point == CrashPoint::kSealBeforeWalTruncate) {
-    poison_ = Status::Internal("simulated crash before WAL truncation");
-    commit_cv_.notify_all();
-    return poison_;
+  // Until this rename, recovery replays the WAL and drops the tail.
+  const std::string wal_path = dir_ + "/" + kWalName;
+  std::string seg_path = SegmentPath(segments_.size());
+  if (::rename(wal_path.c_str(), seg_path.c_str()) != 0) {
+    return PoisonLocked(Status::IoError("cannot rename WAL to " + seg_path));
+  }
+  if (options_.crash_point == CrashPoint::kSealAfterRename) {
+    return PoisonLocked(
+        Status::Internal("simulated crash after renaming the WAL"));
   }
 
-  // Reset the WAL (fclose flushes any buffered bytes first; their
-  // contents are already in the sealed segment, and "wb" truncates).
+  // One directory sync covers the rename and the new WAL's entry, before
+  // any append into the new WAL can be acked.
   std::fclose(wal_file_);
   wal_file_ = nullptr;
-  FILE* f = std::fopen((dir_ + "/" + kWalName).c_str(), "wb");
-  if (f == nullptr) {
-    poison_ = Status::IoError("cannot reset WAL after seal");
-    commit_cv_.notify_all();
-    return poison_;
+  Status opened = OpenWalLocked();
+  if (opened.ok()) opened = SyncParentDir(wal_path);
+  if (!opened.ok()) return PoisonLocked(opened);
+
+  // The segment owns [base_id, base_id + count), all of it fsynced, so
+  // every group-commit waiter in that range is satisfied.
+  durable_count_ = std::max(durable_count_, wal_base_id_ + trailer.count);
+  wal_base_id_ += trailer.count;
+  sealed->swap(wal_positions_);
+  segments_.push_back(std::make_shared<Segment>(
+      std::move(seg_path), trailer, std::exchange(wal_index_, {})));
+  if (wal_bytes_gauge_ != nullptr) {
+    wal_bytes_gauge_->Add(-static_cast<int64_t>(wal_bytes_));
   }
-  std::setvbuf(f, nullptr, _IOFBF, 1 << 20);
-  wal_file_ = f;
-  wal_base_id_ += wal_positions_.size();
-  wal_positions_.clear();
   wal_bytes_ = 0;
+  if (seals_counter_ != nullptr) seals_counter_->Add(1);
+  if (seal_hist_ != nullptr) seal_hist_->Record(seal_watch.ElapsedMicros());
   commit_cv_.notify_all();
 
   if (options_.background_compaction && !retired_.empty()) {
@@ -548,9 +474,10 @@ Status SegmentLogStore::SealLocked(std::unique_lock<std::mutex>& lock) {
 }
 
 Status SegmentLogStore::SealNow() {
+  std::vector<LogPosition> sealed;  // Freed unlocked, as in AppendPrepare.
   std::unique_lock<std::mutex> lock(mu_);
   WEDGE_RETURN_IF_ERROR(poison_);
-  return SealLocked(lock);
+  return SealLocked(lock, &sealed);
 }
 
 SegmentLogStore::Segment* SegmentLogStore::FindSegmentLocked(
@@ -792,36 +719,25 @@ Status SegmentLogStore::CompactSegmentLocked(
   const std::string final_path = old_seg->path;
   const uint64_t base_id = old_seg->base_id;
   lock.unlock();
-  Status written = WriteSegmentFile(tmp_path, base_id, payloads, &entries);
-  if (written.ok() && ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    written = Status::IoError("cannot rename compacted segment into place");
+  Result<SegmentTrailer> written =
+      WriteSegmentFile(tmp_path, base_id, payloads, &entries);
+  Status placed = written.status();
+  if (placed.ok() && ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    placed = Status::IoError("cannot rename compacted segment into place");
   }
-  if (written.ok()) written = SyncParentDir(final_path);
-  auto new_bytes = written.ok() ? FileSize(final_path) : Result<uint64_t>(written);
+  if (placed.ok()) placed = SyncParentDir(final_path);
   lock.lock();
-  if (!written.ok()) {
+  if (!placed.ok()) {
     ::unlink(tmp_path.c_str());
-    return written;
+    return placed;
   }
-  WEDGE_RETURN_IF_ERROR(new_bytes.status());
-
-  Bytes footer = EncodeFooter(entries, BuildExtents(entries, base_id));
-  auto seg = std::make_shared<Segment>();
-  seg->path = final_path;
-  seg->base_id = base_id;
-  seg->count = static_cast<uint32_t>(entries.size());
-  seg->footer_off = entries.back().offset + entries.back().record_len;
-  seg->footer_len = static_cast<uint32_t>(footer.size());
-  seg->footer_sha = Sha256::Digest(footer);
-  seg->file_bytes = new_bytes.value();
-  seg->index_loaded = true;
-  seg->extents = BuildExtents(entries, base_id);
-  seg->entries = std::move(entries);
+  auto seg = std::make_shared<Segment>(final_path, written.value(),
+                                       std::move(entries));
 
   stats->segments_rewritten += 1;
   stats->positions_dropped += dropped;
-  if (old_seg->file_bytes > seg->file_bytes) {
-    stats->bytes_reclaimed += old_seg->file_bytes - seg->file_bytes;
+  if (old_seg->file_bytes() > seg->file_bytes()) {
+    stats->bytes_reclaimed += old_seg->file_bytes() - seg->file_bytes();
   }
   segments_[seg_index] = std::move(seg);
   return Status::Ok();

@@ -22,31 +22,36 @@ namespace wedge {
 ///   <dir>/wal.log          active WAL (framed kind-0 records)
 ///   <dir>/seg-<seq>.seg    sealed segments, seq dense from 0
 ///   <dir>/retired.tenants  persisted GC set (framed u64 list)
-///   <dir>/*.tmp            in-flight seal/compaction scratch (removed
-///                          on recovery)
+///   <dir>/*.tmp            in-flight compaction / retired-set scratch
+///                          (removed on recovery)
 ///
 /// Write path: AppendPrepare buffers the framed record into the WAL's
 /// stdio stream under the store mutex (cheap — no syscall past the
-/// buffer) and returns a durability token. WaitDurable(token) runs the
-/// group commit: the first waiter becomes leader, flushes + fdatasyncs
-/// everything prepared so far in ONE sync, and releases every waiter it
-/// covered together; late waiters piggyback on the in-flight sync or
-/// lead the next one. `wedge.store.group_commit_batch` records how many
-/// appends each sync amortized and `wedge.store.group_commit_wait_us`
-/// the per-append wait. The plain Append() is prepare + wait (the
-/// durable-synchronous degenerate case).
+/// buffer), records its footer row, and returns a durability token.
+/// WaitDurable(token) runs the group commit: the first waiter becomes
+/// leader, flushes + fdatasyncs everything prepared so far in ONE sync,
+/// and releases every waiter it covered together; late waiters piggyback
+/// on the in-flight sync or lead the next one.
+/// `wedge.store.group_commit_batch` records how many appends each sync
+/// amortized and `wedge.store.group_commit_wait_us` the per-append wait.
+/// The plain Append() is prepare + wait (the durable-synchronous
+/// degenerate case).
 ///
 /// Visibility: Size()/Get()/Scan() expose only DURABLE positions. A
 /// prepared-but-unsynced position is invisible so nothing downstream
 /// (epoch aggregation, read proofs) can commit to a root that a crash
 /// could still revoke — the caller acks only after WaitDurable returns.
 ///
-/// When the WAL reaches segment_positions/segment_bytes it is sealed:
-/// records + footer + trailer are written to seg-<seq>.seg.tmp, fsynced,
-/// renamed into place, the directory fsynced, and only then is the WAL
-/// truncated. Every crash window in that sequence is recoverable (stray
-/// .tmp removed; WAL records already covered by a sealed segment are
-/// skipped on replay).
+/// When the WAL reaches segment_positions/segment_bytes the WAL itself
+/// becomes the segment, so each appended byte is written once: the
+/// footer rows kept since each record was prepared and the trailer are
+/// appended to wal.log, which is fdatasynced and renamed to
+/// seg-<seq>.seg; a new wal.log is created, and one directory fsync
+/// covers the rename and the new WAL before the seal returns. A crash
+/// before the rename leaves a tail that WAL replay drops as torn; a crash
+/// after it leaves a complete segment (and, at most, no WAL yet).
+/// `wedge.store.seal_us` times each seal and `wedge.store.wal_bytes`
+/// gauges the bytes in active WALs.
 ///
 /// Startup is O(segments + WAL tail): one trailer pread per segment plus
 /// a replay of the (bounded) active WAL; segment footers are loaded
@@ -71,8 +76,8 @@ class SegmentLogStore : public LogStore {
   /// died there); the test reopens the directory to exercise recovery.
   enum class CrashPoint {
     kNone,
-    kSealAfterTempWrite,    ///< Segment .tmp written, never renamed.
-    kSealBeforeWalTruncate, ///< Segment renamed, WAL left un-truncated.
+    kSealAfterTailSync,  ///< Footer+trailer fdatasynced, WAL not renamed.
+    kSealAfterRename,    ///< WAL renamed to the segment, no new WAL yet.
   };
 
   struct Options {
@@ -101,9 +106,8 @@ class SegmentLogStore : public LogStore {
     uint64_t segments = 0;            ///< Sealed segments discovered.
     uint64_t sealed_positions = 0;    ///< Positions covered by segments.
     uint64_t wal_positions = 0;       ///< Live WAL tail replayed.
-    uint64_t wal_skipped = 0;         ///< WAL records a segment already held.
     uint64_t wal_truncated_bytes = 0; ///< Torn tail dropped from the WAL.
-    uint64_t tmp_files_removed = 0;   ///< Interrupted seal/compaction scratch.
+    uint64_t tmp_files_removed = 0;   ///< Compaction/retired-set scratch.
   };
 
   struct CompactionStats {
@@ -153,39 +157,52 @@ class SegmentLogStore : public LogStore {
   std::set<uint64_t> RetiredTenants() const;
 
  private:
-  struct Segment {
+  /// A sealed segment: its trailer plus the runtime state to read it.
+  struct Segment : SegmentTrailer {
+    /// `entries` is the index when a seal or compaction just wrote it;
+    /// empty (recovery), EnsureIndexLoadedLocked() loads it on first use.
+    Segment(std::string path, const SegmentTrailer& trailer,
+            std::vector<SegmentIndexEntry> entries = {});
+    ~Segment();
+    Segment(const Segment&) = delete;
+    Segment& operator=(const Segment&) = delete;
+
     std::string path;
-    uint64_t base_id = 0;
-    uint32_t count = 0;
-    uint64_t footer_off = 0;
-    uint32_t footer_len = 0;
-    Hash256 footer_sha{};
-    uint64_t file_bytes = 0;
-    /// Lazily populated by EnsureIndexLoadedLocked().
     bool index_loaded = false;
     std::vector<SegmentIndexEntry> entries;
     std::vector<TenantExtent> extents;
     int fd = -1;
-
-    ~Segment();
   };
 
   explicit SegmentLogStore(std::string dir, const Options& options);
 
   Status RecoverLocked();
-  Status ReplayWalLocked(uint64_t sealed_end);
-  Status RewriteWalLocked();
+  /// Replays wal.log from wal_base_id_, drops a torn tail and opens the
+  /// WAL for appends.
+  Status ReplayWalLocked();
+  /// Opens wal.log for appends, creating it if it does not exist.
+  Status OpenWalLocked();
   Status LoadRetiredLocked();
   Status PersistRetiredLocked();
 
-  /// Writes one framed record to the WAL stream; no flush. Rolls the
-  /// stream back (poisoning on failure) so a failed append never leaves
-  /// a half-record ahead of later appends.
-  Status WalWriteLocked(const Bytes& payload);
-  /// Seals wal_positions_ into a new segment. Requires no sync in
-  /// flight. On success the WAL is empty and durable_count_ covers the
-  /// sealed range.
-  Status SealLocked(std::unique_lock<std::mutex>& lock);
+  /// Records `poison` as the store's first unrecoverable failure, wakes
+  /// every waiter, and returns it.
+  Status PoisonLocked(Status poison);
+  /// Writes `position`'s framed record to the WAL stream (no flush) and
+  /// tracks it. A short write poisons the store, since stdio cannot roll
+  /// a half-record back.
+  Status WalWriteLocked(const LogPosition& position);
+  /// Adds `position`, whose record of `record_len` bytes was just written
+  /// or replayed at the end of the WAL, to the WAL's positions and footer
+  /// rows.
+  void TrackWalRecordLocked(LogPosition position, uint64_t record_len);
+  /// Seals the WAL into a new segment by appending its footer and trailer
+  /// and renaming it. Requires no sync in flight. On success a new WAL is
+  /// open and empty, durable_count_ covers the sealed range, and the
+  /// sealed positions are in `*sealed` (empty on entry) for the caller to
+  /// free once mu_ is released.
+  Status SealLocked(std::unique_lock<std::mutex>& lock,
+                    std::vector<LogPosition>* sealed);
   /// Group-commit: returns once log ids <= token are durable (or the
   /// store failed). See class comment.
   Status WaitDurableLocked(uint64_t token, std::unique_lock<std::mutex>& lock);
@@ -210,6 +227,8 @@ class SegmentLogStore : public LogStore {
   Histogram* batch_hist_ = nullptr;
   Histogram* wait_hist_ = nullptr;
   Histogram* sync_hist_ = nullptr;
+  Histogram* seal_hist_ = nullptr;
+  Gauge* wal_bytes_gauge_ = nullptr;
   Counter* seals_counter_ = nullptr;
   Counter* compactions_counter_ = nullptr;
   Counter* reclaimed_counter_ = nullptr;
@@ -224,6 +243,9 @@ class SegmentLogStore : public LogStore {
   uint64_t wal_bytes_ = 0;        ///< Bytes written to the current WAL.
   uint64_t wal_base_id_ = 0;      ///< Log id of wal_positions_[0].
   std::vector<LogPosition> wal_positions_;
+  /// Footer rows of wal_positions_, offsets dense from 0: the index the
+  /// WAL is sealed with.
+  std::vector<SegmentIndexEntry> wal_index_;
   uint64_t prepared_count_ = 0;   ///< Ids < this are written (maybe buffered).
   uint64_t durable_count_ = 0;    ///< Ids < this are durable & visible.
   bool sync_in_flight_ = false;

@@ -109,8 +109,7 @@ TEST(ChaosScenarioTest, SegmentStoreFleetLosesNothing) {
   // Same scenario on the segmented store engine, with segments sealed
   // every 4 positions so the SIGKILL victim dies holding both sealed
   // segments and a live WAL tail — recovery then exercises the
-  // O(segments) trailer scan, the WAL replay, and dedup of records a
-  // sealed segment already covers.
+  // O(segments) trailer scan and the WAL replay.
   ChaosRunOptions options;
   options.fleet.daemon_binary = WEDGE_WEDGEBLOCKD_PATH;
   options.fleet.work_dir =

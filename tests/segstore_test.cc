@@ -1,10 +1,11 @@
 // Invariant tests for the segmented storage engine
 // (storage/segstore/): WAL torn-tail truncation, crash windows inside
-// the seal sequence, double-recovery idempotence, group-commit
-// visibility, and tenant GC preserving live entries byte-identically
-// with every proof still verifying. The FileLogStore fault-injection
-// tests (typed IoError, no acked-then-lost window) ride along because
-// they pin the same contract on the flat backend.
+// the seal-by-rename sequence, double-recovery idempotence, renamed
+// segments byte-identical to WriteSegmentFile, seal telemetry,
+// group-commit visibility, and tenant GC preserving live entries
+// byte-identically with every proof still verifying. The FileLogStore
+// fault-injection tests (typed IoError, no acked-then-lost window) ride
+// along because they pin the same contract on the flat backend.
 
 #include "storage/segstore/segment_store.h"
 
@@ -13,6 +14,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "common/random.h"
@@ -125,7 +128,6 @@ TEST(SegmentStoreTest, ReopenRecoversSegmentsAndWalTail) {
   EXPECT_EQ(info.segments, 2u);
   EXPECT_EQ(info.sealed_positions, 8u);
   EXPECT_EQ(info.wal_positions, 2u);
-  EXPECT_EQ(info.wal_skipped, 0u);
   EXPECT_EQ(info.wal_truncated_bytes, 0u);
   EXPECT_EQ(reopened->Size(), 10u);
   for (uint64_t i = 0; i < 10; ++i) {
@@ -162,85 +164,231 @@ TEST(SegmentStoreTest, TruncatesTornWalTail) {
   EXPECT_EQ(final_store->recovery().wal_truncated_bytes, 0u);
 }
 
-TEST(SegmentStoreTest, CrashBeforeSegmentRenameLeavesWalAuthoritative) {
-  std::string dir = TempDir("crash_tmp");
-  {
-    SegmentLogStore::Options options = SmallSegments();
-    options.crash_point = SegmentLogStore::CrashPoint::kSealAfterTempWrite;
-    auto store = OpenOrDie(dir, options);
-    for (uint64_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
-    }
-    // The 4th append crosses the seal threshold; the simulated crash
-    // leaves seg-000000.seg.tmp on disk, never renamed, and poisons the
-    // store the way a dead process stops answering.
-    EXPECT_FALSE(store->Append(MakePosition(3, 2)).ok());
+/// Appends ids 0..3 to a 4-position store that crashes at `point` inside
+/// the seal the 4th append triggers.
+void CrashInsideSeal(const std::string& dir,
+                     SegmentLogStore::CrashPoint point) {
+  SegmentLogStore::Options options = SmallSegments();
+  options.crash_point = point;
+  auto store = OpenOrDie(dir, options);
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
   }
-  EXPECT_TRUE(std::filesystem::exists(dir + "/seg-000000.seg.tmp"));
+  // The simulated crash poisons the store the way a dead process stops
+  // answering, so the append that crossed the threshold is not acked.
+  EXPECT_FALSE(store->Append(MakePosition(3, 2)).ok());
+}
+
+TEST(SegmentStoreTest, CrashAfterTailSyncReplaysTheWal) {
+  std::string dir = TempDir("crash_tail");
+  CrashInsideSeal(dir, SegmentLogStore::CrashPoint::kSealAfterTailSync);
+  // Footer and trailer are durable at the end of wal.log, never renamed.
+  EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000000.seg"));
+  const uint64_t crashed_wal = std::filesystem::file_size(dir + "/wal.log");
 
   auto reopened = OpenOrDie(dir, SmallSegments());
   const auto& info = reopened->recovery();
-  EXPECT_EQ(info.tmp_files_removed, 1u);
-  EXPECT_EQ(info.segments, 0u);  // The un-renamed segment never existed.
-  EXPECT_EQ(info.wal_positions, 4u);  // The WAL still held everything.
+  EXPECT_EQ(info.segments, 0u);
+  EXPECT_EQ(info.wal_positions, 4u);  // Every position replayed.
+  // The tail is not a frame: replay drops it like any torn tail.
+  EXPECT_GT(info.wal_truncated_bytes, kSegmentTrailerBytes);
+  EXPECT_EQ(std::filesystem::file_size(dir + "/wal.log"),
+            crashed_wal - info.wal_truncated_bytes);
   EXPECT_EQ(reopened->Size(), 4u);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000000.seg.tmp"));
   for (uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(reopened->Get(i)->mroot, MakePosition(i, 2).mroot) << i;
   }
+  // The next append seals a valid segment over all five positions.
+  ASSERT_TRUE(reopened->Append(MakePosition(4, 2)).ok());
+  EXPECT_EQ(reopened->SegmentCount(), 1u);
+  reopened.reset();
+  auto sealed = OpenOrDie(dir, SmallSegments());
+  EXPECT_EQ(sealed->recovery().segments, 1u);
+  EXPECT_EQ(sealed->recovery().sealed_positions, 5u);
+  EXPECT_EQ(sealed->recovery().wal_positions, 0u);
+  for (uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(sealed->Get(i)->data_list, MakePosition(i, 2).data_list) << i;
+  }
 }
 
-TEST(SegmentStoreTest, CrashBetweenSealAndWalTruncateDeduplicates) {
-  std::string dir = TempDir("crash_wal");
-  {
-    SegmentLogStore::Options options = SmallSegments();
-    options.crash_point = SegmentLogStore::CrashPoint::kSealBeforeWalTruncate;
-    auto store = OpenOrDie(dir, options);
-    for (uint64_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
-    }
-    EXPECT_FALSE(store->Append(MakePosition(3, 2)).ok());
-  }
-  // The segment landed but the WAL still holds ids 0..3.
+TEST(SegmentStoreTest, CrashAfterRenameLeavesASegmentAndAnEmptyWal) {
+  std::string dir = TempDir("crash_rename");
+  CrashInsideSeal(dir, SegmentLogStore::CrashPoint::kSealAfterRename);
+  // The WAL became the segment; its successor was never created.
   EXPECT_TRUE(std::filesystem::exists(dir + "/seg-000000.seg"));
-  EXPECT_GT(std::filesystem::file_size(dir + "/wal.log"), 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/wal.log"));
 
   auto reopened = OpenOrDie(dir, SmallSegments());
   const auto& info = reopened->recovery();
   EXPECT_EQ(info.segments, 1u);
   EXPECT_EQ(info.sealed_positions, 4u);
-  EXPECT_EQ(info.wal_skipped, 4u);  // Every WAL record was already sealed.
   EXPECT_EQ(info.wal_positions, 0u);
-  EXPECT_EQ(reopened->Size(), 4u);  // No duplicates.
+  EXPECT_EQ(info.wal_truncated_bytes, 0u);
+  EXPECT_EQ(std::filesystem::file_size(dir + "/wal.log"), 0u);
+  EXPECT_EQ(reopened->Size(), 4u);
   for (uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(reopened->Get(i)->mroot, MakePosition(i, 2).mroot) << i;
   }
   ASSERT_TRUE(reopened->Append(MakePosition(4, 2)).ok());
   EXPECT_EQ(reopened->Size(), 5u);
+  EXPECT_EQ(reopened->Get(4)->mroot, MakePosition(4, 2).mroot);
 }
 
 TEST(SegmentStoreTest, DoubleRecoveryIsIdempotent) {
-  std::string dir = TempDir("double");
-  {
-    SegmentLogStore::Options options = SmallSegments();
-    options.crash_point = SegmentLogStore::CrashPoint::kSealBeforeWalTruncate;
-    auto store = OpenOrDie(dir, options);
+  for (auto point : {SegmentLogStore::CrashPoint::kSealAfterTailSync,
+                     SegmentLogStore::CrashPoint::kSealAfterRename}) {
+    SCOPED_TRACE(static_cast<int>(point));
+    std::string dir = TempDir("double");
+    CrashInsideSeal(dir, point);
+    // The first recovery repairs (drops the unrenamed tail, or creates
+    // the missing WAL); the second finds nothing to repair.
+    uint64_t first_segments = 0;
+    {
+      auto first = OpenOrDie(dir, SmallSegments());
+      first_segments = first->recovery().segments;
+    }
+    auto second = OpenOrDie(dir, SmallSegments());
+    const auto& info = second->recovery();
+    EXPECT_EQ(info.segments, first_segments);
+    EXPECT_EQ(info.wal_truncated_bytes, 0u);
+    EXPECT_EQ(info.tmp_files_removed, 0u);
+    EXPECT_EQ(second->Size(), 4u);
     for (uint64_t i = 0; i < 4; ++i) {
-      (void)store->Append(MakePosition(i, 2));
+      EXPECT_EQ(second->Get(i)->mroot, MakePosition(i, 2).mroot) << i;
     }
   }
-  // First recovery repairs (skips sealed WAL records, rewrites the WAL);
-  // the second finds a clean directory and nothing to repair.
-  { OpenOrDie(dir, SmallSegments()); }
-  auto second = OpenOrDie(dir, SmallSegments());
-  const auto& info = second->recovery();
-  EXPECT_EQ(info.wal_skipped, 0u);
-  EXPECT_EQ(info.wal_truncated_bytes, 0u);
-  EXPECT_EQ(info.tmp_files_removed, 0u);
-  EXPECT_EQ(second->Size(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(second->Get(i)->mroot, MakePosition(i, 2).mroot) << i;
+}
+
+Bytes ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+/// The segment WriteSegmentFile writes for `positions`, read back.
+Bytes WrittenSegment(const std::string& path, uint64_t base_id,
+                     const std::vector<LogPosition>& positions) {
+  std::vector<Bytes> payloads;
+  std::vector<SegmentIndexEntry> entries;
+  for (const LogPosition& pos : positions) {
+    payloads.push_back(EncodePositionPayload(pos));
+    SegmentIndexEntry e;
+    e.owner = PositionOwnerTenant(pos);
+    e.entry_count = static_cast<uint32_t>(pos.data_list.size());
+    e.mroot = pos.mroot;
+    entries.push_back(e);
   }
+  EXPECT_TRUE(WriteSegmentFile(path, base_id, payloads, &entries).ok());
+  return ReadFile(path);
+}
+
+TEST(SegmentStoreTest, RenamedSegmentsMatchWriteSegmentFileByteForByte) {
+  std::string dir = TempDir("bytes");
+  KeyPair pub_a = KeyPair::FromSeed(0xA);
+  KeyPair pub_b = KeyPair::FromSeed(0xB);
+  uint64_t seq_a = 0, seq_b = 0;
+  // Owned runs give the footer tenant extents; anonymous positions are
+  // mixed-owner rows between them.
+  std::vector<LogPosition> positions;
+  for (uint64_t i = 0; i < 10; ++i) {
+    positions.push_back(i % 3 == 2 ? MakePosition(i, 1 + i % 4)
+                        : i < 5    ? MakeOwnedPosition(i, pub_a, &seq_a)
+                                   : MakeOwnedPosition(i, pub_b, &seq_b));
+  }
+  {
+    auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
+    for (uint64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(store->Append(positions[i]).ok());
+    }
+  }
+  // Tear record 4. The reopened WAL must keep its offsets dense, so the
+  // replacement and later records land where a fresh file puts them.
+  std::filesystem::resize_file(
+      dir + "/wal.log", std::filesystem::file_size(dir + "/wal.log") - 10);
+  auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
+  ASSERT_GT(store->recovery().wal_truncated_bytes, 0u);
+  ASSERT_EQ(store->Size(), 4u);
+  for (uint64_t i = 4; i < 7; ++i) {
+    ASSERT_TRUE(store->Append(positions[i]).ok());
+  }
+  ASSERT_TRUE(store->SealNow().ok());
+  for (uint64_t i = 7; i < 10; ++i) {
+    ASSERT_TRUE(store->Append(positions[i]).ok());
+  }
+  ASSERT_TRUE(store->SealNow().ok());
+  ASSERT_EQ(store->SegmentCount(), 2u);
+
+  const std::vector<LogPosition> first(positions.begin(),
+                                       positions.begin() + 7);
+  const std::vector<LogPosition> second(positions.begin() + 7,
+                                        positions.end());
+  EXPECT_EQ(ReadFile(dir + "/seg-000000.seg"),
+            WrittenSegment(dir + "/want-0", 0, first));
+  EXPECT_EQ(ReadFile(dir + "/seg-000001.seg"),
+            WrittenSegment(dir + "/want-1", 7, second));
+  // The store serves the renamed segments from its in-memory index and,
+  // after a reopen, from the footer it wrote.
+  for (uint64_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(store->Get(i)->data_list, positions[i].data_list) << i;
+  }
+  store.reset();
+  auto reopened = OpenOrDie(dir, SmallSegments(/*positions=*/64));
+  EXPECT_EQ(reopened->recovery().segments, 2u);
+  for (uint64_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(reopened->Get(i)->data_list, positions[i].data_list) << i;
+    EXPECT_EQ(reopened->GetRoot(i).value(), positions[i].mroot) << i;
+  }
+}
+
+TEST(SegmentStoreTest, RejectsASegmentItsTrailerDoesNotCover) {
+  std::string dir = TempDir("trailer_size");
+  {
+    auto store = OpenOrDie(dir, SmallSegments());
+    for (uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
+    }
+  }
+  // Stray bytes between the footer and the trailer: the trailer still
+  // ends the file, but no longer accounts for every byte of it.
+  const std::string seg = dir + "/seg-000000.seg";
+  Bytes bytes = ReadFile(seg);
+  bytes.insert(bytes.end() - kSegmentTrailerBytes, 8, 0);
+  std::ofstream(seg, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  auto reopened = SegmentLogStore::Open(dir, SmallSegments());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), Code::kCorruption);
+}
+
+TEST(SegmentStoreTest, SealTelemetryTimesEverySealAndDrainsTheWalGauge) {
+  std::string dir = TempDir("seal_metrics");
+  MetricsRegistry metrics;
+  SegmentLogStore::Options options = SmallSegments();
+  options.metrics = &metrics;
+  auto store = OpenOrDie(dir, options);
+  auto wal_gauge = [&metrics] {
+    for (const auto& [name, value] : metrics.Snapshot().gauges) {
+      if (name == "wedge.store.wal_bytes") return value;
+    }
+    return int64_t{-1};
+  };
+  EXPECT_EQ(wal_gauge(), 0);
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
+  }
+  // Two threshold seals; the gauge holds the 2-position WAL tail.
+  EXPECT_EQ(wal_gauge(),
+            static_cast<int64_t>(std::filesystem::file_size(dir + "/wal.log")));
+  EXPECT_GT(wal_gauge(), 0);
+  ASSERT_TRUE(store->SealNow().ok());
+  ASSERT_TRUE(store->SealNow().ok());  // Empty WAL: no seal, no sample.
+  EXPECT_EQ(wal_gauge(), 0);
+
+  MetricsSnapshot snap = metrics.Snapshot();
+  const HistogramSnapshot* seal_us = snap.FindHistogram("wedge.store.seal_us");
+  ASSERT_NE(seal_us, nullptr);
+  EXPECT_EQ(snap.CounterValue("wedge.store.seals"), 3u);
+  EXPECT_EQ(seal_us->count, snap.CounterValue("wedge.store.seals"));
 }
 
 TEST(SegmentStoreTest, PreparedButUnsyncedPositionsAreInvisible) {
@@ -302,6 +450,57 @@ TEST(SegmentStoreTest, GroupCommitCoalescesConcurrentAppenders) {
   // covered more than one append.
   EXPECT_LT(batch->count, uint64_t{kThreads * kPerThread});
   EXPECT_GT(batch->count, 0u);
+}
+
+TEST(SegmentStoreTest, ReadsStayCorrectWhileConcurrentAppendersSeal) {
+  std::string dir = TempDir("concurrent_seal");
+  auto store = OpenOrDie(dir, SmallSegments(/*positions=*/8));
+  constexpr uint64_t kPositions = 240;
+  std::mutex ticket_mu;
+  uint64_t next_id = 0;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (;;) {
+        uint64_t token;
+        {
+          // Prepares are serialized as under the engine's seal ticket;
+          // every 8th one seals while other threads wait or read.
+          std::lock_guard<std::mutex> lock(ticket_mu);
+          if (next_id == kPositions) return;
+          auto prepared = store->AppendPrepare(MakePosition(next_id, 2));
+          if (!prepared.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          ++next_id;
+          token = *prepared;
+        }
+        if (!store->WaitDurable(token).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t n = t; !done.load(); ++n) {
+        const uint64_t size = store->Size();
+        if (size == 0) continue;
+        const uint64_t id = (n * 7) % size;
+        auto got = store->Get(id);
+        if (!got.ok() || got->mroot != MakePosition(id, 2).mroot) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 4; ++t) threads[t].join();
+  done.store(true);
+  for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(store->Size(), kPositions);
+  EXPECT_EQ(store->SegmentCount(), kPositions / 8);
 }
 
 TEST(SegmentStoreTest, OwnerAttributionMatchesPublisherTenant) {

@@ -24,6 +24,9 @@
 # forest tx per epoch (always), and >= 2x 4-shard ingest speedup when the
 # machine has >= 4 cores.
 #
+# Every stage runs even when an earlier one fails its gate; the script
+# then exits non-zero and lists every failed stage.
+#
 # Usage: tools/perf_smoke.sh [build_dir]   (default: build-perf)
 set -euo pipefail
 
@@ -41,16 +44,30 @@ tmp_dispatched="$(mktemp)"
 tmp_scalar="$(mktemp)"
 trap 'rm -f "$tmp_dispatched" "$tmp_scalar"' EXIT
 
+failures=()
+# Runs one stage; a failure is recorded and the next stage still runs.
+stage() {
+  local name="$1"
+  shift
+  if ! "$@"; then
+    echo "==> [perf] stage failed: $name" >&2
+    failures+=("$name")
+  fi
+}
+
 echo "==> [perf] running hot-path benchmarks (dispatched backend)"
-"$build_dir/bench/microbench" --benchmark_filter="$filter" \
-  --benchmark_min_time=0.2 --benchmark_format=json >"$tmp_dispatched"
+stage "microbench (dispatched)" "$build_dir/bench/microbench" \
+  --benchmark_filter="$filter" --benchmark_min_time=0.2 \
+  --benchmark_format=json >"$tmp_dispatched"
 
 echo "==> [perf] running hot-path benchmarks (all accelerations forced off)"
-WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1 "$build_dir/bench/microbench" \
-  --benchmark_filter="$filter" --benchmark_min_time=0.2 \
-  --benchmark_format=json >"$tmp_scalar"
+stage "microbench (accelerations off)" \
+  env WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1 \
+  "$build_dir/bench/microbench" --benchmark_filter="$filter" \
+  --benchmark_min_time=0.2 --benchmark_format=json >"$tmp_scalar"
 
-python3 - "$tmp_dispatched" "$tmp_scalar" "$repo_root/BENCH_hotpath.json" <<'PY'
+stage "hot-path criteria" python3 - "$tmp_dispatched" "$tmp_scalar" \
+  "$repo_root/BENCH_hotpath.json" <<'PY'
 import json, sys
 
 # Seed (pre-optimization) Release-build baselines, recorded before the
@@ -149,14 +166,15 @@ if failures:
 PY
 
 echo "==> [perf] running sharded-engine scaling bench"
-"$build_dir/bench/shard_scaling" --entries 40000 \
+stage "shard_scaling" "$build_dir/bench/shard_scaling" --entries 40000 \
   --json-out "$repo_root/BENCH_shard.json"
 echo "==> [perf] wrote $repo_root/BENCH_shard.json"
 
 # Observability overhead: full tracing + a live admin scraper must cost
 # < 3% append throughput versus the same run with both disabled.
 echo "==> [perf] running observability overhead bench"
-"$build_dir/bench/obs_overhead" --json-out "$repo_root/BENCH_obs.json"
+stage "obs_overhead" "$build_dir/bench/obs_overhead" \
+  --json-out "$repo_root/BENCH_obs.json"
 echo "==> [perf] wrote $repo_root/BENCH_obs.json"
 
 # Segmented-store durability sweep: group-commit must amortize syncs to
@@ -164,12 +182,19 @@ echo "==> [perf] wrote $repo_root/BENCH_obs.json"
 # recovery must stay under the 2s-per-1M-entries bound (storage_sweep
 # scales the bound to the entry count it actually ran; --quick keeps the
 # smoke fast while a full multi-GB sweep can be run by hand with the
-# same binary and no flags). Scratch lives under the build dir on a real
-# filesystem so the fsync costs being measured are real.
+# same binary and no flags). Each segment arm's row also reports its
+# seals (count, p50/max seal_us) and write amplification. Scratch lives
+# under the build dir on a real filesystem so the fsync costs being
+# measured are real.
 echo "==> [perf] running storage durability sweep (quick)"
-"$build_dir/bench/storage_sweep" --quick \
+stage "storage_sweep" "$build_dir/bench/storage_sweep" --quick \
   --dir "$build_dir/storage-sweep-scratch" \
   --json-out "$repo_root/BENCH_storage.json"
 echo "==> [perf] wrote $repo_root/BENCH_storage.json"
 
+if ((${#failures[@]} > 0)); then
+  echo "==> [perf] FAILED stages:"
+  printf '    %s\n' "${failures[@]}"
+  exit 1
+fi
 echo "==> [perf] OK"
