@@ -1,9 +1,13 @@
 // Google-benchmark microbenchmarks for the primitives every WedgeBlock
 // operation is built from: hashing, ECDSA, Merkle trees, the U256 field
-// arithmetic and the RPC session handshake. These bound the end-to-end
-// numbers reported by the figure harnesses.
+// arithmetic, the RPC session handshake and a sealed single-entry store
+// read. These bound the end-to-end numbers reported by the figure
+// harnesses.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -14,6 +18,7 @@
 #include "merkle/merkle_tree.h"
 #include "net/wire.h"
 #include "storage/log_store.h"
+#include "storage/segstore/segment_store.h"
 
 namespace wedge {
 namespace {
@@ -294,6 +299,35 @@ void BM_SessionHandshake(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SessionHandshake)->Unit(benchmark::kMicrosecond);
+
+// One entry of a sealed position of 128 × 421 B entries, the shape of a
+// read_mix readT's store read: SegmentLogStore::GetEntry's end-offset and
+// entry preads (page cache warm after the first pass).
+void BM_SegmentGetEntry(benchmark::State& state) {
+  const std::string dir =
+      std::filesystem::temp_directory_path() /
+      ("wedge_bm_get_entry_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    auto store = SegmentLogStore::Open(dir, SegmentLogStore::Options());
+    Rng rng(1);
+    LogPosition pos;
+    for (int i = 0; i < 128; ++i) pos.data_list.push_back(rng.NextBytes(421));
+    pos.mroot = MerkleTree::Build(pos.data_list)->Root();
+    if (!store.ok() || !(*store)->Append(pos).ok() ||
+        !(*store)->SealNow().ok()) {
+      state.SkipWithError("cannot build the sealed position");
+    }
+    uint32_t offset = 0;
+    for (auto _ : state) {
+      auto entry = (*store)->GetEntry(EntryIndex{0, offset});
+      benchmark::DoNotOptimize(entry);
+      offset = (offset + 37) % 128;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_SegmentGetEntry)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace wedge

@@ -16,6 +16,15 @@ constexpr size_t kMinGroup = 16;
 // batch normalization.
 constexpr size_t kTableChunk = 16;
 
+/// Heap bytes of a tree's hashes, all levels (wedge.node.tree_cache_bytes).
+int64_t TreeBytes(const MerkleTree& tree) {
+  size_t hashes = 0;
+  for (size_t level = 0; level < tree.Depth(); ++level) {
+    hashes += tree.LevelSize(level);
+  }
+  return static_cast<int64_t>(hashes * sizeof(Hash256));
+}
+
 }  // namespace
 
 OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
@@ -48,6 +57,7 @@ OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
   reads_counter_ = m.GetCounter("wedge.node.reads_served");
   tree_cache_hits_counter_ = m.GetCounter("wedge.node.tree_cache_hits");
   tree_cache_misses_counter_ = m.GetCounter("wedge.node.tree_cache_misses");
+  tree_cache_bytes_gauge_ = m.GetGauge("wedge.node.tree_cache_bytes");
   append_hist_ = m.GetHistogram("wedge.node.append_us");
   seal_hist_ = m.GetHistogram("wedge.node.seal_us");
   read_hist_ = m.GetHistogram("wedge.node.read_us");
@@ -58,6 +68,11 @@ OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
   next_enqueue_id_ = next_log_id_;
   next_handoff_ = next_log_id_;
   if (chain_ != nullptr) sink_ = &submitter_;
+}
+
+OffchainNode::~OffchainNode() {
+  // The gauge sums every node on the registry, which may outlive this one.
+  tree_cache_bytes_gauge_->Add(-tree_cache_bytes_);
 }
 
 Result<std::vector<Stage1Response>> OffchainNode::Append(
@@ -443,21 +458,27 @@ Result<uint64_t> OffchainNode::HandOffLocked(uint64_t end) {
 
 void OffchainNode::CacheTreeLocked(uint64_t log_id,
                                    std::shared_ptr<MerkleTree> tree) {
+  int64_t delta = TreeBytes(*tree);
   auto it = tree_cache_.find(log_id);
   if (it != tree_cache_.end()) {
     // Already cached (a racing read rebuilt it): touch and refresh.
     tree_lru_.splice(tree_lru_.end(), tree_lru_, it->second.second);
+    delta -= TreeBytes(*it->second.first);
     it->second.first = std::move(tree);
-    return;
+  } else {
+    tree_lru_.push_back(log_id);
+    tree_cache_.emplace(
+        log_id, std::make_pair(std::move(tree), std::prev(tree_lru_.end())));
   }
-  tree_lru_.push_back(log_id);
-  tree_cache_.emplace(
-      log_id, std::make_pair(std::move(tree), std::prev(tree_lru_.end())));
   while (tree_cache_.size() > config_.tree_cache_capacity &&
          !tree_lru_.empty()) {
-    tree_cache_.erase(tree_lru_.front());
+    auto evicted = tree_cache_.find(tree_lru_.front());
+    delta -= TreeBytes(*evicted->second.first);
+    tree_cache_.erase(evicted);
     tree_lru_.pop_front();
   }
+  tree_cache_bytes_ += delta;
+  tree_cache_bytes_gauge_->Add(delta);
 }
 
 Result<std::shared_ptr<MerkleTree>> OffchainNode::TreeFor(uint64_t log_id) {
@@ -528,9 +549,17 @@ Result<Stage1Response> OffchainNode::ReadOne(const EntryIndex& index) {
     return ForgeTamperedRead(index);
   }
   Stopwatch watch(RealClock::Global());
-  WEDGE_ASSIGN_OR_RETURN(SharedBytes entry, store_->GetEntry(index));
   WEDGE_ASSIGN_OR_RETURN(std::shared_ptr<MerkleTree> tree,
                          TreeFor(index.log_id));
+  WEDGE_ASSIGN_OR_RETURN(SharedBytes entry, store_->GetEntry(index));
+  // A single-entry read is the one the store does not checksum: the
+  // entry must hash to its leaf under the root this response signs.
+  if (index.offset >= tree->LeafCount() ||
+      MerkleTree::HashLeaf(entry) != tree->NodeAt(0, index.offset)) {
+    return Status::Corruption("entry " + std::to_string(index.log_id) + ":" +
+                              std::to_string(index.offset) +
+                              " does not hash to its Merkle leaf");
+  }
   reads_counter_->Add(1);
   Stage1Response resp =
       MakeResponse(entry, index.log_id, index.offset, *tree);
@@ -541,18 +570,17 @@ Result<Stage1Response> OffchainNode::ReadOne(const EntryIndex& index) {
 Result<std::vector<Stage1Response>> OffchainNode::Read(
     const std::vector<EntryIndex>& indices) {
   std::vector<Stage1Response> out(indices.size());
-  std::atomic<bool> failed{false};
+  std::vector<Status> failures(indices.size());
   pool_.ParallelFor(indices.size(), [&](size_t i) {
     auto r = ReadOne(indices[i]);
-    if (!r.ok()) {
-      failed.store(true);
-      return;
+    if (r.ok()) {
+      out[i] = std::move(r).value();
+    } else {
+      failures[i] = r.status();
     }
-    out[i] = std::move(r).value();
   });
-  if (failed.load()) {
-    return Status::NotFound("one or more read indices do not exist");
-  }
+  // The lowest failing index's status, typed (not-found, corruption, I/O).
+  for (const Status& failure : failures) WEDGE_RETURN_IF_ERROR(failure);
   return out;
 }
 

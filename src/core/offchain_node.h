@@ -104,6 +104,7 @@ class OffchainNode {
                const Address& root_record_address,
                Telemetry* telemetry = nullptr);
 
+  ~OffchainNode();
   OffchainNode(const OffchainNode&) = delete;
   OffchainNode& operator=(const OffchainNode&) = delete;
 
@@ -143,7 +144,11 @@ class OffchainNode {
   /// --- Read path ---
 
   /// Serves one entry with a fresh stage-1 response (§4.3 read requests).
+  /// The entry must hash to its position's Merkle leaf, or the read fails
+  /// with kCorruption and nothing is signed.
   Result<Stage1Response> ReadOne(const EntryIndex& index);
+  /// ReadOne for each index; on failure, the status of the lowest
+  /// failing index.
   Result<std::vector<Stage1Response>> Read(
       const std::vector<EntryIndex>& indices);
   /// Auditor scan: every entry in log positions [first_id, last_id].
@@ -265,6 +270,9 @@ class OffchainNode {
   Counter* reads_counter_ = nullptr;
   Counter* tree_cache_hits_counter_ = nullptr;
   Counter* tree_cache_misses_counter_ = nullptr;
+  /// Bytes of the cached trees' hashes (also kept in tree_cache_bytes_,
+  /// under mu_, so the destructor can take this node's share back out).
+  Gauge* tree_cache_bytes_gauge_ = nullptr;
   Histogram* append_hist_ = nullptr;
   Histogram* seal_hist_ = nullptr;
   Histogram* read_hist_ = nullptr;
@@ -280,6 +288,7 @@ class OffchainNode {
       std::pair<std::shared_ptr<MerkleTree>, std::list<uint64_t>::iterator>>
       tree_cache_;
   std::list<uint64_t> tree_lru_;
+  int64_t tree_cache_bytes_ = 0;
   /// Next log id to hand out (dense, monotone). Guarded by mu_; sealing
   /// claims an id in a tiny critical section and does the heavy hashing
   /// and signing outside the lock.

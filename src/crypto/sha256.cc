@@ -36,6 +36,9 @@ void Sha256::Reset() {
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  // An empty input may come with a null `data` (an empty Bytes), which
+  // memcpy must not see.
+  if (len == 0) return;
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t fill = std::min(len, 64 - buffer_len_);

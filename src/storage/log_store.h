@@ -89,6 +89,13 @@ class LogStore {
   virtual Result<LogPosition> Get(uint64_t log_id) const = 0;
 
   /// Fetches one entry's payload (a shared reference, not a copy).
+  /// kNotFound when the position does not exist (or was
+  /// garbage-collected) or `index.offset` is not below its entry count.
+  /// Unlike Get(), a store may serve the entry without checking its
+  /// whole position's checksum (SegmentLogStore reads just the entry), so
+  /// a caller that vouches for the bytes checks them against the
+  /// position's Merkle leaf, as OffchainNode::ReadOne does before it
+  /// signs.
   virtual Result<SharedBytes> GetEntry(const EntryIndex& index) const = 0;
 
   /// Number of stored positions.

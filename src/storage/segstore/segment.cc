@@ -15,6 +15,51 @@ namespace {
 constexpr size_t kAddressBytes = 20;
 constexpr size_t kMinOwnedEntryBytes = kAddressBytes + 8;
 
+/// Kind-0 body: [u64 log_id][u32 count] precede the end-offset table.
+constexpr size_t kPositionHeaderBytes = 1 + 8 + 4;  // With the kind byte.
+/// Bytes of a kind-0 frame besides its table and entries: the length
+/// prefix, header, root and checksum.
+constexpr uint64_t kPositionFrameFixedBytes =
+    kFrameOverhead + kPositionHeaderBytes + 32;
+
+uint32_t LoadU32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+}
+
+/// The position a kind-0 payload holds.
+Result<LogPosition> DecodePositionPayload(const Bytes& payload) {
+  if (payload.size() < kPositionHeaderBytes + 32) {
+    return Status::Corruption("position record too short");
+  }
+  LogPosition pos;
+  pos.log_id = (static_cast<uint64_t>(LoadU32(&payload[1])) << 32) |
+               LoadU32(&payload[5]);
+  const uint64_t count = LoadU32(&payload[9]);
+  const uint64_t entries_at = kPositionHeaderBytes + 4 * count;
+  if (entries_at + 32 > payload.size()) {
+    return Status::Corruption("entry table does not fit its record");
+  }
+  const uint64_t entries_bytes = payload.size() - 32 - entries_at;
+  const uint8_t* entries = payload.data() + entries_at;
+  pos.data_list.reserve(count);
+  uint64_t begin = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t end = LoadU32(&payload[kPositionHeaderBytes + 4 * i]);
+    if (end < begin || end > entries_bytes) {
+      return Status::Corruption("entry end offsets do not fit the record");
+    }
+    pos.data_list.emplace_back(Bytes(entries + begin, entries + end));
+    begin = end;
+  }
+  if (begin != entries_bytes) {
+    return Status::Corruption("entry end offsets do not cover the entries");
+  }
+  std::memcpy(pos.mroot.data(), entries + entries_bytes, 32);
+  return pos;
+}
+
 Bytes EncodeFooter(const std::vector<SegmentIndexEntry>& entries,
                    const std::vector<TenantExtent>& extents) {
   Bytes out;
@@ -95,9 +140,25 @@ uint64_t PositionOwnerTenant(const LogPosition& position) {
 }
 
 Bytes EncodePositionPayload(const LogPosition& position) {
+  size_t entry_bytes = 0;
+  for (const SharedBytes& entry : position.data_list) {
+    entry_bytes += entry.size();
+  }
   Bytes payload;
+  payload.reserve(kPositionHeaderBytes + 4 * position.data_list.size() +
+                  entry_bytes + 32);
   payload.push_back(kRecordPosition);
-  Append(payload, position.Serialize());
+  PutU64(payload, position.log_id);
+  PutU32(payload, static_cast<uint32_t>(position.data_list.size()));
+  uint32_t end = 0;
+  for (const SharedBytes& entry : position.data_list) {
+    end += static_cast<uint32_t>(entry.size());
+    PutU32(payload, end);
+  }
+  for (const SharedBytes& entry : position.data_list) {
+    Append(payload, entry.get());
+  }
+  Append(payload, HashToBytes(position.mroot));
   return payload;
 }
 
@@ -118,9 +179,8 @@ Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload) {
   }
   DecodedRecord out;
   out.kind = payload[0];
-  Bytes body(payload.begin() + 1, payload.end());
   if (out.kind == kRecordPosition) {
-    WEDGE_ASSIGN_OR_RETURN(out.position, LogPosition::Deserialize(body));
+    WEDGE_ASSIGN_OR_RETURN(out.position, DecodePositionPayload(payload));
     out.log_id = out.position.log_id;
     out.entry_count = static_cast<uint32_t>(out.position.data_list.size());
     out.owner = PositionOwnerTenant(out.position);
@@ -128,6 +188,7 @@ Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload) {
     return out;
   }
   if (out.kind == kRecordTombstone) {
+    Bytes body(payload.begin() + 1, payload.end());
     ByteReader reader(body);
     WEDGE_ASSIGN_OR_RETURN(out.log_id, reader.ReadU64());
     WEDGE_ASSIGN_OR_RETURN(out.entry_count, reader.ReadU32());
@@ -141,6 +202,44 @@ Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload) {
   }
   return Status::Corruption("unknown segment record kind " +
                             std::to_string(out.kind));
+}
+
+Result<SharedBytes> ReadPositionEntry(int fd, const SegmentIndexEntry& row,
+                                      uint32_t offset) {
+  if (row.kind == kRecordTombstone) {
+    return Status::NotFound("log position was garbage-collected");
+  }
+  if (offset >= row.entry_count) {
+    return Status::NotFound("entry offset out of range");
+  }
+  const uint64_t table_bytes = 4ull * row.entry_count;
+  if (kPositionFrameFixedBytes + table_bytes > row.record_len) {
+    return Status::Corruption("entry table does not fit its record");
+  }
+  const uint64_t entries_bytes =
+      row.record_len - kPositionFrameFixedBytes - table_bytes;
+  const uint64_t table_at = row.offset + 4 + kPositionHeaderBytes;
+  // Entry 0 starts at 0; any other starts where its predecessor ends.
+  uint8_t bounds[8];
+  const size_t bounds_len = offset == 0 ? 4 : 8;
+  const uint64_t bounds_at = table_at + 4ull * offset + 4 - bounds_len;
+  if (::pread(fd, bounds, bounds_len, static_cast<off_t>(bounds_at)) !=
+      static_cast<ssize_t>(bounds_len)) {
+    return Status::IoError("cannot read entry end offsets");
+  }
+  const uint32_t begin = offset == 0 ? 0 : LoadU32(bounds);
+  const uint32_t end = LoadU32(bounds + bounds_len - 4);
+  if (begin > end || end > entries_bytes) {
+    return Status::Corruption("entry end offsets do not fit the record");
+  }
+  Bytes entry(end - begin);
+  if (!entry.empty() &&
+      ::pread(fd, entry.data(), entry.size(),
+              static_cast<off_t>(table_at + table_bytes + begin)) !=
+          static_cast<ssize_t>(entry.size())) {
+    return Status::IoError("cannot read entry bytes");
+  }
+  return SharedBytes(std::move(entry));
 }
 
 Result<std::pair<std::vector<SegmentIndexEntry>, std::vector<TenantExtent>>>

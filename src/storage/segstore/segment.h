@@ -21,9 +21,16 @@ namespace wedge {
 /// Record payloads are kind-prefixed:
 ///
 ///   payload := [u8 kind][body]
-///     kind 0 (position):  body = LogPosition::Serialize()
+///     kind 0 (position):  body = [u64 log_id][u32 count]
+///                                count * [u32 entry end offset]
+///                                [entry bytes...][32B mroot]
 ///     kind 1 (tombstone): body = [u64 log_id][u32 entry_count]
 ///                                [u64 owner_tenant][32B mroot]
+///
+/// Entry i of a position is bytes [end[i-1], end[i]) of the entry bytes
+/// (end[-1] = 0). The table costs 4 bytes per entry, as a length prefix
+/// per entry would, and puts every boundary in front of the entries, so
+/// ReadPositionEntry reads one entry with two small preads.
 ///
 /// The WAL (`wal.log`) holds only kind-0 records. A sealed segment
 /// (`seg-<seq>.seg`) holds one record per position (kind 0, or kind 1
@@ -46,9 +53,14 @@ namespace wedge {
 /// O(entries). The footer (checksummed by the trailer) is loaded lazily
 /// on first read access. A tail appended to a WAL that is never renamed
 /// is not a valid frame, so WAL replay drops it as a torn tail.
+///
+/// Version 2 is the kind-0 layout above. A version-1 segment fails the
+/// trailer check, and a version-1 WAL record (a checksum-valid frame that
+/// does not decode) makes WAL replay refuse the directory, so neither is
+/// ever truncated or misread.
 
 inline constexpr char kSegmentMagic[4] = {'W', 'S', 'G', 'F'};
-inline constexpr uint32_t kSegmentVersion = 1;
+inline constexpr uint32_t kSegmentVersion = 2;
 inline constexpr size_t kSegmentTrailerBytes = 4 + 4 + 8 + 4 + 8 + 4 + 32;
 
 /// Record payload kinds.
@@ -118,6 +130,16 @@ struct DecodedRecord {
   Hash256 mroot{};           ///< Valid for both kinds.
 };
 Result<DecodedRecord> DecodeRecordPayload(const Bytes& payload);
+
+/// Reads entry `offset` of the record that `row` indexes in the segment
+/// open at `fd`: one pread of its two bounding end offsets, then one of
+/// its bytes. The frame checksum is not checked (that would need the whole
+/// record), so the caller checks the entry against its Merkle leaf.
+/// kNotFound for a tombstone or an offset past the entry count;
+/// kCorruption when the end offsets do not fit inside `row.record_len`,
+/// so a damaged table never reads outside the record.
+Result<SharedBytes> ReadPositionEntry(int fd, const SegmentIndexEntry& row,
+                                      uint32_t offset);
 
 /// Parses a footer, which must hold `expect_count` rows.
 Result<std::pair<std::vector<SegmentIndexEntry>, std::vector<TenantExtent>>>

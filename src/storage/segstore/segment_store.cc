@@ -66,6 +66,7 @@ SegmentLogStore::SegmentLogStore(std::string dir, const Options& options)
     sync_hist_ =
         options_.metrics->GetHistogram("wedge.store.group_commit_sync_us");
     seal_hist_ = options_.metrics->GetHistogram("wedge.store.seal_us");
+    read_hist_ = options_.metrics->GetHistogram("wedge.store.read_us");
     wal_bytes_gauge_ = options_.metrics->GetGauge("wedge.store.wal_bytes");
     seals_counter_ = options_.metrics->GetCounter("wedge.store.seals");
     compactions_counter_ =
@@ -183,14 +184,21 @@ Status SegmentLogStore::ReplayWalLocked() {
     WEDGE_RETURN_IF_ERROR(OpenWalLocked());
     return segments_.empty() ? Status::Ok() : SyncParentDir(path);
   }
-  // A record is accepted only as the next log id; anything else (a torn
-  // record, or the footer of a seal that crashed before its rename) ends
-  // the replay and is truncated below.
+  // Replay ends at the first torn or checksum-failing frame (a crashed
+  // append, or the footer of a seal that crashed before its rename),
+  // which is truncated below. An intact frame that is not the next
+  // position record (another layout version, or a log id out of order)
+  // was written and acked as it is, so the store refuses to open rather
+  // than truncate it with everything after it.
+  Status refused;
   const long valid_end = ReplayFrames(replay, [&](Bytes&& payload) {
     const uint64_t record_len = payload.size() + kFrameOverhead;
+    const uint64_t want_id = wal_base_id_ + wal_positions_.size();
     auto decoded = DecodeRecordPayload(payload);
     if (!decoded.ok() || decoded.value().kind != kRecordPosition ||
-        decoded.value().log_id != wal_base_id_ + wal_positions_.size()) {
+        decoded.value().log_id != want_id) {
+      refused = Status::Corruption("intact WAL record is not position " +
+                                   std::to_string(want_id) + ": " + path);
       return false;
     }
     TrackWalRecordLocked(std::move(decoded).value().position, record_len);
@@ -199,6 +207,7 @@ Status SegmentLogStore::ReplayWalLocked() {
   std::fseek(replay, 0, SEEK_END);
   const long file_end = std::ftell(replay);
   std::fclose(replay);
+  WEDGE_RETURN_IF_ERROR(refused);
   if (file_end > valid_end) {
     recovery_.wal_truncated_bytes = static_cast<uint64_t>(file_end - valid_end);
     // Appends go to the end of the file, so the tail must really go.
@@ -480,7 +489,7 @@ Status SegmentLogStore::SealNow() {
   return SealLocked(lock, &sealed);
 }
 
-SegmentLogStore::Segment* SegmentLogStore::FindSegmentLocked(
+std::shared_ptr<SegmentLogStore::Segment> SegmentLogStore::FindSegmentLocked(
     uint64_t log_id) const {
   auto it = std::upper_bound(
       segments_.begin(), segments_.end(), log_id,
@@ -488,19 +497,19 @@ SegmentLogStore::Segment* SegmentLogStore::FindSegmentLocked(
         return id < s->base_id;
       });
   if (it == segments_.begin()) return nullptr;
-  Segment* seg = std::prev(it)->get();
+  const std::shared_ptr<Segment>& seg = *std::prev(it);
   if (log_id >= seg->base_id + seg->count) return nullptr;
   return seg;
 }
 
-Status SegmentLogStore::EnsureIndexLoadedLocked(Segment* segment) const {
-  if (segment->index_loaded) return Status::Ok();
+Status SegmentLogStore::EnsureOpenLocked(Segment* segment) const {
   if (segment->fd < 0) {
     segment->fd = ::open(segment->path.c_str(), O_RDONLY);
     if (segment->fd < 0) {
       return Status::IoError("cannot open segment: " + segment->path);
     }
   }
+  if (segment->index_loaded) return Status::Ok();
   Bytes footer(segment->footer_len);
   ssize_t n = ::pread(segment->fd, footer.data(), footer.size(),
                       static_cast<off_t>(segment->footer_off));
@@ -518,55 +527,52 @@ Status SegmentLogStore::EnsureIndexLoadedLocked(Segment* segment) const {
   return Status::Ok();
 }
 
-Result<Bytes> SegmentLogStore::ReadPayloadLocked(Segment* segment,
-                                                 uint64_t log_id) const {
-  WEDGE_RETURN_IF_ERROR(EnsureIndexLoadedLocked(segment));
-  if (segment->fd < 0) {
-    segment->fd = ::open(segment->path.c_str(), O_RDONLY);
-    if (segment->fd < 0) {
-      return Status::IoError("cannot open segment: " + segment->path);
-    }
+Result<SegmentLogStore::SealedRecord> SegmentLogStore::SnapshotSealedLocked(
+    uint64_t log_id) const {
+  std::shared_ptr<Segment> seg = FindSegmentLocked(log_id);
+  if (seg == nullptr) {
+    return Status::NotFound("log position does not exist");
   }
-  const SegmentIndexEntry& e = segment->entries[log_id - segment->base_id];
-  Bytes frame(e.record_len);
-  ssize_t n = ::pread(segment->fd, frame.data(), frame.size(),
-                      static_cast<off_t>(e.offset));
+  WEDGE_RETURN_IF_ERROR(EnsureOpenLocked(seg.get()));
+  const SegmentIndexEntry row = seg->entries[log_id - seg->base_id];
+  return SealedRecord{std::move(seg), row};
+}
+
+Result<Bytes> SegmentLogStore::ReadPayload(const Segment& segment,
+                                           const SegmentIndexEntry& row) {
+  Bytes frame(row.record_len);
+  ssize_t n = ::pread(segment.fd, frame.data(), frame.size(),
+                      static_cast<off_t>(row.offset));
   if (n != static_cast<ssize_t>(frame.size())) {
-    return Status::IoError("cannot read segment record: " + segment->path);
+    return Status::IoError("cannot read segment record: " + segment.path);
   }
   Result<Bytes> payload = DecodeFrame(frame);
   if (!payload.ok()) {
     return Status::Corruption("segment record: " +
                               payload.status().ToString() + ": " +
-                              segment->path);
+                              segment.path);
   }
   return payload;
 }
 
-Result<DecodedRecord> SegmentLogStore::ReadRecordLocked(
-    Segment* segment, uint64_t log_id) const {
-  WEDGE_ASSIGN_OR_RETURN(Bytes payload, ReadPayloadLocked(segment, log_id));
+Result<LogPosition> SegmentLogStore::Get(uint64_t log_id) const {
+  SealedRecord sealed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (log_id >= durable_count_) {
+      return Status::NotFound("log position does not exist");
+    }
+    if (log_id >= wal_base_id_) {
+      return wal_positions_[log_id - wal_base_id_];
+    }
+    WEDGE_ASSIGN_OR_RETURN(sealed, SnapshotSealedLocked(log_id));
+  }
+  WEDGE_ASSIGN_OR_RETURN(Bytes payload,
+                         ReadPayload(*sealed.segment, sealed.row));
   WEDGE_ASSIGN_OR_RETURN(DecodedRecord record, DecodeRecordPayload(payload));
   if (record.log_id != log_id) {
     return Status::Corruption("segment record id mismatch");
   }
-  return record;
-}
-
-Result<LogPosition> SegmentLogStore::Get(uint64_t log_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (log_id >= durable_count_) {
-    return Status::NotFound("log position does not exist");
-  }
-  if (log_id >= wal_base_id_) {
-    return wal_positions_[log_id - wal_base_id_];
-  }
-  Segment* seg = FindSegmentLocked(log_id);
-  if (seg == nullptr) {
-    return Status::NotFound("log position does not exist");
-  }
-  WEDGE_ASSIGN_OR_RETURN(DecodedRecord record,
-                         ReadRecordLocked(seg, log_id));
   if (record.kind == kRecordTombstone) {
     return Status::NotFound("log position was garbage-collected");
   }
@@ -574,11 +580,35 @@ Result<LogPosition> SegmentLogStore::Get(uint64_t log_id) const {
 }
 
 Result<SharedBytes> SegmentLogStore::GetEntry(const EntryIndex& index) const {
-  WEDGE_ASSIGN_OR_RETURN(LogPosition pos, Get(index.log_id));
-  if (index.offset >= pos.data_list.size()) {
-    return Status::NotFound("entry offset out of range");
+  Stopwatch watch(RealClock::Global());
+  Result<SharedBytes> entry = ReadEntry(index);
+  if (read_hist_ != nullptr) read_hist_->Record(watch.ElapsedMicros());
+  return entry;
+}
+
+Result<SharedBytes> SegmentLogStore::ReadEntry(const EntryIndex& index) const {
+  SealedRecord sealed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (index.log_id >= durable_count_) {
+      return Status::NotFound("log position does not exist");
+    }
+    if (index.log_id >= wal_base_id_) {
+      const LogPosition& pos = wal_positions_[index.log_id - wal_base_id_];
+      if (index.offset >= pos.data_list.size()) {
+        return Status::NotFound("entry offset out of range");
+      }
+      return pos.data_list[index.offset];
+    }
+    WEDGE_ASSIGN_OR_RETURN(sealed, SnapshotSealedLocked(index.log_id));
   }
-  return pos.data_list[index.offset];
+  Result<SharedBytes> entry =
+      ReadPositionEntry(sealed.segment->fd, sealed.row, index.offset);
+  if (!entry.ok() && entry.status().code() != Code::kNotFound) {
+    return Status(entry.status().code(),
+                  entry.status().message() + ": " + sealed.segment->path);
+  }
+  return entry;
 }
 
 uint64_t SegmentLogStore::Size() const {
@@ -615,13 +645,13 @@ Result<Hash256> SegmentLogStore::GetRoot(uint64_t log_id) const {
   if (log_id >= wal_base_id_) {
     return wal_positions_[log_id - wal_base_id_].mroot;
   }
-  Segment* seg = FindSegmentLocked(log_id);
+  std::shared_ptr<Segment> seg = FindSegmentLocked(log_id);
   if (seg == nullptr) {
     return Status::NotFound("log position does not exist");
   }
   // Footer-only: no payload read, and tombstones still answer (live
   // aggregation proofs over GC'd neighbors must keep verifying).
-  WEDGE_RETURN_IF_ERROR(EnsureIndexLoadedLocked(seg));
+  WEDGE_RETURN_IF_ERROR(EnsureOpenLocked(seg.get()));
   return seg->entries[log_id - seg->base_id].mroot;
 }
 
@@ -634,11 +664,11 @@ Result<uint32_t> SegmentLogStore::GetEntryCount(uint64_t log_id) const {
     return static_cast<uint32_t>(
         wal_positions_[log_id - wal_base_id_].data_list.size());
   }
-  Segment* seg = FindSegmentLocked(log_id);
+  std::shared_ptr<Segment> seg = FindSegmentLocked(log_id);
   if (seg == nullptr) {
     return Status::NotFound("log position does not exist");
   }
-  WEDGE_RETURN_IF_ERROR(EnsureIndexLoadedLocked(seg));
+  WEDGE_RETURN_IF_ERROR(EnsureOpenLocked(seg.get()));
   return seg->entries[log_id - seg->base_id].entry_count;
 }
 
@@ -671,7 +701,7 @@ Status SegmentLogStore::CompactSegmentLocked(
     std::unique_lock<std::mutex>& lock, size_t seg_index,
     CompactionStats* stats) {
   std::shared_ptr<Segment> old_seg = segments_[seg_index];
-  WEDGE_RETURN_IF_ERROR(EnsureIndexLoadedLocked(old_seg.get()));
+  WEDGE_RETURN_IF_ERROR(EnsureOpenLocked(old_seg.get()));
 
   // Does this segment hold any live (kind-0) position of a retired
   // tenant? Extents answer without scanning when no owner matches.
@@ -688,39 +718,43 @@ Status SegmentLogStore::CompactSegmentLocked(
   }
   if (!needs) return Status::Ok();
 
-  // Build the rewritten contents: live records copied byte-identically
-  // (raw payload bytes, no re-serialization), retired positions replaced
-  // by tombstones that keep id/root/count for proof continuity.
-  std::vector<Bytes> payloads;
-  std::vector<SegmentIndexEntry> entries;
-  payloads.reserve(old_seg->count);
-  entries.reserve(old_seg->count);
+  // Retired positions become tombstones that keep id/root/count for
+  // proof continuity (decided under mu_, which guards retired_).
+  std::vector<SegmentIndexEntry> entries = old_seg->entries;
   uint64_t dropped = 0;
-  for (uint32_t i = 0; i < old_seg->count; ++i) {
-    SegmentIndexEntry e = old_seg->entries[i];
-    const uint64_t id = old_seg->base_id + i;
+  for (SegmentIndexEntry& e : entries) {
     if (e.kind == kRecordPosition && retired_.count(e.owner) != 0) {
       e.kind = kRecordTombstone;
-      payloads.push_back(
-          EncodeTombstonePayload(id, e.entry_count, e.owner, e.mroot));
       ++dropped;
-    } else {
-      WEDGE_ASSIGN_OR_RETURN(Bytes payload,
-                             ReadPayloadLocked(old_seg.get(), id));
-      payloads.push_back(std::move(payload));
     }
-    entries.push_back(e);
   }
 
-  // Rewrite with mu_ released: the source segment is immutable, readers
-  // keep using its still-open fd even after the rename replaces the
-  // directory entry, and compact_mu_ keeps other passes out.
+  // Read and rewrite with mu_ released: the source segment is immutable,
+  // readers keep using its still-open fd even after the rename replaces
+  // the directory entry, and compact_mu_ keeps other passes out. Live
+  // records are copied byte-identically (raw payload bytes, no
+  // re-serialization).
   const std::string tmp_path = old_seg->path + ".tmp";
   const std::string final_path = old_seg->path;
   const uint64_t base_id = old_seg->base_id;
   lock.unlock();
-  Result<SegmentTrailer> written =
-      WriteSegmentFile(tmp_path, base_id, payloads, &entries);
+  auto rewrite = [&]() -> Result<SegmentTrailer> {
+    std::vector<Bytes> payloads;
+    payloads.reserve(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const SegmentIndexEntry& e = entries[i];
+      if (e.kind != old_seg->entries[i].kind) {
+        payloads.push_back(EncodeTombstonePayload(base_id + i, e.entry_count,
+                                                  e.owner, e.mroot));
+        continue;
+      }
+      WEDGE_ASSIGN_OR_RETURN(Bytes payload,
+                             ReadPayload(*old_seg, old_seg->entries[i]));
+      payloads.push_back(std::move(payload));
+    }
+    return WriteSegmentFile(tmp_path, base_id, payloads, &entries);
+  };
+  Result<SegmentTrailer> written = rewrite();
   Status placed = written.status();
   if (placed.ok() && ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     placed = Status::IoError("cannot rename compacted segment into place");

@@ -37,6 +37,16 @@ namespace wedge {
 /// The plain Append() is prepare + wait (the durable-synchronous
 /// degenerate case).
 ///
+/// Read path: a WAL-resident position is served from memory under the
+/// store mutex. A sealed read only snapshots its segment (a shared
+/// reference, the fd opened and footer loaded on first use) and footer
+/// row under the mutex, then does its preads with the mutex released, so
+/// no read waits behind another read's I/O and none stalls an append.
+/// Get() preads the whole record and checks its frame checksum;
+/// GetEntry() preads one entry through the record's end-offset table
+/// (ReadPositionEntry) and leaves its integrity to the caller's Merkle
+/// leaf check. `wedge.store.read_us` times every GetEntry.
+///
 /// Visibility: Size()/Get()/Scan() expose only DURABLE positions. A
 /// prepared-but-unsynced position is invisible so nothing downstream
 /// (epoch aggregation, read proofs) can commit to a root that a crash
@@ -158,9 +168,12 @@ class SegmentLogStore : public LogStore {
 
  private:
   /// A sealed segment: its trailer plus the runtime state to read it.
+  /// EnsureOpenLocked() sets `fd` and the index once, under mu_; after
+  /// that nothing changes, so a reader holding a shared reference may use
+  /// them with mu_ released (compaction swaps in a new Segment instead).
   struct Segment : SegmentTrailer {
     /// `entries` is the index when a seal or compaction just wrote it;
-    /// empty (recovery), EnsureIndexLoadedLocked() loads it on first use.
+    /// empty (recovery), EnsureOpenLocked() loads it on first use.
     Segment(std::string path, const SegmentTrailer& trailer,
             std::vector<SegmentIndexEntry> entries = {});
     ~Segment();
@@ -172,6 +185,13 @@ class SegmentLogStore : public LogStore {
     std::vector<SegmentIndexEntry> entries;
     std::vector<TenantExtent> extents;
     int fd = -1;
+  };
+
+  /// What a sealed read needs once mu_ is released: the segment, kept
+  /// alive (and its fd open) by the reference, and the record's row.
+  struct SealedRecord {
+    std::shared_ptr<const Segment> segment;
+    SegmentIndexEntry row;
   };
 
   explicit SegmentLogStore(std::string dir, const Options& options);
@@ -207,12 +227,18 @@ class SegmentLogStore : public LogStore {
   /// store failed). See class comment.
   Status WaitDurableLocked(uint64_t token, std::unique_lock<std::mutex>& lock);
 
-  Segment* FindSegmentLocked(uint64_t log_id) const;
-  Status EnsureIndexLoadedLocked(Segment* segment) const;
-  /// Unframed payload bytes of one record (checksum-verified).
-  Result<Bytes> ReadPayloadLocked(Segment* segment, uint64_t log_id) const;
-  Result<DecodedRecord> ReadRecordLocked(Segment* segment,
-                                         uint64_t log_id) const;
+  std::shared_ptr<Segment> FindSegmentLocked(uint64_t log_id) const;
+  /// Opens the segment's fd and loads its index, each on first use.
+  Status EnsureOpenLocked(Segment* segment) const;
+  /// Snapshots sealed position `log_id` (below wal_base_id_) for a read
+  /// after mu_ is released.
+  Result<SealedRecord> SnapshotSealedLocked(uint64_t log_id) const;
+  /// Unframed, checksum-verified payload of the record `row` indexes in
+  /// the open `segment`. Takes no lock.
+  static Result<Bytes> ReadPayload(const Segment& segment,
+                                   const SegmentIndexEntry& row);
+  /// GetEntry() without its timing.
+  Result<SharedBytes> ReadEntry(const EntryIndex& index) const;
 
   Status CompactSegmentLocked(std::unique_lock<std::mutex>& lock,
                               size_t seg_index, CompactionStats* stats);
@@ -228,6 +254,7 @@ class SegmentLogStore : public LogStore {
   Histogram* wait_hist_ = nullptr;
   Histogram* sync_hist_ = nullptr;
   Histogram* seal_hist_ = nullptr;
+  Histogram* read_hist_ = nullptr;
   Gauge* wal_bytes_gauge_ = nullptr;
   Counter* seals_counter_ = nullptr;
   Counter* compactions_counter_ = nullptr;

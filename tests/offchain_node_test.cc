@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "common/random.h"
+#include "core/client.h"
 #include "core/wedgeblock.h"
+#include "storage/segstore/segment_store.h"
 
 namespace wedge {
 namespace {
@@ -536,6 +545,168 @@ TEST_F(IngestVerifyTest, ZeroAddressPublisherNeverPasses) {
     mixed.push_back(std::move(r));
   }
   EXPECT_EQ(AppendAndCheck(mixed), 15u);
+}
+
+// ---------------------------------------------------------------------
+// Reads over the segment store: a single-entry read is checked against
+// its Merkle leaf, not the record checksum, so a damaged entry is refused
+// unsigned while its neighbours still serve.
+
+class SegmentNodeTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kBatch = 4;
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("wedge_segnode_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override {
+    node_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// A chain-less node whose store seals every two positions.
+  void MakeNode(size_t tree_cache_capacity = 4096) {
+    SegmentLogStore::Options options;
+    options.segment_positions = 2;
+    auto store = SegmentLogStore::Open(dir_, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    OffchainNodeConfig config;
+    config.batch_size = kBatch;
+    config.worker_threads = 2;
+    config.auto_stage2 = false;
+    config.tree_cache_capacity = tree_cache_capacity;
+    node_ = std::make_unique<OffchainNode>(
+        config, KeyPair::FromSeed(0xED6E), std::move(store).value(), nullptr,
+        Address{});
+  }
+
+  /// Appends `positions` full batches and keeps their entries.
+  void AppendPositions(int positions) {
+    KeyPair publisher = KeyPair::FromSeed(9);
+    Rng rng(positions);
+    std::vector<AppendRequest> requests;
+    for (int i = 0; i < positions * static_cast<int>(kBatch); ++i) {
+      requests.push_back(AppendRequest::Make(
+          publisher, entries_.size() + i, ToBytes("k" + std::to_string(i)),
+          rng.NextBytes(64)));
+    }
+    auto responses = node_->Append(requests);
+    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+    for (const Stage1Response& r : *responses) entries_.push_back(r.entry);
+  }
+
+  const SharedBytes& Entry(uint64_t log_id, uint32_t offset) const {
+    return entries_[log_id * kBatch + offset];
+  }
+
+  std::string SegmentPath(int seq) const {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/seg-%06d.seg", seq);
+    return dir_ + name;
+  }
+
+  /// XORs one byte of a sealed segment file in place, so a reader that
+  /// already holds the file open sees it too.
+  static void FlipByte(const std::string& path, size_t at, uint8_t mask) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(static_cast<std::streamoff>(at));
+    const char byte = static_cast<char>(f.get() ^ mask);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.put(byte);
+  }
+
+  /// Offset of `entry`'s bytes in the segment file at `path`.
+  static size_t FindInFile(const std::string& path, const SharedBytes& entry) {
+    std::ifstream in(path, std::ios::binary);
+    const Bytes file((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    auto at = std::search(file.begin(), file.end(), entry.get().begin(),
+                          entry.get().end());
+    EXPECT_NE(at, file.end());
+    return static_cast<size_t>(at - file.begin());
+  }
+
+  uint64_t SignCount() {
+    return node_->telemetry()
+        .metrics.Snapshot()
+        .FindHistogram("wedge.node.sign_us")
+        ->count;
+  }
+
+  std::string dir_;
+  std::unique_ptr<OffchainNode> node_;
+  std::vector<SharedBytes> entries_;
+};
+
+TEST_F(SegmentNodeTest, DamagedEntryIsRefusedUnsignedWhileItsNeighboursServe) {
+  MakeNode();
+  AppendPositions(4);  // seg-000000 holds positions 0-1, seg-000001 2-3.
+
+  // One byte inside entry 1:2.
+  const std::string seg0 = SegmentPath(0);
+  FlipByte(seg0, FindInFile(seg0, Entry(1, 2)) + 30, 0x01);
+  const uint64_t signs = SignCount();
+  auto refused = node_->ReadOne(EntryIndex{1, 2});
+  EXPECT_EQ(refused.status().code(), Code::kCorruption);
+  EXPECT_EQ(SignCount(), signs);
+  auto neighbour = node_->ReadOne(EntryIndex{1, 0});
+  ASSERT_TRUE(neighbour.ok()) << neighbour.status().ToString();
+  EXPECT_TRUE(neighbour->Verify(node_->address()));
+  EXPECT_EQ(neighbour->entry, Entry(1, 0));
+  // A whole-position read still checks the record checksum.
+  EXPECT_EQ(node_->store().Get(1).status().code(), Code::kCorruption);
+
+  // The low byte of end[1] of position 2, the first record of
+  // seg-000001 ([u32 len][u8 kind][u64 log_id][u32 count], then the
+  // table): entries 1 and 2 now read shifted bytes from inside the
+  // record, which do not hash to their leaves.
+  FlipByte(SegmentPath(1), 4 + 1 + 8 + 4 + 4 + 3, 0x01);
+  for (uint32_t offset : {1u, 2u}) {
+    EXPECT_EQ(node_->ReadOne(EntryIndex{2, offset}).status().code(),
+              Code::kCorruption)
+        << offset;
+  }
+  EXPECT_EQ(SignCount(), signs + 1);  // The neighbour's signature only.
+  for (uint32_t offset : {0u, 3u}) {
+    auto read = node_->ReadOne(EntryIndex{2, offset});
+    ASSERT_TRUE(read.ok()) << offset << ": " << read.status().ToString();
+    EXPECT_TRUE(read->Verify(node_->address()));
+  }
+
+  // Batched reads carry the lowest failing index's own status.
+  EXPECT_EQ(node_->Read({{0, 1}, {1, 2}, {9, 0}}).status().code(),
+            Code::kCorruption);
+  EXPECT_EQ(node_->Read({{9, 0}, {1, 2}}).status().code(), Code::kNotFound);
+  UserClient user(KeyPair::FromSeed(77), node_.get(), nullptr, Address{});
+  EXPECT_EQ(user.ReadManyVerified({{0, 0}, {1, 2}, {3, 1}}).status().code(),
+            Code::kCorruption);
+  auto clean = user.ReadManyVerified({{0, 0}, {1, 3}, {3, 1}});
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+}
+
+TEST_F(SegmentNodeTest, ColdReadsVerifyWithATreeCacheSmallerThanTheLog) {
+  MakeNode(/*tree_cache_capacity=*/2);
+  AppendPositions(6);  // Three sealed segments, six positions.
+  Gauge* cache_bytes =
+      node_->telemetry().metrics.GetGauge("wedge.node.tree_cache_bytes");
+  // A 4-leaf tree holds 4 + 2 + 1 hashes.
+  constexpr int64_t kTreeBytes = 7 * sizeof(Hash256);
+  EXPECT_EQ(cache_bytes->Value(), 2 * kTreeBytes);
+
+  for (uint64_t id = 0; id < 6; ++id) {
+    for (uint32_t offset = 0; offset < kBatch; ++offset) {
+      auto read = node_->ReadOne(EntryIndex{id, offset});
+      ASSERT_TRUE(read.ok()) << id << ":" << offset << " "
+                             << read.status().ToString();
+      EXPECT_TRUE(read->Verify(node_->address()));
+      EXPECT_EQ(read->entry, Entry(id, offset));
+    }
+  }
+  // Positions 0-3 were evicted before they were read, and rebuilt.
+  EXPECT_GE(node_->stats().tree_cache_misses, 4u);
+  EXPECT_EQ(cache_bytes->Value(), 2 * kTreeBytes);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // (storage/segstore/): WAL torn-tail truncation, crash windows inside
 // the seal-by-rename sequence, double-recovery idempotence, renamed
 // segments byte-identical to WriteSegmentFile, seal telemetry,
-// group-commit visibility, and tenant GC preserving live entries
-// byte-identically with every proof still verifying. The FileLogStore
+// group-commit visibility, per-entry reads equal to whole-position reads
+// and bounded by their record when damaged, refusal of the version-1
+// layout, and tenant GC preserving live entries byte-identically with
+// every proof still verifying. The FileLogStore
 // fault-injection tests (typed IoError, no acked-then-lost window) ride
 // along because they pin the same contract on the flat backend.
 
@@ -13,6 +15,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -42,6 +46,24 @@ LogPosition MakePosition(uint64_t id, size_t entries, uint64_t seed = 7) {
   pos.log_id = id;
   for (size_t i = 0; i < entries; ++i) {
     pos.data_list.push_back(rng.NextBytes(40));
+  }
+  pos.mroot = MerkleTree::Build(pos.data_list)->Root();
+  return pos;
+}
+
+/// A position of `entries` 40-byte entries whose first 8 bytes name
+/// `tenant`, the owner EntryOwnerTenant reads, so compaction can retire
+/// it without signing anything.
+LogPosition MakeTenantPosition(uint64_t id, uint64_t tenant,
+                               size_t entries = 2) {
+  Rng rng(id);
+  LogPosition pos;
+  pos.log_id = id;
+  for (size_t i = 0; i < entries; ++i) {
+    Bytes entry;
+    PutU64(entry, tenant);
+    Append(entry, rng.NextBytes(32));
+    pos.data_list.push_back(std::move(entry));
   }
   pos.mroot = MerkleTree::Build(pos.data_list)->Root();
   return pos;
@@ -265,6 +287,19 @@ Bytes ReadFile(const std::string& path) {
                std::istreambuf_iterator<char>());
 }
 
+void WriteFile(const std::string& path, const Bytes& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+/// A kind-0 payload in the version-1 layout: the kind byte, then
+/// LogPosition::Serialize() (a length prefix before each entry).
+Bytes Version1Payload(const LogPosition& pos) {
+  Bytes payload{kRecordPosition};
+  Append(payload, pos.Serialize());
+  return payload;
+}
+
 /// The segment WriteSegmentFile writes for `positions`, read back.
 Bytes WrittenSegment(const std::string& path, uint64_t base_id,
                      const std::vector<LogPosition>& positions) {
@@ -353,11 +388,184 @@ TEST(SegmentStoreTest, RejectsASegmentItsTrailerDoesNotCover) {
   const std::string seg = dir + "/seg-000000.seg";
   Bytes bytes = ReadFile(seg);
   bytes.insert(bytes.end() - kSegmentTrailerBytes, 8, 0);
-  std::ofstream(seg, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  WriteFile(seg, bytes);
   auto reopened = SegmentLogStore::Open(dir, SmallSegments());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), Code::kCorruption);
+}
+
+TEST(SegmentStoreTest, RefusesAVersion1Segment) {
+  std::string dir = TempDir("v1_segment");
+  std::filesystem::create_directories(dir);
+  std::vector<Bytes> payloads;
+  std::vector<SegmentIndexEntry> entries;
+  for (uint64_t i = 0; i < 3; ++i) {
+    const LogPosition pos = MakePosition(i, 3);
+    payloads.push_back(Version1Payload(pos));
+    SegmentIndexEntry e;
+    e.entry_count = 3;
+    e.mroot = pos.mroot;
+    entries.push_back(e);
+  }
+  const std::string seg = dir + "/seg-000000.seg";
+  ASSERT_TRUE(WriteSegmentFile(seg, 0, payloads, &entries).ok());
+  // Version 1 wrote the same footer and trailer, with version 1 in the
+  // trailer's [4B magic][u32 version] prefix.
+  Bytes bytes = ReadFile(seg);
+  bytes[bytes.size() - kSegmentTrailerBytes + 7] = 1;
+  WriteFile(seg, bytes);
+
+  auto store = SegmentLogStore::Open(dir, SmallSegments());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), Code::kCorruption);
+  EXPECT_EQ(ReadFile(seg), bytes);
+}
+
+TEST(SegmentStoreTest, RefusesAVersion1WalAndLeavesItByteIdentical) {
+  std::string dir = TempDir("v1_wal");
+  std::filesystem::create_directories(dir);
+  // Intact, acked frames whose payloads do not decode: replay must not
+  // take them for a torn tail and truncate them.
+  Bytes wal;
+  for (uint64_t i = 0; i < 3; ++i) {
+    AppendFrame(wal, Version1Payload(MakePosition(i, 3)));
+  }
+  const std::string path = dir + "/wal.log";
+  WriteFile(path, wal);
+
+  auto store = SegmentLogStore::Open(dir, SmallSegments());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), Code::kCorruption);
+  EXPECT_EQ(ReadFile(path), wal);
+}
+
+TEST(SegmentStoreTest, GetEntryMatchesGetInEveryResidence) {
+  std::string dir = TempDir("get_entry");
+  MetricsRegistry metrics;
+  SegmentLogStore::Options options = SmallSegments(/*positions=*/64);
+  options.metrics = &metrics;
+  // Position 0 is tenant 5's, retired below so compaction rewrites the
+  // segment; 1 and 2 are mixed-owner and survive it byte-identically.
+  // Together they read a zero-length entry first, last and in between.
+  constexpr uint64_t kRetired = 5;
+  std::vector<LogPosition> positions = {MakeTenantPosition(0, kRetired),
+                                        MakePosition(1, 5),
+                                        MakePosition(2, 3)};
+  positions[1].data_list[2] = Bytes{};
+  positions[2].data_list.front() = Bytes{};
+  positions[2].data_list.back() = Bytes{};
+  for (LogPosition& pos : positions) {
+    pos.mroot = MerkleTree::Build(pos.data_list)->Root();
+  }
+
+  uint64_t reads = 0;
+  auto expect_entries_match = [&](const SegmentLogStore& store) {
+    for (uint64_t id = 1; id < 3; ++id) {
+      const std::vector<SharedBytes>& want = positions[id].data_list;
+      // Entries first, so a reopened store loads its footer for them.
+      for (uint32_t i = 0; i < want.size(); ++i) {
+        auto entry = store.GetEntry(EntryIndex{id, i});
+        ASSERT_TRUE(entry.ok()) << id << ":" << i << " "
+                                << entry.status().ToString();
+        EXPECT_EQ(entry->get(), want[i].get()) << id << ":" << i;
+      }
+      auto whole = store.Get(id);
+      ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+      EXPECT_EQ(whole->data_list, want);
+      const uint32_t count = static_cast<uint32_t>(want.size());
+      EXPECT_EQ(store.GetEntry(EntryIndex{id, count}).status().code(),
+                Code::kNotFound);
+      reads += want.size() + 1;
+    }
+    EXPECT_EQ(store.GetEntry(EntryIndex{3, 0}).status().code(),
+              Code::kNotFound);
+    ++reads;
+  };
+
+  auto store = OpenOrDie(dir, options);
+  for (const LogPosition& pos : positions) {
+    ASSERT_TRUE(store->Append(pos).ok());
+  }
+  {
+    SCOPED_TRACE("WAL-resident");
+    expect_entries_match(*store);
+  }
+  ASSERT_TRUE(store->SealNow().ok());
+  {
+    SCOPED_TRACE("freshly sealed");
+    expect_entries_match(*store);
+  }
+  store.reset();
+  store = OpenOrDie(dir, options);
+  {
+    SCOPED_TRACE("reopened");
+    expect_entries_match(*store);
+  }
+  ASSERT_TRUE(store->RetireTenant(kRetired).ok());
+  auto stats = store->Compact();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->segments_rewritten, 1u);
+  {
+    SCOPED_TRACE("compacted");
+    expect_entries_match(*store);
+  }
+  EXPECT_EQ(store->GetEntry(EntryIndex{0, 0}).status().code(),
+            Code::kNotFound);
+  ++reads;
+
+  // Every GetEntry is timed, whatever it returned.
+  const MetricsSnapshot snap = metrics.Snapshot();
+  const HistogramSnapshot* read_us = snap.FindHistogram("wedge.store.read_us");
+  ASSERT_NE(read_us, nullptr);
+  EXPECT_EQ(read_us->count, reads);
+}
+
+TEST(SegmentStoreTest, DamagedEndOffsetsNeverReadOutsideTheRecord) {
+  std::string dir = TempDir("end_offsets");
+  const LogPosition pos = MakePosition(0, 4);
+  {
+    auto store = OpenOrDie(dir, SmallSegments());
+    ASSERT_TRUE(store->Append(pos).ok());
+    ASSERT_TRUE(store->SealNow().ok());
+  }
+  const std::string seg = dir + "/seg-000000.seg";
+  const Bytes original = ReadFile(seg);
+  // The record sits at offset 0: [u32 payload_len][u8 kind][u64 log_id]
+  // [u32 count], then the end-offset table, then four 40-byte entries.
+  constexpr size_t kTableAt = 4 + 1 + 8 + 4;
+  const auto entries_begin = original.begin() + kTableAt + 4 * 4;
+  const auto entries_end = entries_begin + 4 * 40;
+  // Damage end[1], the bound between entries 1 and 2: high bits push it
+  // past the record, low bits move it inside.
+  for (size_t byte = 0; byte < 4; ++byte) {
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " mask " +
+                   std::to_string(mask));
+      Bytes damaged = original;
+      damaged[kTableAt + 4 + byte] ^= mask;
+      WriteFile(seg, damaged);
+      auto store = OpenOrDie(dir, SmallSegments());
+      EXPECT_EQ(store->Get(0).status().code(), Code::kCorruption);
+      for (uint32_t i : {1u, 2u}) {
+        auto entry = store->GetEntry(EntryIndex{0, i});
+        if (!entry.ok()) {
+          EXPECT_EQ(entry.status().code(), Code::kCorruption) << i;
+          continue;
+        }
+        // Wrong bytes, for the node's leaf check to reject, but read
+        // from inside the record's entries.
+        EXPECT_NE(entry->get(), pos.data_list[i].get()) << i;
+        EXPECT_NE(std::search(entries_begin, entries_end,
+                              entry->get().begin(), entry->get().end()),
+                  entries_end)
+            << i;
+      }
+      EXPECT_EQ(store->GetEntry(EntryIndex{0, 0})->get(),
+                pos.data_list[0].get());
+      EXPECT_EQ(store->GetEntry(EntryIndex{0, 3})->get(),
+                pos.data_list[3].get());
+    }
+  }
 }
 
 TEST(SegmentStoreTest, SealTelemetryTimesEverySealAndDrainsTheWalGauge) {
@@ -456,8 +664,16 @@ TEST(SegmentStoreTest, ReadsStayCorrectWhileConcurrentAppendersSeal) {
   std::string dir = TempDir("concurrent_seal");
   auto store = OpenOrDie(dir, SmallSegments(/*positions=*/8));
   constexpr uint64_t kPositions = 240;
+  // Every third position is the retired tenant's, so a compaction pass
+  // keeps swapping in rewritten segments under the readers.
+  constexpr uint64_t kRetired = 1;
+  auto position = [](uint64_t id) {
+    return MakeTenantPosition(id, id % 3 == 0 ? kRetired : 2);
+  };
+  ASSERT_TRUE(store->RetireTenant(kRetired).ok());
   std::mutex ticket_mu;
   uint64_t next_id = 0;
+  std::atomic<int> appenders_left{4};
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -469,38 +685,74 @@ TEST(SegmentStoreTest, ReadsStayCorrectWhileConcurrentAppendersSeal) {
           // Prepares are serialized as under the engine's seal ticket;
           // every 8th one seals while other threads wait or read.
           std::lock_guard<std::mutex> lock(ticket_mu);
-          if (next_id == kPositions) return;
-          auto prepared = store->AppendPrepare(MakePosition(next_id, 2));
+          if (next_id == kPositions) break;
+          auto prepared = store->AppendPrepare(position(next_id));
           if (!prepared.ok()) {
             failures.fetch_add(1);
-            return;
+            break;
           }
           ++next_id;
           token = *prepared;
         }
         if (!store->WaitDurable(token).ok()) failures.fetch_add(1);
       }
+      appenders_left.fetch_sub(1);
     });
   }
+  std::atomic<uint64_t> rewritten{0};
+  threads.emplace_back([&] {
+    while (appenders_left.load() > 0) {
+      auto stats = store->Compact();
+      if (stats.ok()) {
+        rewritten.fetch_add(stats->segments_rewritten);
+      } else {
+        failures.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  // A read either returns what was appended or, for a retired position
+  // that compaction reached, kNotFound.
+  auto bad = [](const Status& status, uint64_t id) {
+    return id % 3 != 0 || status.code() != Code::kNotFound;
+  };
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       for (uint64_t n = t; !done.load(); ++n) {
         const uint64_t size = store->Size();
         if (size == 0) continue;
         const uint64_t id = (n * 7) % size;
+        const LogPosition want = position(id);
         auto got = store->Get(id);
-        if (!got.ok() || got->mroot != MakePosition(id, 2).mroot) {
+        if (got.ok() ? got->mroot != want.mroot : bad(got.status(), id)) {
+          failures.fetch_add(1);
+        }
+        const uint32_t offset = n % 2;
+        auto entry = store->GetEntry(EntryIndex{id, offset});
+        if (entry.ok() ? entry->get() != want.data_list[offset].get()
+                       : bad(entry.status(), id)) {
           failures.fetch_add(1);
         }
       }
     });
   }
-  for (int t = 0; t < 4; ++t) threads[t].join();
+  for (int t = 0; t < 5; ++t) threads[t].join();
   done.store(true);
-  for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
+  for (size_t t = 5; t < threads.size(); ++t) threads[t].join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(rewritten.load(), 0u);
   EXPECT_EQ(store->Size(), kPositions);
   EXPECT_EQ(store->SegmentCount(), kPositions / 8);
+  ASSERT_TRUE(store->Compact().ok());
+  for (uint64_t id = 0; id < kPositions; ++id) {
+    auto entry = store->GetEntry(EntryIndex{id, 1});
+    if (id % 3 == 0) {
+      EXPECT_EQ(entry.status().code(), Code::kNotFound) << id;
+    } else {
+      ASSERT_TRUE(entry.ok()) << id << ": " << entry.status().ToString();
+      EXPECT_EQ(entry->get(), position(id).data_list[1].get()) << id;
+    }
+  }
 }
 
 TEST(SegmentStoreTest, OwnerAttributionMatchesPublisherTenant) {
