@@ -251,16 +251,75 @@ void BM_MerkleVerifyProof(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleVerifyProof);
 
+// The field and scalar kernels through their public U256 entry points.
+// Each iteration feeds the previous result back in, so the time is one
+// dependent step (conversion to and from the 5x52-bit form included).
+U256 RandomU256(Rng& rng) {
+  return U256(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+}
+
 void BM_FpMul(benchmark::State& state) {
   Rng rng(1);
-  U256 a(rng.Next(), rng.Next(), rng.Next(), rng.Next());
-  U256 b(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+  U256 a = RandomU256(rng);
+  const U256 b = RandomU256(rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(secp256k1::FpMul(a, b));
-    a = a + U256::One();
+    a = secp256k1::FpMul(a, b);
+    benchmark::DoNotOptimize(a);
   }
 }
 BENCHMARK(BM_FpMul);
+
+void BM_FpSqr(benchmark::State& state) {
+  Rng rng(1);
+  U256 a = RandomU256(rng);
+  for (auto _ : state) {
+    a = secp256k1::FpSqr(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpSqr);
+
+void BM_FpInv(benchmark::State& state) {
+  Rng rng(1);
+  U256 a = RandomU256(rng);
+  for (auto _ : state) {
+    a = secp256k1::FpInv(a);  // Never zero: the inverse of a non-zero.
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpInv);
+
+// Alternates between a square and its root, so every call finds one.
+void BM_FpSqrt(benchmark::State& state) {
+  Rng rng(1);
+  U256 a = secp256k1::FpSqr(RandomU256(rng));
+  for (auto _ : state) {
+    a = secp256k1::FpSqr(secp256k1::FpSqrt(a).value());
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FpSqrt);
+
+void BM_FnMul(benchmark::State& state) {
+  Rng rng(1);
+  U256 a = RandomU256(rng);
+  const U256 b = RandomU256(rng);
+  for (auto _ : state) {
+    a = secp256k1::FnMul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FnMul);
+
+void BM_FnInv(benchmark::State& state) {
+  Rng rng(1);
+  U256 a = secp256k1::FnReduce(RandomU256(rng));
+  for (auto _ : state) {
+    a = secp256k1::FnInv(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FnInv);
 
 void BM_ScalarMulBase(benchmark::State& state) {
   Rng rng(1);

@@ -1,6 +1,7 @@
 #ifndef WEDGEBLOCK_CRYPTO_SECP256K1_H_
 #define WEDGEBLOCK_CRYPTO_SECP256K1_H_
 
+#include <array>
 #include <vector>
 
 #include "crypto/u256.h"
@@ -21,29 +22,33 @@ const U256& FieldC();
 /// 2^256 - n.
 const U256& OrderC();
 
-/// --- Field arithmetic mod p (fast reduction) ---
+/// --- Field arithmetic mod p ---
+/// Every input may be any 256-bit value (it is reduced mod p); every
+/// result is the canonical residue in [0, p). Internally the field is a
+/// 5x52-bit lazy-reduction element (DESIGN.md "EC fast path").
 U256 FpAdd(const U256& a, const U256& b);
 U256 FpSub(const U256& a, const U256& b);
 U256 FpMul(const U256& a, const U256& b);
 U256 FpSqr(const U256& a);
-/// a^e mod p (square-and-multiply over the fast multiplier).
-U256 FpPow(const U256& a, const U256& e);
-/// Inverse mod p (variable-time binary extended gcd). Zero has no
-/// inverse: a zero input aborts the process (it is always a caller bug,
-/// never data-dependent — see DESIGN.md "EC fast path").
+/// Inverse mod p (variable-time safegcd). Zero has no inverse: an input
+/// that is 0 mod p aborts the process (it is always a caller bug, never
+/// data-dependent — see DESIGN.md "EC fast path").
 U256 FpInv(const U256& a);
 /// Batch inversion mod p: out[i] = xs[i]^-1 via Montgomery's
 /// simultaneous-inversion trick (one FpInv + 3 muls per element).
 /// `out` may alias `xs`. Aborts on any zero input, like FpInv.
 void FpInvMany(const U256* xs, size_t n, U256* out);
-/// Square root mod p (p = 3 mod 4). Returns error if no root exists.
+/// Square root mod p: a^((p+1)/4) (p = 3 mod 4), by a fixed addition
+/// chain. Returns an error if a is not a square mod p.
 Result<U256> FpSqrt(const U256& a);
 
 /// --- Scalar arithmetic mod n ---
+/// Inputs may be any 256-bit values; results are in [0, n).
 U256 FnAdd(const U256& a, const U256& b);
 U256 FnSub(const U256& a, const U256& b);
 U256 FnMul(const U256& a, const U256& b);
-/// Inverse mod n; aborts on zero input (see FpInv).
+/// Inverse mod n (variable-time safegcd); aborts on an input that is
+/// 0 mod n (see FpInv).
 U256 FnInv(const U256& a);
 /// Batch inversion mod n (see FpInvMany). `out` may alias `xs`.
 void FnInvMany(const U256* xs, size_t n, U256* out);
@@ -103,13 +108,23 @@ void ScalarMulBaseMany(const U256* ks, size_t n, AffinePoint* out);
 AffinePoint DoubleScalarMulBase(const U256& u1, const AffinePoint& p,
                                 const U256& u2);
 
+/// A finite curve point with both coordinates in the field layer's
+/// 5x52-bit limb form at magnitude 1 (DESIGN.md "EC fast path"): limb i
+/// weighs 2^(52i), limbs 0-3 are below 2^52 and limb 4 below 2^49. The
+/// entry type of every precomputed table, so a lookup feeds the group
+/// law with no conversion.
+struct TablePoint {
+  std::array<uint64_t, 5> x;
+  std::array<uint64_t, 5> y;
+};
+
 /// Precomputed multiples of one fixed point Q, for evaluating many
 /// u1*G + u2*Q against the same Q (see DESIGN.md "Fixed-key
 /// verification"). On the fast backend it holds d * 2^(6j) * Q for
-/// d in [1, 32] and j in [0, 23): 736 affine points (~52 KiB), built
-/// with one batch inversion. The backend active at construction decides
-/// how it evaluates; under the reference backend no table is built and
-/// every product goes through reference::DoubleScalarMulBase.
+/// d in [1, 32] and j in [0, 23): 736 points (~58 KiB), built with one
+/// batch inversion. The backend active at construction decides how it
+/// evaluates; under the reference backend no table is built and every
+/// product goes through reference::DoubleScalarMulBase.
 class FixedPointTable {
  public:
   /// `q` must be a finite curve point.
@@ -127,7 +142,7 @@ class FixedPointTable {
   AffinePoint q_;
   /// multiples_[j * 32 + d - 1] = d * 2^(6j) * q_; empty under the
   /// reference backend.
-  std::vector<AffinePoint> multiples_;
+  std::vector<TablePoint> multiples_;
 };
 
 /// Naive double-and-add implementations with no precomputation: the
@@ -141,7 +156,8 @@ AffinePoint DoubleScalarMulBase(const U256& u1, const AffinePoint& p,
                                 const U256& u2);
 }  // namespace reference
 
-/// Test hooks for the GLV decomposition (see DESIGN.md "EC fast path").
+/// Test hooks for the GLV decomposition and the field layer (see
+/// DESIGN.md "EC fast path").
 namespace internal {
 /// Splits FnReduce(k) as k1 + k2*lambda (mod n) where the returned
 /// magnitudes are < 2^129 and neg1/neg2 carry the component signs:
@@ -152,6 +168,27 @@ void SplitScalarGlv(const U256& k, U256* k1, bool* neg1, U256* k2,
 /// satisfying phi(P) = lambda*P.
 const U256& GlvLambda();
 const U256& GlvBeta();
+
+/// A field element's raw 5x52-bit limbs in lazy form: the value is
+/// sum(limb[i] * 2^(52i)), which may exceed p.
+using FieldLimbs = std::array<uint64_t, 5>;
+/// The largest magnitude the field layer lets any group-law formula feed
+/// into a multiply, a square or a normalization (its types check every
+/// call against it at compile time).
+int FieldMaxMagnitude();
+/// The largest limbs a value of magnitude m may hold: 2m(2^52 - 1) in
+/// limbs 0-3 and 2m(2^48 - 1) in limb 4.
+FieldLimbs FieldMaxLimbs(int m);
+/// The field kernels on raw limbs (inputs up to FieldMaxMagnitude), each
+/// result fully reduced mod p.
+U256 FieldMulLimbs(const FieldLimbs& a, const FieldLimbs& b);
+U256 FieldSqrLimbs(const FieldLimbs& a);
+U256 FieldNormalizeLimbs(const FieldLimbs& a);
+/// -a for an input of magnitude m, and a/2.
+U256 FieldNegateLimbs(const FieldLimbs& a, int m);
+U256 FieldHalfLimbs(const FieldLimbs& a);
+/// Whether the value is 0 mod p, without normalizing it.
+bool FieldIsZeroLimbs(const FieldLimbs& a);
 }  // namespace internal
 
 /// Lifts an x-coordinate to a point with the requested y parity.

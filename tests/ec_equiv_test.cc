@@ -117,7 +117,6 @@ TEST(EcEquivTest, DoubleScalarMulBaseMatchesReference) {
 }
 
 TEST(EcEquivTest, GlvSplitReassemblesAndIsHalfWidth) {
-  const U256& n = GroupOrder();
   const U256& lambda = internal::GlvLambda();
   for (const U256& k : SeededCorpus(2000, 0x617F)) {
     U256 k1, k2;

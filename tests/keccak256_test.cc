@@ -22,6 +22,23 @@ TEST(Keccak256Test, Hello) {
             "1c8aff950685c2ed4bc3174f3472287b56d9517b9c948127319a09a7a36deac8");
 }
 
+TEST(Keccak256Test, MultiBlockOutputsPinned) {
+  // Digests of inputs spanning three and nine 136-byte rate blocks, pinned
+  // from the loop-indexed permutation the unrolled one replaced.
+  Bytes three(300);
+  for (size_t i = 0; i < three.size(); ++i) {
+    three[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  EXPECT_EQ(HashToHex(Keccak256::Digest(three)),
+            "f10b5f4756f414ea659c96a9104b919d2441dca5c621babd0d26fefa15a64208");
+  Bytes nine(1088);
+  for (size_t i = 0; i < nine.size(); ++i) {
+    nine[i] = static_cast<uint8_t>(i * 131 + 17);
+  }
+  EXPECT_EQ(HashToHex(Keccak256::Digest(nine)),
+            "335813ade0c243abfcdfe33a6261656fae71e0e2c603288cb205257741720a94");
+}
+
 TEST(Keccak256Test, IncrementalMatchesOneShot) {
   std::string msg(1000, 'k');  // Crosses several 136-byte rate blocks.
   Hash256 oneshot = Keccak256::Digest(msg);

@@ -63,7 +63,11 @@ echo "==> [scalar] OK"
 # scalar-multiplication entry point routes to the naive double-and-add
 # reference, so secp256k1/ecdsa/equivalence tests prove the slow path
 # still produces byte-identical signatures (and core_test exercises the
-# signer pool on top of it).
+# signer pool on top of it). This rerun checks the scalar-multiplication
+# algorithms only: both backends share one 5x52-bit field, so it cannot
+# catch a field bug. The field is checked by crypto_test's FieldOracleTest
+# (against u256.cc's generic modular arithmetic), which the sanitizer
+# passes above already ran under ASan and UBSan.
 echo "==> [ec-reference] re-running EC tests with WEDGE_EC_BACKEND=reference"
 WEDGE_EC_BACKEND=reference ctest --test-dir "$scalar_build" \
   --output-on-failure -R 'crypto_test|ec_equiv_test|core_test'
