@@ -31,7 +31,7 @@ void ClusterOverhead() {
   {
     auto d = MakeBenchDeployment(kBatch);
     Stopwatch sw(RealClock::Global());
-    if (!d->node().Append(batch).ok()) std::abort();
+    if (!d->engine().Append(/*tenant=*/0, batch).ok()) std::abort();
     std::printf("%-22s %14.1f %16s\n", "single node",
                 sw.ElapsedSeconds() * 1e3, "-");
   }
@@ -69,10 +69,10 @@ void AuditModes() {
   constexpr uint32_t kBatch = 500;
   auto d = MakeBenchDeployment(kBatch);
   auto kvs = MakeWorkload(4000);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-  if (!d->node().Append(reqs).ok()) std::abort();
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+  if (!d->engine().Append(/*tenant=*/0, reqs).ok()) std::abort();
   d->AdvanceBlocks(4);
-  AuditorClient auditor = d->MakeAuditor(9);
+  AuditorClient auditor = d->MakeAuditor(/*tenant=*/0, /*seed=*/9);
 
   for (size_t n : {500u, 1000u, 2000u, 4000u}) {
     uint64_t last = n / kBatch - 1;
@@ -90,11 +90,11 @@ void AuditModes() {
   }
 
   // Proof-size comparison for one position.
-  auto batch_resp = d->node().ReadBatch(0).value();
+  auto batch_resp = d->engine().ReadBatch(/*tenant=*/0, 0, {}).value();
   size_t single_proof_bytes = 0;
   for (uint32_t i = 0; i < kBatch; ++i) {
     single_proof_bytes +=
-        d->node().ReadOne(EntryIndex{0, i})->Serialize().size();
+        d->engine().ReadOne(/*tenant=*/0, EntryIndex{0, i})->Serialize().size();
   }
   std::printf("bandwidth for one %u-entry position: %zu B batched vs %zu B "
               "as individual responses (%.2fx smaller)\n",

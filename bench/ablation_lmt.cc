@@ -24,21 +24,22 @@ void StageTwoGrouping() {
     auto d = MakeBenchDeployment(kBatch, 0, /*sign_responses=*/false,
                                  /*auto_stage2=*/false);
     auto kvs = MakeWorkload(kBatch);
-    Wei fees_before = d->chain().TotalFeesPaid(d->node().address());
-    uint64_t gas_before = d->chain().TotalGasUsed(d->node().address());
+    const Address publisher = d->MakePublisher(0).address();
+    Wei fees_before = d->chain().TotalFeesPaid(d->engine().address());
+    uint64_t gas_before = d->chain().TotalGasUsed(d->engine().address());
     for (int b = 0; b < kBatches; ++b) {
-      auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-      if (!d->node().Append(reqs).ok()) std::abort();
+      auto reqs = MakeUnsignedRequests(publisher, kvs);
+      if (!d->engine().Append(/*tenant=*/0, reqs).ok()) std::abort();
       if ((b + 1) % group == 0) {
-        if (!d->node().CommitPendingDigests().ok()) std::abort();
+        if (!d->engine().shard(0).CommitPendingDigests().ok()) std::abort();
         d->AdvanceBlocks(1);
       }
     }
     d->AdvanceBlocks(4);
     uint64_t ops = static_cast<uint64_t>(kBatch) * kBatches;
-    uint64_t gas = d->chain().TotalGasUsed(d->node().address()) - gas_before;
+    uint64_t gas = d->chain().TotalGasUsed(d->engine().address()) - gas_before;
     double eth =
-        WeiToEthDouble(d->chain().TotalFeesPaid(d->node().address()) -
+        WeiToEthDouble(d->chain().TotalFeesPaid(d->engine().address()) -
                        fees_before) /
         ops;
     std::printf("%-18d %14.2f %12.3e\n", group,
@@ -53,8 +54,8 @@ void ProofSizeVsBatch() {
   for (uint32_t batch : {500u, 1000u, 2000u, 4000u, 8000u, 10000u}) {
     auto d = MakeBenchDeployment(batch);
     auto kvs = MakeWorkload(batch);
-    auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-    auto responses = d->node().Append(reqs);
+    auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+    auto responses = d->engine().Append(/*tenant=*/0, reqs);
     if (!responses.ok()) std::abort();
     const Stage1Response& r = responses->front();
     std::printf("%-10u %18zu %20zu\n", batch,
@@ -67,18 +68,20 @@ void ProofSizeVsBatch() {
 
 void PunishmentGas() {
   std::printf("\n-- (c) punishment-path gas --\n");
-  DeploymentConfig config;
-  config.node.batch_size = 2000;
-  config.node.verify_client_signatures = false;
-  config.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
-  config.offchain_funding = EthToWei(10'000);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 2000;
+  config.engine.node.verify_client_signatures = false;
+  config.engine.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
+  config.engine_funding = EthToWei(10'000);
   config.client_funding = EthToWei(10'000);
-  auto d = Deployment::Create(config);
+  auto d = ShardedDeployment::Create(config);
   if (!d.ok()) std::abort();
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto kvs = MakeWorkload(2000);
   auto reqs = MakeUnsignedRequests(pub.address(), kvs);
-  auto responses = (*d)->node().Append(reqs);
+  auto responses = (*d)->engine().Append(/*tenant=*/0, reqs);
   if (!responses.ok()) std::abort();
   (*d)->AdvanceBlocks(4);
   auto receipt = pub.TriggerPunishment(responses->front());
@@ -94,16 +97,16 @@ void LazyVsEager() {
   std::printf("\n-- (d) lazy (LMT) vs eager trust: commit latency --\n");
   auto d = MakeBenchDeployment(2000);
   auto kvs = MakeWorkload(2000);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
 
   Stopwatch sw(RealClock::Global());
   Micros sim_before = d->clock().NowMicros();
-  auto responses = d->node().Append(reqs);
+  auto responses = d->engine().Append(/*tenant=*/0, reqs);
   if (!responses.ok()) std::abort();
   double stage1_s = sw.ElapsedSeconds();
 
   // Eager discipline: wait for the digest's on-chain confirmation.
-  auto txs = d->node().Stage2TxIds();
+  auto txs = d->engine().shard(0).Stage2TxIds();
   if (txs.empty()) std::abort();
   if (!d->chain().WaitForReceipt(txs.back()).ok()) std::abort();
   double eager_s = stage1_s +

@@ -7,7 +7,7 @@
 
 #include "baselines/baselines.h"
 #include "common/random.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 #include "telemetry/export.h"
 
 namespace wedge {
@@ -55,21 +55,37 @@ inline std::vector<AppendRequest> MakeUnsignedRequests(
   return reqs;
 }
 
-/// A deployment pre-configured for benchmarking: signature verification
-/// off (see above), everything else per the paper's defaults.
-inline std::unique_ptr<Deployment> MakeBenchDeployment(
+/// A deployment pre-configured for benchmarking: the 1-shard engine with
+/// classic stage 2 (what `wedgeblockd` serves by default), signature
+/// verification off (see above), everything else per the paper's
+/// defaults. Append through `engine().Append(0, ...)`, the call the RPC
+/// dispatcher makes. `replication_followers` > 0 replicates the shard's
+/// memory store to that many memory followers (Figures 3/5 red curves
+/// use 2).
+inline std::unique_ptr<ShardedDeployment> MakeBenchDeployment(
     uint32_t batch_size, int replication_followers = 0,
     bool sign_responses = true, bool auto_stage2 = true) {
-  DeploymentConfig config;
-  config.node.batch_size = batch_size;
-  config.node.worker_threads = 4;
-  config.node.verify_client_signatures = false;
-  config.node.sign_stage1_responses = sign_responses;
-  config.node.auto_stage2 = auto_stage2;
-  config.replication_followers = replication_followers;
-  config.offchain_funding = EthToWei(1'000'000);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = batch_size;
+  config.engine.node.worker_threads = 4;
+  config.engine.node.verify_client_signatures = false;
+  config.engine.node.sign_stage1_responses = sign_responses;
+  config.engine.node.auto_stage2 = auto_stage2;
+  config.engine_funding = EthToWei(1'000'000);
   config.client_funding = EthToWei(1'000'000);
-  auto d = Deployment::Create(config);
+  std::vector<std::unique_ptr<LogStore>> stores;
+  if (replication_followers > 0) {
+    std::vector<std::unique_ptr<LogStore>> followers;
+    for (int i = 0; i < replication_followers; ++i) {
+      followers.push_back(std::make_unique<MemoryLogStore>());
+    }
+    stores.push_back(std::make_unique<ReplicatedLogStore>(
+        std::make_unique<MemoryLogStore>(), std::move(followers)));
+  }
+  auto d = ShardedDeployment::Create(config, /*publisher_seed=*/0xC11E,
+                                     std::move(stores));
   if (!d.ok()) {
     std::fprintf(stderr, "deployment failed: %s\n",
                  d.status().ToString().c_str());
@@ -81,10 +97,10 @@ inline std::unique_ptr<Deployment> MakeBenchDeployment(
 /// Mines all pending stage-2 transactions and returns the on-chain cost
 /// per operation in ETH, excluding fees paid before `fees_before` (e.g.
 /// the deployment-phase gas).
-inline double Stage2EthPerOp(Deployment& d, const Wei& fees_before,
+inline double Stage2EthPerOp(ShardedDeployment& d, const Wei& fees_before,
                              uint64_t ops) {
   d.AdvanceBlocks(4);
-  Wei fees = d.chain().TotalFeesPaid(d.node().address()) - fees_before;
+  Wei fees = d.chain().TotalFeesPaid(d.engine().address()) - fees_before;
   return WeiToEthDouble(fees) / static_cast<double>(ops);
 }
 

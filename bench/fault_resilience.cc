@@ -258,20 +258,23 @@ int Main(int argc, char** argv) {
   const std::vector<double> kDropRates = {0.0, 0.05, 0.10, 0.15, 0.20};
   bool first_rate = true;
   for (double drop : kDropRates) {
-    DeploymentConfig config;
-    config.node.batch_size = kBatch;
-    config.node.worker_threads = 4;
-    config.node.verify_client_signatures = false;
+    ShardedDeploymentConfig config;
+    config.engine.num_shards = 1;
+    config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+    config.engine.node.batch_size = kBatch;
+    config.engine.node.worker_threads = 4;
+    config.engine.node.verify_client_signatures = false;
     config.chain.faults.drop_probability = drop;
     // Independent draws per rate: with a shared seed the same uniform
     // sequence decides every rate and one unlucky seed flattens the sweep.
     config.chain.faults.seed = 0xBE7C + static_cast<uint64_t>(drop * 1000.0);
-    config.offchain_funding = EthToWei(1'000'000);
+    config.engine_funding = EthToWei(1'000'000);
     config.client_funding = EthToWei(1'000'000);
-    auto made = Deployment::Create(config);
+    auto made = ShardedDeployment::Create(config);
     if (!made.ok()) std::abort();
     auto d = std::move(made).value();
-    auto& pub = d->publisher();
+    PublisherClient pub = d->MakePublisher(0);
+    OffchainNode& node = d->engine().shard(0);
 
     double stage1_ms_total = 0.0;
     uint64_t lag_blocks_total = 0;
@@ -286,12 +289,12 @@ int Main(int argc, char** argv) {
       // Simulated chain time until every digest of the round is past the
       // confirmation depth — retries included.
       uint64_t blocks = 0;
-      while (d->node().UncommittedDigests() > 0 &&
+      while (node.UncommittedDigests() > 0 &&
              blocks < kMaxBlocksPerRound) {
         d->AdvanceBlocks(1);
         ++blocks;
       }
-      if (d->node().UncommittedDigests() > 0) std::abort();  // Lost root.
+      if (node.UncommittedDigests() > 0) std::abort();  // Lost root.
       lag_blocks_total += blocks;
     }
 

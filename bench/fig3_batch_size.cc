@@ -28,11 +28,11 @@ double RunIngest(uint32_t batch_size, int followers, bool sign,
                  bool telemetry_truncate = false) {
   auto d = MakeBenchDeployment(batch_size, followers, sign);
   auto kvs = MakeWorkload(n_entries);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-  Wei fees_before = d->chain().TotalFeesPaid(d->node().address());
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+  Wei fees_before = d->chain().TotalFeesPaid(d->engine().address());
 
   Stopwatch sw(RealClock::Global());
-  auto responses = d->node().Append(reqs);
+  auto responses = d->engine().Append(/*tenant=*/0, reqs);
   double secs = sw.ElapsedSeconds();
   if (!responses.ok()) {
     std::fprintf(stderr, "append failed: %s\n",

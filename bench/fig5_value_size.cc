@@ -26,10 +26,10 @@ void Main() {
     auto run = [&](int followers, double* eth) {
       auto d = MakeBenchDeployment(kBatch, followers);
       auto kvs = MakeWorkload(kBatch, value_size);
-      auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-      Wei fees_before = d->chain().TotalFeesPaid(d->node().address());
+      auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+      Wei fees_before = d->chain().TotalFeesPaid(d->engine().address());
       Stopwatch sw(RealClock::Global());
-      auto responses = d->node().Append(reqs);
+      auto responses = d->engine().Append(/*tenant=*/0, reqs);
       double secs = sw.ElapsedSeconds();
       if (!responses.ok()) std::abort();
       if (eth != nullptr) *eth = Stage2EthPerOp(*d, fees_before, kBatch);

@@ -20,7 +20,7 @@ void Main() {
   for (size_t value_size : kValueSizes) {
     auto d = MakeBenchDeployment(kBatch);
     auto kvs = MakeWorkload(kBatch, value_size);
-    auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
+    auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
 
     std::vector<Bytes> leaves;
     leaves.reserve(reqs.size());
@@ -32,14 +32,14 @@ void Main() {
     double first_ms = sw.ElapsedSeconds() * 1e3;
 
     sw.Reset();
-    auto responses = d->node().Append(reqs);
+    auto responses = d->engine().Append(/*tenant=*/0, reqs);
     double last_ms = sw.ElapsedSeconds() * 1e3;
     if (!responses.ok()) std::abort();
 
     sw.Reset();
     int sample = std::min<int>(kVerifySample, responses->size());
     for (int i = 0; i < sample; ++i) {
-      if (!(*responses)[i].Verify(d->node().address())) std::abort();
+      if (!(*responses)[i].Verify(d->engine().address())) std::abort();
     }
     double stage1_ms =
         last_ms + sw.ElapsedSeconds() * 1e3 / sample * responses->size();

@@ -22,13 +22,15 @@ constexpr double kWindowSecs = 2.0;
 /// tail, and returns the achieved stage-1 commit rate.
 double RunAtFrequency(double frequency) {
   auto d = MakeBenchDeployment(kBatch);
+  // The streaming path (SubmitAppend) is a node API: drive the shard.
+  OffchainNode& node = d->engine().shard(0);
   size_t n = std::max<size_t>(kBatch,
                               static_cast<size_t>(frequency * kWindowSecs));
   auto kvs = MakeWorkload(n);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
 
   std::atomic<uint64_t> committed{0};
-  d->node().SetResponseCallback(
+  node.SetResponseCallback(
       [&committed](std::vector<Stage1Response>&& batch) {
         committed.fetch_add(batch.size());
       });
@@ -41,15 +43,15 @@ double RunAtFrequency(double frequency) {
     size_t due = static_cast<size_t>(frequency * elapsed / kMicrosPerSecond);
     if (due > reqs.size()) due = reqs.size();
     while (sent < due) {
-      (void)d->node().SubmitAppend(reqs[sent]);
+      (void)node.SubmitAppend(reqs[sent]);
       ++sent;
     }
     if (sent < reqs.size()) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
-  if (d->node().StagedRequests() > 0) {
-    (void)d->node().FlushStagedBatch();
+  if (node.StagedRequests() > 0) {
+    (void)node.FlushStagedBatch();
   }
   double elapsed_secs =
       static_cast<double>(clock->NowMicros() - start) / kMicrosPerSecond;

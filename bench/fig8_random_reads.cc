@@ -30,14 +30,14 @@ void Main() {
     auto d = MakeBenchDeployment(batch, 0, /*sign_responses=*/false,
                                  /*auto_stage2=*/false);
     auto kvs = MakeWorkload(kLogEntries);
-    auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-    if (!d->node().Append(reqs).ok()) std::abort();
+    auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+    if (!d->engine().Append(/*tenant=*/0, std::move(reqs)).ok()) std::abort();
 
-    UserClient user = d->MakeUser(7);
+    UserClient user = d->MakeUser(/*tenant=*/0, /*seed=*/7);
     Rng rng(batch);
     std::vector<EntryIndex> indices;
     indices.reserve(kReads);
-    uint64_t positions = d->node().LogPositions();
+    uint64_t positions = d->engine().shard(0).LogPositions();
     for (size_t i = 0; i < kReads; ++i) {
       uint64_t log_id = rng.Uniform(positions);
       uint32_t limit = static_cast<uint32_t>(

@@ -21,11 +21,11 @@ void Main() {
   constexpr size_t kLogEntries = 4000;
   auto d = MakeBenchDeployment(kBatch);
   auto kvs = MakeWorkload(kLogEntries);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-  if (!d->node().Append(reqs).ok()) std::abort();
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+  if (!d->engine().Append(/*tenant=*/0, std::move(reqs)).ok()) std::abort();
   d->AdvanceBlocks(4);  // Stage-2 digests all land.
 
-  AuditorClient auditor = d->MakeAuditor(9);
+  AuditorClient auditor = d->MakeAuditor(/*tenant=*/0, /*seed=*/9);
   // Warm-up pass: fill CPU caches / ramp the clock before measuring so
   // the smallest audit is not penalized.
   if (!auditor.Audit(0, 1).ok()) std::abort();

@@ -103,7 +103,7 @@ double RunOnce(const Options& opts, bool observed, uint64_t* scrapes_out) {
   std::vector<std::vector<AppendRequest>> corpus;
   corpus.reserve(opts.batches);
   {
-    auto all = MakeUnsignedRequests(d->publisher().address(), kvs);
+    auto all = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
     for (size_t b = 0; b < opts.batches; ++b) {
       corpus.emplace_back(all.begin() + b * opts.batch,
                           all.begin() + (b + 1) * opts.batch);
@@ -139,7 +139,7 @@ double RunOnce(const Options& opts, bool observed, uint64_t* scrapes_out) {
   for (size_t b = 0; b < opts.batches; ++b) {
     uint64_t trace_id = observed ? (opts.seed << 24) + b + 1 : 0;
     ScopedTrace scope(trace_id, observed ? "obs_overhead" : "");
-    auto responses = d->node().Append(corpus[b]);
+    auto responses = d->engine().Append(/*tenant=*/0, corpus[b]);
     if (!responses.ok()) {
       std::fprintf(stderr, "append failed: %s\n",
                    responses.status().ToString().c_str());

@@ -247,7 +247,8 @@ Result<Stage2Result> MeasureStage2(const Options& opts) {
   {
     auto d = bench::MakeBenchDeployment(opts.batch);
     for (uint64_t b = 0; b < batches; ++b) {
-      WEDGE_RETURN_IF_ERROR(d->node().Append(batch).status());
+      WEDGE_RETURN_IF_ERROR(
+          d->engine().Append(/*tenant=*/0, batch).status());
       if (b % 8 == 7) d->AdvanceBlocks(1);
     }
     d->AdvanceBlocks(4);

@@ -26,10 +26,10 @@ struct Row {
 Row RunWedgeBlock(size_t value_size, uint32_t batch) {
   auto d = MakeBenchDeployment(batch);
   auto kvs = MakeWorkload(batch, value_size);
-  auto reqs = MakeUnsignedRequests(d->publisher().address(), kvs);
-  Wei fees_before = d->chain().TotalFeesPaid(d->node().address());
+  auto reqs = MakeUnsignedRequests(d->MakePublisher(0).address(), kvs);
+  Wei fees_before = d->chain().TotalFeesPaid(d->engine().address());
   Stopwatch sw(RealClock::Global());
-  auto responses = d->node().Append(reqs);
+  auto responses = d->engine().Append(/*tenant=*/0, reqs);
   double secs = sw.ElapsedSeconds();
   if (!responses.ok()) std::abort();
   Row row;

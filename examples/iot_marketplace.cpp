@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;
 
@@ -23,11 +23,13 @@ struct Sensor {
 }  // namespace
 
 int main() {
-  DeploymentConfig config;
-  config.node.batch_size = 16;  // Small demo batches.
-  auto deployment = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 16;  // Small demo batches.
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) return 1;
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
 
   // --- A logging-as-a-service subscription: 1 gwei per simulated minute.
   auto payment = d.CreatePaymentChannel(/*period_seconds=*/60,
@@ -35,7 +37,7 @@ int main() {
                                         /*max_overdue_periods=*/60);
   if (!payment.ok()) return 1;
   PaymentChannelClient subscriber(&d.chain(), payment.value(),
-                                  d.publisher().address());
+                                  d.MakePublisher(0).address());
   if (!subscriber.Deposit(GweiToWei(600)).ok()) return 1;  // 10 hours.
   if (!subscriber.StartPayment().ok()) return 1;
   std::printf("subscription started: 1 gwei/min, %llu periods prepaid\n",
@@ -60,7 +62,7 @@ int main() {
                                           ToBytes(value)));
     }
   }
-  auto responses = d.node().Append(batch);
+  auto responses = d.engine().Append(/*tenant=*/0, std::move(batch));
   if (!responses.ok()) {
     std::fprintf(stderr, "publish failed: %s\n",
                  responses.status().ToString().c_str());
@@ -69,14 +71,15 @@ int main() {
   std::printf("published %zu readings from %zu sensors across %llu log "
               "positions\n",
               responses->size(), sensors.size(),
-              static_cast<unsigned long long>(d.node().LogPositions()));
+              static_cast<unsigned long long>(
+                  d.engine().shard(0).LogPositions()));
 
   // --- Stage 2 lands lazily.
   d.AdvanceBlocks(4);
 
   // --- A data consumer buys access and verifies provenance: the reading
   // is blockchain-committed AND carries the sensor's own signature.
-  UserClient consumer = d.MakeUser(9001);
+  UserClient consumer = d.MakeUser(/*tenant=*/0, /*seed=*/9001);
   auto read = consumer.ReadVerified(EntryIndex{1, 5}, true);
   if (!read.ok()) return 1;
   auto reading = AppendRequest::Deserialize(read->entry);
@@ -87,8 +90,8 @@ int main() {
               sensor_sig_ok ? "valid" : "INVALID");
 
   // --- An auditor spot-checks the whole marketplace log.
-  AuditorClient auditor = d.MakeAuditor(9002);
-  auto report = auditor.Audit(0, d.node().LogPositions() - 1);
+  AuditorClient auditor = d.MakeAuditor(/*tenant=*/0, /*seed=*/9002);
+  auto report = auditor.Audit(0, d.engine().shard(0).LogPositions() - 1);
   if (!report.ok()) return 1;
   std::printf("audit: %llu entries checked, clean=%s\n",
               static_cast<unsigned long long>(report->entries_checked),
@@ -98,7 +101,7 @@ int main() {
   d.clock().AdvanceSeconds(3600);
   d.chain().PumpUntilNow();
   PaymentChannelClient operator_side(&d.chain(), payment.value(),
-                                     d.node().address());
+                                     d.engine().address());
   auto withdrawal = operator_side.WithdrawOffchain();
   if (!withdrawal.ok()) return 1;
   std::printf("offchain node withdrew its service fees; channel remaining "

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;
 
@@ -22,20 +22,23 @@ void PrintEvents(const Receipt& receipt) {
 }  // namespace
 
 int main() {
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  auto deployment = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 4;
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) return 1;
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
+  PublisherClient publisher = d.MakePublisher(/*tenant=*/0);
 
   // Channel terms: 100 gwei per 10-minute period, up to 12 overdue
   // periods (2 hours) of grace.
   auto payment = d.CreatePaymentChannel(600, GweiToWei(100), 12);
   if (!payment.ok()) return 1;
   PaymentChannelClient dapp(&d.chain(), payment.value(),
-                            d.publisher().address());
+                            publisher.address());
   PaymentChannelClient provider(&d.chain(), payment.value(),
-                                d.node().address());
+                                d.engine().address());
 
   auto elapse = [&](int64_t seconds) {
     d.clock().AdvanceSeconds(seconds);
@@ -50,7 +53,6 @@ int main() {
                   dapp.RemainingPeriods().value_or(0)));
 
   // --- The DApp actually uses the service while time passes.
-  PublisherClient& publisher = d.publisher();
   auto r = publisher.Publish(publisher.MakeRequests({
       {ToBytes("log/1"), ToBytes("service in use")},
       {ToBytes("log/2"), ToBytes("more data")},
@@ -84,12 +86,12 @@ int main() {
                   dapp.RemainingPeriods().value_or(0)));
 
   // --- Graceful shutdown: terminate settles both sides.
-  Wei provider_before = d.chain().BalanceOf(d.node().address());
+  Wei provider_before = d.chain().BalanceOf(d.engine().address());
   auto term = dapp.Terminate();
   if (!term.ok()) return 1;
   std::printf("terminated: provider received %s ETH total for the "
               "subscription\n",
-              WeiToEthString(d.chain().BalanceOf(d.node().address()) -
+              WeiToEthString(d.chain().BalanceOf(d.engine().address()) -
                              provider_before)
                   .c_str());
   std::printf("channel balance now: %s wei (fully settled)\n",

@@ -10,16 +10,18 @@
 #include <cstdio>
 #include <string>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;
 
 int main() {
-  DeploymentConfig config;
-  config.node.batch_size = 8;
-  auto deployment = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 8;
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) return 1;
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
 
   KeyPair alice = KeyPair::FromSeed(111);
   KeyPair bob = KeyPair::FromSeed(222);
@@ -42,7 +44,7 @@ int main() {
                                           ToBytes("tick")));
   }
 
-  auto responses = d.node().Append(actions);
+  auto responses = d.engine().Append(/*tenant=*/0, std::move(actions));
   if (!responses.ok()) return 1;
 
   // Stage-1 proofs fix the order instantly: index (0,0) beats (0,1).
@@ -60,7 +62,7 @@ int main() {
 
   // Stage 2: the same order becomes immutable on-chain.
   d.AdvanceBlocks(4);
-  PublisherClient& server = d.publisher();
+  PublisherClient server = d.MakePublisher(/*tenant=*/0);
   for (size_t i = 0; i < responses->size(); ++i) {
     auto check = server.CheckBlockchainCommit((*responses)[i]);
     if (!check.ok() || check.value() != CommitCheck::kBlockchainCommitted) {
@@ -74,7 +76,7 @@ int main() {
   // Later, bob disputes the trade. An auditor replays the log: the order
   // is verifiable by anyone against the on-chain root, so the dispute is
   // settled without trusting the game server.
-  AuditorClient auditor = d.MakeAuditor(333);
+  AuditorClient auditor = d.MakeAuditor(/*tenant=*/0, /*seed=*/333);
   auto report = auditor.Audit(0, 0);
   if (!report.ok()) return 1;
   std::printf("dispute audit: %llu events verified against the Root Record "

@@ -8,19 +8,21 @@
 
 #include <cstdio>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;
 
 int main() {
-  DeploymentConfig config;
-  config.node.batch_size = 8;
-  config.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 8;
+  config.engine.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
   config.escrow = EthToWei(32);
-  auto deployment = Deployment::Create(config);
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) return 1;
-  Deployment& d = **deployment;
-  PublisherClient& client = d.publisher();
+  ShardedDeployment& d = **deployment;
+  PublisherClient client = d.MakePublisher(/*tenant=*/0);
 
   std::printf("escrow locked in Punishment contract: %s ETH\n",
               WeiToEthString(d.chain().BalanceOf(d.punishment_address()))

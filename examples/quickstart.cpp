@@ -1,7 +1,7 @@
 // Quickstart: the smallest end-to-end WedgeBlock program.
 //
 //   1. Deploy the system (simulated chain + Root Record + Punishment
-//      contracts + Offchain Node).
+//      contracts + Offchain Node, the single-shard engine).
 //   2. Append log entries and receive signed stage-1 proofs immediately.
 //   3. Let the lazy stage-2 digest commit land on-chain.
 //   4. Read an entry back and verify it against the on-chain root.
@@ -10,22 +10,24 @@
 
 #include <cstdio>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;  // Example code; library code never does this.
 
 int main() {
   // 1. One-call deployment with the paper's defaults (batch size 2000 is
   // overkill for 4 entries, so use a small batch).
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  auto deployment = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 4;
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  deployment.status().ToString().c_str());
     return 1;
   }
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
   std::printf("Root Record contract:  %s\n",
               d.root_record_address().ToHex().c_str());
   std::printf("Punishment contract:   %s (escrow %s ETH)\n",
@@ -34,8 +36,9 @@ int main() {
                   .c_str());
 
   // 2. Append four entries. Publish() signs each request, sends them to
-  // the Offchain Node, and verifies every stage-1 response.
-  PublisherClient& publisher = d.publisher();
+  // the Offchain Node, and verifies every stage-1 response. A
+  // single-tenant client uses tenant 0.
+  PublisherClient publisher = d.MakePublisher(/*tenant=*/0);
   auto responses = publisher.Publish(publisher.MakeRequests({
       {ToBytes("temp/kitchen"), ToBytes("21.5C")},
       {ToBytes("temp/garage"), ToBytes("14.0C")},
@@ -66,7 +69,7 @@ int main() {
                   : "NOT committed?!");
 
   // 4. A consumer reads entry (0,2) and verifies it end-to-end.
-  UserClient user = d.MakeUser(/*seed=*/2024);
+  UserClient user = d.MakeUser(/*tenant=*/0, /*seed=*/2024);
   auto read = user.ReadVerified(EntryIndex{0, 2},
                                 /*require_blockchain_commit=*/true);
   if (!read.ok()) {

@@ -406,4 +406,63 @@ Result<AuditReport> AuditorClient::AuditSample(uint64_t first_id,
   return report;
 }
 
+Result<Receipt> PaymentChannelClient::Invoke(const std::string& method,
+                                             const Wei& value) {
+  Transaction tx;
+  tx.from = actor_;
+  tx.to = payment_address_;
+  tx.value = value;
+  tx.method = method;
+  WEDGE_ASSIGN_OR_RETURN(TxId id, chain_->Submit(tx));
+  WEDGE_ASSIGN_OR_RETURN(Receipt receipt, chain_->WaitForReceipt(id));
+  if (!receipt.success) {
+    return Status::Reverted(method + ": " + receipt.revert_reason);
+  }
+  return receipt;
+}
+
+Result<Receipt> PaymentChannelClient::Deposit(const Wei& amount) {
+  return Invoke("deposit", amount);
+}
+
+Result<Receipt> PaymentChannelClient::StartPayment() {
+  return Invoke("startPayment", Wei());
+}
+
+Result<Receipt> PaymentChannelClient::UpdateStatus() {
+  return Invoke("updatePaymentStatus", Wei());
+}
+
+Result<Receipt> PaymentChannelClient::WithdrawOffchain() {
+  return Invoke("withdrawOffchain", Wei());
+}
+
+Result<Receipt> PaymentChannelClient::WithdrawClient() {
+  return Invoke("withdrawClient", Wei());
+}
+
+Result<Receipt> PaymentChannelClient::Terminate() {
+  return Invoke("terminate", Wei());
+}
+
+Result<Wei> PaymentChannelClient::ReservedForEdge() const {
+  WEDGE_ASSIGN_OR_RETURN(Bytes raw,
+                         chain_->Call(payment_address_, "reservedForEdge", {}));
+  return U256::FromBytesBE(raw);
+}
+
+Result<uint64_t> PaymentChannelClient::RemainingPeriods() const {
+  WEDGE_ASSIGN_OR_RETURN(Bytes raw,
+                         chain_->Call(payment_address_, "remainingPeriods", {}));
+  ByteReader reader(raw);
+  return reader.ReadU64();
+}
+
+Result<bool> PaymentChannelClient::IsTerminated() const {
+  WEDGE_ASSIGN_OR_RETURN(Bytes raw,
+                         chain_->Call(payment_address_, "isTerminated", {}));
+  if (raw.size() != 1) return Status::Internal("bad isTerminated reply");
+  return raw[0] != 0;
+}
+
 }  // namespace wedge

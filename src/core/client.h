@@ -179,6 +179,39 @@ class AuditorClient : public ClientBase {
                                   uint64_t seed);
 };
 
+/// Convenience wrapper driving a Payment contract from both sides; used
+/// by the logging-as-a-service example and tests.
+class PaymentChannelClient {
+ public:
+  PaymentChannelClient(Blockchain* chain, Address payment_address,
+                       Address actor)
+      : chain_(chain), payment_address_(payment_address), actor_(actor) {}
+
+  /// Client-side: deposit ether into the channel.
+  Result<Receipt> Deposit(const Wei& amount);
+  /// Client-side: start the subscription stream.
+  Result<Receipt> StartPayment();
+  /// Either side: recompute the split (emits the Algorithm 3 events).
+  Result<Receipt> UpdateStatus();
+  /// Offchain side: withdraw everything currently reserved.
+  Result<Receipt> WithdrawOffchain();
+  /// Client side: withdraw the unreserved remainder.
+  Result<Receipt> WithdrawClient();
+  /// Client side: settle and close.
+  Result<Receipt> Terminate();
+
+  Result<Wei> ReservedForEdge() const;
+  Result<uint64_t> RemainingPeriods() const;
+  Result<bool> IsTerminated() const;
+
+ private:
+  Result<Receipt> Invoke(const std::string& method, const Wei& value);
+
+  Blockchain* chain_;
+  Address payment_address_;
+  Address actor_;
+};
+
 }  // namespace wedge
 
 #endif  // WEDGEBLOCK_CORE_CLIENT_H_

@@ -82,9 +82,6 @@ enum class CommitCheck {
   kBlockchainCommitted,  ///< On-chain root matches the signed root.
   kNotYetCommitted,      ///< No root recorded at this position yet.
   kMismatch,             ///< On-chain root differs: the node lied.
-  /// Still uncommitted past a liveness deadline: grounds for the
-  /// omission-claim path (§4.7), pending the contract's grace period.
-  kOmissionSuspected,
 };
 
 }  // namespace wedge

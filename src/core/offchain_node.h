@@ -180,7 +180,8 @@ class OffchainNode {
   std::vector<TxId> Stage2TxIds() const;
   /// Drives the stage-2 pipeline: reaps confirmations, detects lost or
   /// reverted transactions, retries with backoff + gas bumping. Call once
-  /// per mined block (Deployment::AdvanceBlocks does).
+  /// per mined block (ShardedDeployment::AdvanceBlocks does, through
+  /// the engine's Tick).
   void Stage2Tick();
   /// Direct access for tests and experiment harnesses.
   Stage2Submitter* stage2_submitter() { return &submitter_; }

@@ -151,8 +151,8 @@ class Stage2Submitter : public RootSink {
   /// Drives the state machine one step: reaps confirmed receipts (and
   /// retires the journal prefix the on-chain tail now covers), detects
   /// reverted and timed-out transactions, and issues backed-off,
-  /// gas-bumped retries. Call once per mined block (Deployment's block
-  /// pump does this automatically).
+  /// gas-bumped retries. Call once per mined block (the node's
+  /// Stage2Tick, which ShardedDeployment's block pump drives, does so).
   void Tick();
 
   /// Drops journal entries not yet covered by a submission (the

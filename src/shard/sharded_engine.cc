@@ -1,5 +1,6 @@
 #include "shard/sharded_engine.h"
 
+#include "contracts/payment.h"
 #include "storage/log_store.h"
 #include "storage/segstore/segment_store.h"
 
@@ -257,7 +258,12 @@ Result<uint64_t> ShardedLogEngine::CompactStorage() {
 }
 
 Result<std::unique_ptr<ShardedDeployment>> ShardedDeployment::Create(
-    const ShardedDeploymentConfig& config, uint64_t publisher_seed) {
+    const ShardedDeploymentConfig& config, uint64_t publisher_seed,
+    std::vector<std::unique_ptr<LogStore>> stores) {
+  if (!stores.empty() && !config.log_dir.empty()) {
+    return Status::InvalidArgument(
+        "caller-built stores and log_dir are mutually exclusive");
+  }
   std::unique_ptr<ShardedDeployment> d(new ShardedDeployment());
   d->config_ = config;
   d->publisher_seed_ = publisher_seed;
@@ -286,7 +292,6 @@ Result<std::unique_ptr<ShardedDeployment>> ShardedDeployment::Create(
               config.omission_grace_seconds),
           config.escrow));
 
-  std::vector<std::unique_ptr<LogStore>> stores;
   std::unique_ptr<AggregatorJournal> journal;
   if (!config.log_dir.empty()) {
     StoreBackendOptions store_options;
@@ -335,6 +340,24 @@ UserClient ShardedDeployment::MakeUser(TenantId tenant, uint64_t seed) {
   return UserClient(std::move(key),
                     &engine_->shard(engine_->ShardFor(tenant)),
                     chain_.get(), root_record_address_);
+}
+
+AuditorClient ShardedDeployment::MakeAuditor(TenantId tenant, uint64_t seed) {
+  KeyPair key = KeyPair::FromSeed(seed);
+  chain_->Fund(key.address(), config_.client_funding);
+  return AuditorClient(std::move(key),
+                       &engine_->shard(engine_->ShardFor(tenant)),
+                       chain_.get(), root_record_address_);
+}
+
+Result<Address> ShardedDeployment::CreatePaymentChannel(
+    int64_t period_seconds, const Wei& payment_per_period,
+    int64_t max_overdue_periods) {
+  return chain_->Deploy(
+      engine_->address(),
+      std::make_unique<PaymentContract>(
+          engine_->address(), KeyPair::FromSeed(publisher_seed_).address(),
+          period_seconds, payment_per_period, max_overdue_periods));
 }
 
 void ShardedDeployment::AdvanceBlocks(int count) {

@@ -26,12 +26,13 @@ struct ShardedEngineConfig {
   /// Close an aggregation epoch every N Tick() calls (i.e. every N
   /// blocks when the caller ticks per block).
   uint32_t epoch_ticks = 1;
-  /// When true (the default for num_shards > 1), every shard's root sink
-  /// is the EpochRootAggregator, which submits one forest root per
-  /// epoch. When false — allowed only with num_shards == 1 — the single
-  /// shard runs the classic per-batch updateRecords stream, making the
-  /// engine behaviourally identical to a bare OffchainNode (the
-  /// degenerate configuration the regression benches pin down).
+  /// When true (the default, whatever the shard count), every shard's
+  /// root sink is the EpochRootAggregator, which submits one forest root
+  /// per epoch. When false — allowed only with num_shards == 1 — the
+  /// single shard runs the classic per-batch updateRecords stream, making
+  /// the engine behaviourally identical to a bare OffchainNode (the
+  /// degenerate configuration the regression benches pin down). A
+  /// classic 1-shard deployment sets it false.
   bool forest_stage2 = true;
   /// Virtual nodes per shard on the consistent-hash ring.
   uint32_t router_vnodes = 64;
@@ -168,10 +169,11 @@ class ShardedLogEngine {
   std::vector<ShardCounters> shard_counters_;
 };
 
-/// End-to-end setup of a sharded WedgeBlock instance — the sharded
-/// counterpart of Deployment (core/wedgeblock.h): simulated chain,
-/// funded engine + publisher accounts, RootRecord + Punishment contracts
-/// (escrowed, bound to the engine key), and the engine itself.
+/// End-to-end setup of a WedgeBlock instance (paper §3.4
+/// initialization): simulated chain, funded engine + publisher accounts,
+/// RootRecord + Punishment contracts (escrowed, bound to the engine key),
+/// and the engine itself. The paper's single Offchain Node is the 1-shard
+/// engine with classic stage 2 (`engine.forest_stage2 = false`).
 struct ShardedDeploymentConfig {
   ChainConfig chain;
   ShardedEngineConfig engine;
@@ -196,9 +198,15 @@ struct ShardedDeploymentConfig {
 
 class ShardedDeployment {
  public:
+  /// `publisher_seed` keys the client the Punishment contract is bound
+  /// to (Algorithm 2's immutable clientAddress). `stores`, when given,
+  /// backs the shards with caller-built stores (e.g. replicated or
+  /// tiered) instead of memory stores; it must have exactly
+  /// `engine.num_shards` entries and excludes `log_dir`.
   static Result<std::unique_ptr<ShardedDeployment>> Create(
       const ShardedDeploymentConfig& config,
-      uint64_t publisher_seed = 0xC11E);
+      uint64_t publisher_seed = 0xC11E,
+      std::vector<std::unique_ptr<LogStore>> stores = {});
 
   SimClock& clock() { return clock_; }
   Blockchain& chain() { return *chain_; }
@@ -212,6 +220,13 @@ class ShardedDeployment {
   /// Create, whichever tenant it publishes under).
   PublisherClient MakePublisher(TenantId tenant);
   UserClient MakeUser(TenantId tenant, uint64_t seed);
+  AuditorClient MakeAuditor(TenantId tenant, uint64_t seed);
+
+  /// Deploys a Payment contract between the bound publisher and the
+  /// engine (DApp-logging-as-a-service, §4.5). Returns its address.
+  Result<Address> CreatePaymentChannel(int64_t period_seconds,
+                                       const Wei& payment_per_period,
+                                       int64_t max_overdue_periods);
 
   /// Advances simulated time, mines pending blocks, and ticks the
   /// engine (stage-2 / epoch aggregation progress).

@@ -7,11 +7,11 @@
 namespace wedge {
 
 /// The measurement substrate every subsystem reports into: one metrics
-/// registry plus one lifecycle tracer, sharing a clock. A Deployment
-/// owns one (on its SimClock, so exports are deterministic per seed) and
-/// hands the pointer down to the chain, node, stores, and network;
-/// components accept a null pointer and fall back to a private instance
-/// or no-op.
+/// registry plus one lifecycle tracer, sharing a clock. A
+/// ShardedDeployment owns one (on its SimClock, so exports are
+/// deterministic per seed) and hands the pointer down to the chain,
+/// engine, nodes, stores, and network; components accept a null pointer
+/// and fall back to a private instance or no-op.
 struct Telemetry {
   Telemetry() : metrics(nullptr), tracer(nullptr) {
     tracer.SetDropCounter(metrics.GetCounter("wedge.trace.dropped"));

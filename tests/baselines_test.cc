@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/wedgeblock.h"
 
 namespace wedge {
 namespace {

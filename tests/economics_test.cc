@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -99,12 +99,14 @@ TEST(EconomicsTest, SampleDetectionProbabilityBounds) {
 TEST(EconomicsTest, SampledAuditDetectsRootEquivocationCertainly) {
   // Root-level lies (equivocation/omission) hit every sample, so even a
   // 1-entry sample per position detects them.
-  DeploymentConfig config;
-  config.node.batch_size = 8;
-  config.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 8;
+  config.engine.node.byzantine_mode = ByzantineMode::kEquivocateRoot;
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   std::vector<std::pair<Bytes, Bytes>> kvs;
   for (int i = 0; i < 16; ++i) {
     kvs.emplace_back(ToBytes("k" + std::to_string(i)), ToBytes("v"));
@@ -112,7 +114,7 @@ TEST(EconomicsTest, SampledAuditDetectsRootEquivocationCertainly) {
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(kvs)).ok());
   (*d)->AdvanceBlocks(4);
 
-  AuditorClient auditor = (*d)->MakeAuditor(3);
+  AuditorClient auditor = (*d)->MakeAuditor(/*tenant=*/0, /*seed=*/3);
   auto report = auditor.AuditSample(0, 1, /*samples_per_position=*/1,
                                     /*seed=*/77);
   ASSERT_TRUE(report.ok());
@@ -122,11 +124,13 @@ TEST(EconomicsTest, SampledAuditDetectsRootEquivocationCertainly) {
 }
 
 TEST(EconomicsTest, SampledAuditOnHonestLogIsCleanAndCheap) {
-  DeploymentConfig config;
-  config.node.batch_size = 16;
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 16;
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   std::vector<std::pair<Bytes, Bytes>> kvs;
   for (int i = 0; i < 48; ++i) {
     kvs.emplace_back(ToBytes("k" + std::to_string(i)), ToBytes("v"));
@@ -134,7 +138,7 @@ TEST(EconomicsTest, SampledAuditOnHonestLogIsCleanAndCheap) {
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(kvs)).ok());
   (*d)->AdvanceBlocks(4);
 
-  AuditorClient auditor = (*d)->MakeAuditor(4);
+  AuditorClient auditor = (*d)->MakeAuditor(/*tenant=*/0, /*seed=*/4);
   auto report = auditor.AuditSample(0, 2, 4, 99);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->entries_checked, 12u);  // 4 of 16 per position.

@@ -1,6 +1,8 @@
 // Cross-module integration tests: concurrent clients against one node,
-// file-backed deployment with restart recovery, end-to-end flows that
-// touch every library at once.
+// file-backed deployment with restart recovery, caller-built replicated
+// and tiered stores, end-to-end flows that touch every library at once.
+// Every deployment is the paper's single Offchain Node: the 1-shard
+// engine with classic stage 2.
 
 #include <gtest/gtest.h>
 
@@ -9,16 +11,31 @@
 #include <thread>
 
 #include "common/random.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
+#include "storage/tiered_store.h"
 
 namespace wedge {
 namespace {
 
+ShardedDeploymentConfig ClassicConfig(uint32_t batch_size) {
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = batch_size;
+  return config;
+}
+
+std::vector<std::unique_ptr<LogStore>> OneStore(
+    std::unique_ptr<LogStore> store) {
+  std::vector<std::unique_ptr<LogStore>> stores;
+  stores.push_back(std::move(store));
+  return stores;
+}
+
 TEST(IntegrationTest, ConcurrentPublishersGetDisjointIndices) {
-  DeploymentConfig config;
-  config.node.batch_size = 10;
-  config.node.worker_threads = 2;
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config = ClassicConfig(10);
+  config.engine.node.worker_threads = 2;
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
 
   constexpr int kThreads = 4;
@@ -34,7 +51,7 @@ TEST(IntegrationTest, ConcurrentPublishersGetDisjointIndices) {
             key, i, ToBytes("t" + std::to_string(t)),
             ToBytes("v" + std::to_string(i))));
       }
-      auto responses = (*d)->node().Append(reqs);
+      auto responses = (*d)->engine().Append(/*tenant=*/0, std::move(reqs));
       ASSERT_TRUE(responses.ok());
       results[t] = std::move(responses).value();
     });
@@ -47,20 +64,21 @@ TEST(IntegrationTest, ConcurrentPublishersGetDisjointIndices) {
   for (const auto& batch : results) {
     EXPECT_EQ(batch.size(), kPerThread);
     for (const auto& r : batch) {
-      EXPECT_TRUE(r.Verify((*d)->node().address()));
+      EXPECT_TRUE(r.Verify((*d)->engine().address()));
       EXPECT_TRUE(seen.insert({r.index.log_id, r.index.offset}).second)
           << "duplicate index assigned";
     }
   }
   EXPECT_EQ(seen.size(), kThreads * kPerThread);
-  EXPECT_EQ((*d)->node().stats().entries_ingested,
+  EXPECT_EQ((*d)->engine().shard(0).stats().entries_ingested,
             static_cast<uint64_t>(kThreads * kPerThread));
 
   // After stage 2, every single entry is blockchain-committed.
   (*d)->AdvanceBlocks(4);
+  PublisherClient pub = (*d)->MakePublisher(0);
   for (const auto& batch : results) {
     for (const auto& r : batch) {
-      auto check = (*d)->publisher().CheckBlockchainCommit(r);
+      auto check = pub.CheckBlockchainCommit(r);
       ASSERT_TRUE(check.ok());
       EXPECT_EQ(check.value(), CommitCheck::kBlockchainCommitted);
     }
@@ -73,26 +91,26 @@ TEST(IntegrationTest, ConcurrentPublishersGetDisjointIndices) {
 /// trace dumps (all tracer time comes from the SimClock).
 TEST(IntegrationTest, TraceCoversEveryEntryUnderDropFaults) {
   auto run = [](std::string* dump) {
-    DeploymentConfig config;
-    config.node.batch_size = 5;
-    config.node.worker_threads = 2;
+    ShardedDeploymentConfig config = ClassicConfig(5);
+    config.engine.node.worker_threads = 2;
     config.chain.faults.drop_probability = 0.10;
     config.chain.faults.seed = 0x7EAC;
-    auto made = Deployment::Create(config);
+    auto made = ShardedDeployment::Create(config);
     ASSERT_TRUE(made.ok());
     auto d = std::move(made).value();
+    OffchainNode& node = d->engine().shard(0);
 
-    auto& pub = d->publisher();
+    PublisherClient pub = d->MakePublisher(0);
     std::vector<std::pair<Bytes, Bytes>> kvs;
     for (int i = 0; i < 40; ++i) {
       kvs.emplace_back(ToBytes("k" + std::to_string(i)), ToBytes("v"));
     }
     auto responses = pub.Publish(pub.MakeRequests(kvs));
     ASSERT_TRUE(responses.ok());
-    for (int i = 0; i < 128 && d->node().UncommittedDigests() > 0; ++i) {
+    for (int i = 0; i < 128 && node.UncommittedDigests() > 0; ++i) {
       d->AdvanceBlocks(1);
     }
-    ASSERT_EQ(d->node().UncommittedDigests(), 0u);  // Retries landed all.
+    ASSERT_EQ(node.UncommittedDigests(), 0u);  // Retries landed all.
 
     // Every entry's position has a complete lifecycle chain.
     Tracer& tracer = d->telemetry().tracer;
@@ -124,12 +142,11 @@ TEST(IntegrationTest, TraceCoversEveryEntryUnderDropFaults) {
 }
 
 TEST(IntegrationTest, ConcurrentReadsWhileAppending) {
-  DeploymentConfig config;
-  config.node.batch_size = 5;
-  config.node.worker_threads = 2;
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config = ClassicConfig(5);
+  config.engine.node.worker_threads = 2;
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   std::vector<std::pair<Bytes, Bytes>> kvs;
   for (int i = 0; i < 25; ++i) {
     kvs.emplace_back(ToBytes("k" + std::to_string(i)), ToBytes("v"));
@@ -142,8 +159,8 @@ TEST(IntegrationTest, ConcurrentReadsWhileAppending) {
     Rng rng(1);
     while (!stop.load()) {
       EntryIndex idx{rng.Uniform(5), static_cast<uint32_t>(rng.Uniform(5))};
-      auto r = (*d)->node().ReadOne(idx);
-      if (r.ok() && r->Verify((*d)->node().address())) {
+      auto r = (*d)->engine().ReadOne(/*tenant=*/0, idx);
+      if (r.ok() && r->Verify((*d)->engine().address())) {
         reads_ok.fetch_add(1);
       }
     }
@@ -162,18 +179,19 @@ TEST(IntegrationTest, ConcurrentReadsWhileAppending) {
 }
 
 TEST(IntegrationTest, FileBackedDeploymentSurvivesRestart) {
-  std::string path = std::filesystem::temp_directory_path() /
-                     ("wedge_integration_" + std::to_string(::getpid()));
-  std::filesystem::remove(path);
+  std::string dir = std::filesystem::temp_directory_path() /
+                    ("wedge_integration_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ShardedDeploymentConfig config = ClassicConfig(4);
+  config.log_dir = dir;
+  config.store_backend = StoreBackend::kFile;
 
   Hash256 committed_root;
   {
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.log_path = path;
-    auto d = Deployment::Create(config);
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok());
-    auto& pub = (*d)->publisher();
+    PublisherClient pub = (*d)->MakePublisher(0);
     auto responses = pub.Publish(pub.MakeRequests({
         {ToBytes("persist/1"), ToBytes("one")},
         {ToBytes("persist/2"), ToBytes("two")},
@@ -187,62 +205,67 @@ TEST(IntegrationTest, FileBackedDeploymentSurvivesRestart) {
   // "Restart": a fresh node over the same log file recovers the data and
   // serves reads whose root matches what clients already hold.
   {
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.log_path = path;
-    auto d = Deployment::Create(config);
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok());
-    EXPECT_EQ((*d)->node().LogPositions(), 1u);
-    auto read = (*d)->node().ReadOne(EntryIndex{0, 1});
+    EXPECT_EQ((*d)->engine().shard(0).LogPositions(), 1u);
+    auto read = (*d)->engine().ReadOne(/*tenant=*/0, EntryIndex{0, 1});
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->proof.mroot, committed_root);
     auto req = AppendRequest::Deserialize(read->entry);
     ASSERT_TRUE(req.ok());
     EXPECT_EQ(ToString(req->value), "two");
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IntegrationTest, ReplicatedDeploymentServesAfterIngest) {
-  DeploymentConfig config;
-  config.node.batch_size = 6;
-  config.replication_followers = 2;
-  auto d = Deployment::Create(config);
+  std::vector<std::unique_ptr<LogStore>> followers;
+  followers.push_back(std::make_unique<MemoryLogStore>());
+  followers.push_back(std::make_unique<MemoryLogStore>());
+  auto d = ShardedDeployment::Create(
+      ClassicConfig(6), /*publisher_seed=*/0xC11E,
+      OneStore(std::make_unique<ReplicatedLogStore>(
+          std::make_unique<MemoryLogStore>(), std::move(followers))));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   std::vector<std::pair<Bytes, Bytes>> kvs;
   for (int i = 0; i < 12; ++i) {
     kvs.emplace_back(ToBytes("rep" + std::to_string(i)), ToBytes("v"));
   }
   auto responses = pub.Publish(pub.MakeRequests(kvs));
   ASSERT_TRUE(responses.ok());
-  EXPECT_EQ((*d)->node().LogPositions(), 2u);
-  auto read = (*d)->node().ReadOne(EntryIndex{1, 3});
+  EXPECT_EQ((*d)->engine().shard(0).LogPositions(), 2u);
+  auto read = (*d)->engine().ReadOne(/*tenant=*/0, EntryIndex{1, 3});
   ASSERT_TRUE(read.ok());
-  EXPECT_TRUE(read->Verify((*d)->node().address()));
+  EXPECT_TRUE(read->Verify((*d)->engine().address()));
 }
 
 TEST(IntegrationTest, TieredDeploymentServesColdReads) {
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  config.node.tree_cache_capacity = 1;  // Force tree rebuilds from store.
-  config.tiered_hot_positions = 2;
-  auto d = Deployment::Create(config);
+  // Keeps two positions hot; older ones spill to a 12-peer archive that
+  // holds three copies of each. Declared first so it outlives the store.
+  DecentralizedArchive archive(/*num_peers=*/12, /*replication_k=*/3,
+                               /*seed=*/0xED6E);
+  ShardedDeploymentConfig config = ClassicConfig(4);
+  config.engine.node.tree_cache_capacity = 1;  // Force tree rebuilds.
+  auto d = ShardedDeployment::Create(
+      config, /*publisher_seed=*/0xC11E,
+      OneStore(std::make_unique<TieredLogStore>(/*hot_capacity=*/2,
+                                                &archive)));
   ASSERT_TRUE(d.ok());
-  ASSERT_NE((*d)->archive(), nullptr);
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   std::vector<std::pair<Bytes, Bytes>> kvs;
   for (int i = 0; i < 24; ++i) {
     kvs.emplace_back(ToBytes("t" + std::to_string(i)), ToBytes("v"));
   }
   auto responses = pub.Publish(pub.MakeRequests(kvs));
   ASSERT_TRUE(responses.ok());
-  EXPECT_EQ((*d)->node().LogPositions(), 6u);
+  EXPECT_EQ((*d)->engine().shard(0).LogPositions(), 6u);
+  EXPECT_EQ(archive.LiveCopies(0), 3);
   (*d)->AdvanceBlocks(4);
 
   // Position 0 left the hot tier long ago; the read transparently pulls
   // it back from the archive, and the result still verifies end-to-end.
-  UserClient user = (*d)->MakeUser(5);
+  UserClient user = (*d)->MakeUser(/*tenant=*/0, /*seed=*/5);
   auto read = user.ReadVerified(EntryIndex{0, 3}, true);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
 }
@@ -251,9 +274,7 @@ TEST(IntegrationTest, MultiplePublishersShareOneBatch) {
   // Entries from different publishers interleave within one log
   // position; each publisher's stage-1 response only vouches for its own
   // leaf (§4.3: clients need not verify other operations in the batch).
-  DeploymentConfig config;
-  config.node.batch_size = 6;
-  auto d = Deployment::Create(config);
+  auto d = ShardedDeployment::Create(ClassicConfig(6));
   ASSERT_TRUE(d.ok());
 
   KeyPair p1 = KeyPair::FromSeed(801);
@@ -265,7 +286,7 @@ TEST(IntegrationTest, MultiplePublishersShareOneBatch) {
     mixed.push_back(
         AppendRequest::Make(p2, i, ToBytes("p2"), ToBytes("b")));
   }
-  auto responses = (*d)->node().Append(mixed);
+  auto responses = (*d)->engine().Append(/*tenant=*/0, std::move(mixed));
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses->size(), 6u);
   // All share one position/root, each entry attributable to its signer.
@@ -281,10 +302,9 @@ TEST(IntegrationTest, MultiplePublishersShareOneBatch) {
 TEST(IntegrationTest, GarbageEntriesDoNotAffectHonestClients) {
   // §4.3: an Offchain Node may stuff unsigned garbage into a batch; it
   // wastes its own resources but honest clients' entries still verify.
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  config.node.verify_client_signatures = false;  // Node accepts garbage.
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config = ClassicConfig(4);
+  config.engine.node.verify_client_signatures = false;  // Accepts garbage.
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
 
   KeyPair honest = KeyPair::FromSeed(900);
@@ -299,20 +319,51 @@ TEST(IntegrationTest, GarbageEntriesDoNotAffectHonestClients) {
     garbage.value = ToBytes("junk");
     batch.push_back(garbage);
   }
-  auto responses = (*d)->node().Append(batch);
+  auto responses = (*d)->engine().Append(/*tenant=*/0, std::move(batch));
   ASSERT_TRUE(responses.ok());
   (*d)->AdvanceBlocks(4);
 
   // The honest client's entry stage-1-verifies and blockchain-commits.
   const Stage1Response& mine = responses->front();
-  EXPECT_TRUE(mine.Verify((*d)->node().address()));
-  auto check = (*d)->publisher().CheckBlockchainCommit(mine);
+  EXPECT_TRUE(mine.Verify((*d)->engine().address()));
+  auto check = (*d)->MakePublisher(0).CheckBlockchainCommit(mine);
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check.value(), CommitCheck::kBlockchainCommitted);
   // The garbage entries are identifiable as unsigned.
   auto junk = AppendRequest::Deserialize((*responses)[1].entry);
   ASSERT_TRUE(junk.ok());
   EXPECT_FALSE(junk->VerifySignature());
+}
+
+TEST(IntegrationTest, CallerBuiltStoresMatchTheShardsAndExcludeLogDir) {
+  // Stores and log_dir both name the shards' backing: refuse the pair
+  // before anything is opened under the directory.
+  ShardedDeploymentConfig config = ClassicConfig(4);
+  config.log_dir = std::filesystem::temp_directory_path() /
+                   ("wedge_integration_both_" + std::to_string(::getpid()));
+  auto both = ShardedDeployment::Create(
+      config, /*publisher_seed=*/0xC11E,
+      OneStore(std::make_unique<MemoryLogStore>()));
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), Code::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(config.log_dir));
+
+  // One store per shard, no more and no fewer.
+  std::vector<std::unique_ptr<LogStore>> two;
+  two.push_back(std::make_unique<MemoryLogStore>());
+  two.push_back(std::make_unique<MemoryLogStore>());
+  auto too_many = ShardedDeployment::Create(
+      ClassicConfig(4), /*publisher_seed=*/0xC11E, std::move(two));
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), Code::kInvalidArgument);
+
+  ShardedDeploymentConfig forest;
+  forest.engine.num_shards = 2;
+  auto too_few = ShardedDeployment::Create(
+      forest, /*publisher_seed=*/0xC11E,
+      OneStore(std::make_unique<MemoryLogStore>()));
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_EQ(too_few.status().code(), Code::kInvalidArgument);
 }
 
 }  // namespace

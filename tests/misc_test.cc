@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "contracts/stage1_message.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -192,9 +192,11 @@ TEST(WeiFormattingTest, SmallAndCompositeValues) {
 }
 
 TEST(PaymentViewsTest, IsStartedView) {
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = 4;
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
   auto payment = (*d)->CreatePaymentChannel(60, U256(100), 5);
   ASSERT_TRUE(payment.ok());
@@ -202,7 +204,7 @@ TEST(PaymentViewsTest, IsStartedView) {
   ASSERT_TRUE(raw.ok());
   EXPECT_EQ((*raw)[0], 0);
   PaymentChannelClient client(&(*d)->chain(), payment.value(),
-                              (*d)->publisher().address());
+                              (*d)->MakePublisher(0).address());
   ASSERT_TRUE(client.Deposit(U256(1000)).ok());
   ASSERT_TRUE(client.StartPayment().ok());
   raw = (*d)->chain().Call(payment.value(), "isStarted", {});

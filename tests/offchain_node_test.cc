@@ -11,7 +11,7 @@
 
 #include "common/random.h"
 #include "core/client.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 #include "storage/segstore/segment_store.h"
 
 namespace wedge {
@@ -61,15 +61,26 @@ TEST(AppendRequestTest, SerializationRoundTrip) {
   EXPECT_FALSE(AppendRequest::Deserialize(Bytes{1, 2, 3}).ok());
 }
 
+/// The node under test is the single shard of a classic 1-shard
+/// deployment: `Node(*d)` is that shard.
+ShardedDeploymentConfig ClassicConfig() {
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  return config;
+}
+
+OffchainNode& Node(ShardedDeployment& d) { return d.engine().shard(0); }
+
 class OffchainNodeTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<Deployment> Make(uint32_t batch_size,
-                                          bool auto_stage2 = true) {
-    DeploymentConfig config;
-    config.node.batch_size = batch_size;
-    config.node.worker_threads = 2;
-    config.node.auto_stage2 = auto_stage2;
-    auto d = Deployment::Create(config);
+  static std::unique_ptr<ShardedDeployment> Make(uint32_t batch_size,
+                                                 bool auto_stage2 = true) {
+    ShardedDeploymentConfig config = ClassicConfig();
+    config.engine.node.batch_size = batch_size;
+    config.engine.node.worker_threads = 2;
+    config.engine.node.auto_stage2 = auto_stage2;
+    auto d = ShardedDeployment::Create(config);
     EXPECT_TRUE(d.ok());
     return std::move(d).value();
   }
@@ -77,15 +88,15 @@ class OffchainNodeTest : public ::testing::Test {
 
 TEST_F(OffchainNodeTest, AppendReturnsVerifiableResponses) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(10)));
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses->size(), 10u);
   // 10 requests with batch size 4 -> positions 0,1,2 (4+4+2).
-  EXPECT_EQ(d->node().LogPositions(), 3u);
+  EXPECT_EQ(Node(*d).LogPositions(), 3u);
   for (size_t i = 0; i < responses->size(); ++i) {
     const Stage1Response& r = (*responses)[i];
-    EXPECT_TRUE(r.Verify(d->node().address()));
+    EXPECT_TRUE(r.Verify(Node(*d).address()));
     EXPECT_EQ(r.index.log_id, i / 4);
     EXPECT_EQ(r.index.offset, i % 4);
     // The leaf round-trips to the original request.
@@ -97,7 +108,7 @@ TEST_F(OffchainNodeTest, AppendReturnsVerifiableResponses) {
 
 TEST_F(OffchainNodeTest, ResponsesWithinBatchShareRoot) {
   auto d = Make(8);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   for (const auto& r : *responses) {
@@ -108,27 +119,27 @@ TEST_F(OffchainNodeTest, ResponsesWithinBatchShareRoot) {
 
 TEST_F(OffchainNodeTest, RejectsEmptyAndBadSignatures) {
   auto d = Make(4);
-  EXPECT_FALSE(d->node().Append({}).ok());
+  EXPECT_FALSE(Node(*d).Append({}).ok());
 
   KeyPair key = KeyPair::FromSeed(9);
   AppendRequest good = AppendRequest::Make(key, 0, ToBytes("k"), ToBytes("v"));
   AppendRequest bad = good;
   bad.value.push_back(0xFF);  // Signature now invalid.
-  auto responses = d->node().Append({good, bad});
+  auto responses = Node(*d).Append({good, bad});
   ASSERT_TRUE(responses.ok());
   EXPECT_EQ(responses->size(), 1u);  // Only the valid one accepted.
-  EXPECT_EQ(d->node().stats().invalid_signatures_rejected, 1u);
+  EXPECT_EQ(Node(*d).stats().invalid_signatures_rejected, 1u);
 
-  auto all_bad = d->node().Append({bad});
+  auto all_bad = Node(*d).Append({bad});
   EXPECT_FALSE(all_bad.ok());
 }
 
 TEST_F(OffchainNodeTest, Stage2CommitsDigests) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
-  EXPECT_EQ(d->node().stats().stage2_txs_submitted, 2u);
+  EXPECT_EQ(Node(*d).stats().stage2_txs_submitted, 2u);
 
   // Before mining: not committed.
   auto check = pub.CheckBlockchainCommit(responses->front());
@@ -146,104 +157,104 @@ TEST_F(OffchainNodeTest, Stage2CommitsDigests) {
 
 TEST_F(OffchainNodeTest, ManualStage2Batching) {
   auto d = Make(4, /*auto_stage2=*/false);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(12))).ok());
-  EXPECT_EQ(d->node().PendingDigests(), 3u);
-  EXPECT_EQ(d->node().stats().stage2_txs_submitted, 0u);
+  EXPECT_EQ(Node(*d).PendingDigests(), 3u);
+  EXPECT_EQ(Node(*d).stats().stage2_txs_submitted, 0u);
 
   // One transaction carries all three digests (grouped lazy commit).
-  auto tx = d->node().CommitPendingDigests();
+  auto tx = Node(*d).CommitPendingDigests();
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(d->node().PendingDigests(), 0u);
+  EXPECT_EQ(Node(*d).PendingDigests(), 0u);
   auto receipt = d->chain().WaitForReceipt(tx.value());
   ASSERT_TRUE(receipt.ok());
   EXPECT_TRUE(receipt->success);
 
   // Nothing left to commit.
-  EXPECT_EQ(d->node().CommitPendingDigests().status().code(), Code::kNotFound);
+  EXPECT_EQ(Node(*d).CommitPendingDigests().status().code(), Code::kNotFound);
 }
 
 TEST_F(OffchainNodeTest, StreamingPathSealsOnBatchBoundary) {
   auto d = Make(4);
   KeyPair key = KeyPair::FromSeed(11);
   std::vector<std::vector<Stage1Response>> delivered;
-  d->node().SetResponseCallback(
+  Node(*d).SetResponseCallback(
       [&](std::vector<Stage1Response>&& batch) {
         delivered.push_back(std::move(batch));
       });
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(d->node()
+    ASSERT_TRUE(Node(*d)
                     .SubmitAppend(AppendRequest::Make(
                         key, i, ToBytes("k"), ToBytes("v")))
                     .ok());
   }
   EXPECT_EQ(delivered.size(), 1u);  // One full batch of 4 sealed.
-  EXPECT_EQ(d->node().StagedRequests(), 2u);
-  auto flushed = d->node().FlushStagedBatch();
+  EXPECT_EQ(Node(*d).StagedRequests(), 2u);
+  auto flushed = Node(*d).FlushStagedBatch();
   ASSERT_TRUE(flushed.ok());
   // With a callback set, the sealed responses have exactly one owner: the
   // callback. The returned vector is empty (no second copy is made).
   EXPECT_TRUE(flushed->empty());
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(delivered[1].size(), 2u);
-  EXPECT_EQ(d->node().StagedRequests(), 0u);
-  EXPECT_EQ(d->node().FlushStagedBatch().status().code(), Code::kNotFound);
+  EXPECT_EQ(Node(*d).StagedRequests(), 0u);
+  EXPECT_EQ(Node(*d).FlushStagedBatch().status().code(), Code::kNotFound);
 }
 
 TEST_F(OffchainNodeTest, ReadReturnsFreshVerifiableResponse) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(8))).ok());
   d->AdvanceBlocks(2);
 
-  auto read = d->node().ReadOne(EntryIndex{1, 2});
+  auto read = Node(*d).ReadOne(EntryIndex{1, 2});
   ASSERT_TRUE(read.ok());
-  EXPECT_TRUE(read->Verify(d->node().address()));
+  EXPECT_TRUE(read->Verify(Node(*d).address()));
   auto req = AppendRequest::Deserialize(read->entry);
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->sequence, 6u);  // Position 1, offset 2 = 6th request.
 
-  EXPECT_FALSE(d->node().ReadOne(EntryIndex{5, 0}).ok());
-  EXPECT_FALSE(d->node().ReadOne(EntryIndex{0, 9}).ok());
+  EXPECT_FALSE(Node(*d).ReadOne(EntryIndex{5, 0}).ok());
+  EXPECT_FALSE(Node(*d).ReadOne(EntryIndex{0, 9}).ok());
 }
 
 TEST_F(OffchainNodeTest, BatchReadAndScan) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(12))).ok());
 
-  auto many = d->node().Read({{0, 1}, {1, 3}, {2, 0}});
+  auto many = Node(*d).Read({{0, 1}, {1, 3}, {2, 0}});
   ASSERT_TRUE(many.ok());
   EXPECT_EQ(many->size(), 3u);
-  for (const auto& r : *many) EXPECT_TRUE(r.Verify(d->node().address()));
+  for (const auto& r : *many) EXPECT_TRUE(r.Verify(Node(*d).address()));
 
-  auto scan = d->node().Scan(0, 2);
+  auto scan = Node(*d).Scan(0, 2);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->size(), 12u);
-  for (const auto& r : *scan) EXPECT_TRUE(r.Verify(d->node().address()));
-  EXPECT_GE(d->node().stats().reads_served, 15u);
+  for (const auto& r : *scan) EXPECT_TRUE(r.Verify(Node(*d).address()));
+  EXPECT_GE(Node(*d).stats().reads_served, 15u);
 }
 
 TEST_F(OffchainNodeTest, TreeCacheEvictionStillServesReads) {
-  DeploymentConfig config;
-  config.node.batch_size = 2;
-  config.node.worker_threads = 1;
-  config.node.tree_cache_capacity = 1;  // Evict aggressively.
-  auto d = Deployment::Create(config);
+  ShardedDeploymentConfig config = ClassicConfig();
+  config.engine.node.batch_size = 2;
+  config.engine.node.worker_threads = 1;
+  config.engine.node.tree_cache_capacity = 1;  // Evict aggressively.
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(8))).ok());
   // Position 0's tree was evicted; the node must rebuild it.
-  auto read = (*d)->node().ReadOne(EntryIndex{0, 1});
+  auto read = Node(**d).ReadOne(EntryIndex{0, 1});
   ASSERT_TRUE(read.ok());
-  EXPECT_TRUE(read->Verify((*d)->node().address()));
+  EXPECT_TRUE(read->Verify(Node(**d).address()));
 }
 
 TEST_F(OffchainNodeTest, UserClientVerifiedReads) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(8))).ok());
-  UserClient user = d->MakeUser(77);
+  UserClient user = d->MakeUser(/*tenant=*/0, /*seed=*/77);
 
   // Stage-1-only read works immediately.
   auto r1 = user.ReadVerified(EntryIndex{0, 0});
@@ -260,10 +271,10 @@ TEST_F(OffchainNodeTest, UserClientVerifiedReads) {
 
 TEST_F(OffchainNodeTest, AuditorReportsCleanLog) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(12))).ok());
   d->AdvanceBlocks(2);
-  AuditorClient auditor = d->MakeAuditor(88);
+  AuditorClient auditor = d->MakeAuditor(/*tenant=*/0, /*seed=*/88);
   auto report = auditor.Audit(0, 2);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->entries_checked, 12u);
@@ -273,11 +284,11 @@ TEST_F(OffchainNodeTest, AuditorReportsCleanLog) {
 
 TEST_F(OffchainNodeTest, AuditorDetectsTamperedLog) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(8))).ok());
   d->AdvanceBlocks(2);
-  d->node().set_byzantine_mode(ByzantineMode::kTamperReadData);
-  AuditorClient auditor = d->MakeAuditor(88);
+  Node(*d).set_byzantine_mode(ByzantineMode::kTamperReadData);
+  AuditorClient auditor = d->MakeAuditor(/*tenant=*/0, /*seed=*/88);
   auto report = auditor.Audit(0, 1);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->Clean());
@@ -288,13 +299,13 @@ TEST_F(OffchainNodeTest, AuditorDetectsTamperedLog) {
 
 TEST_F(OffchainNodeTest, Stage1ResponseSerializationRoundTrip) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(4)));
   ASSERT_TRUE(responses.ok());
   const Stage1Response& r = responses->front();
   auto back = Stage1Response::Deserialize(r.Serialize());
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->Verify(d->node().address()));
+  EXPECT_TRUE(back->Verify(Node(*d).address()));
   EXPECT_EQ(back->entry, r.entry);
   EXPECT_EQ(back->proof.mroot, r.proof.mroot);
   EXPECT_FALSE(Stage1Response::Deserialize(Bytes(3, 1)).ok());
@@ -302,13 +313,13 @@ TEST_F(OffchainNodeTest, Stage1ResponseSerializationRoundTrip) {
 
 TEST_F(OffchainNodeTest, VerifyRejectsCrossIndexResponses) {
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   // Swap the index of a response: stage-1 verification must fail.
   Stage1Response mixed = (*responses)[0];
   mixed.index = (*responses)[5].index;
-  EXPECT_FALSE(mixed.Verify(d->node().address()));
+  EXPECT_FALSE(mixed.Verify(Node(*d).address()));
 }
 
 TEST_F(OffchainNodeTest, DigestsSurviveStage2SubmitFailure) {
@@ -350,14 +361,14 @@ TEST_F(OffchainNodeTest, OrderingPreservedAcrossStage2) {
   // entries' positions never change once stage-1 responses are issued
   // (the gaming use case's requirement, §2.3).
   auto d = Make(4);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   d->AdvanceBlocks(2);
   for (const auto& r : *responses) {
     // Re-read every entry by its index; contents must match and still
     // verify against the now blockchain-committed root.
-    auto read = d->node().ReadOne(r.index);
+    auto read = Node(*d).ReadOne(r.index);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->entry, r.entry);
     auto check = pub.CheckBlockchainCommit(read.value());
@@ -410,16 +421,16 @@ std::vector<AppendRequest> SignedRequests(const KeyPair& key, size_t count,
 class IngestVerifyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    DeploymentConfig config;
-    config.node.batch_size = 64;
-    config.node.worker_threads = 2;
-    config.node.verify_client_signatures = true;
-    auto d = Deployment::Create(config);
+    ShardedDeploymentConfig config = ClassicConfig();
+    config.engine.node.batch_size = 64;
+    config.engine.node.worker_threads = 2;
+    config.engine.node.verify_client_signatures = true;
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok());
     d_ = std::move(d).value();
   }
 
-  OffchainNode& node() { return d_->node(); }
+  OffchainNode& node() { return Node(*d_); }
 
   /// Appends `requests` in one call and checks that the accepted
   /// responses (in order) and the rejection count are exactly those of
@@ -454,7 +465,7 @@ class IngestVerifyTest : public ::testing::Test {
     return after.key_table_checks - before.key_table_checks;
   }
 
-  std::unique_ptr<Deployment> d_;
+  std::unique_ptr<ShardedDeployment> d_;
 };
 
 TEST_F(IngestVerifyTest, CleanLargeCallChecksAllButTheAnchorAgainstTable) {

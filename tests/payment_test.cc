@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -13,10 +13,12 @@ namespace {
 class PaymentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.node.worker_threads = 1;
-    auto d = Deployment::Create(config);
+    ShardedDeploymentConfig config;
+    config.engine.num_shards = 1;
+    config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+    config.engine.node.batch_size = 4;
+    config.engine.node.worker_threads = 1;
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     deployment_ = std::move(d).value();
     auto addr = deployment_->CreatePaymentChannel(
@@ -24,12 +26,12 @@ class PaymentTest : public ::testing::Test {
         /*max_overdue_periods=*/5);
     ASSERT_TRUE(addr.ok()) << addr.status().ToString();
     payment_address_ = addr.value();
+    client_address_ = deployment_->MakePublisher(0).address();
     client_ = std::make_unique<PaymentChannelClient>(
-        &deployment_->chain(), payment_address_,
-        deployment_->publisher().address());
+        &deployment_->chain(), payment_address_, client_address_);
     offchain_ = std::make_unique<PaymentChannelClient>(
         &deployment_->chain(), payment_address_,
-        deployment_->node().address());
+        deployment_->engine().address());
   }
 
   /// Advances sim time by whole seconds and mines.
@@ -38,7 +40,8 @@ class PaymentTest : public ::testing::Test {
     deployment_->chain().PumpUntilNow();
   }
 
-  std::unique_ptr<Deployment> deployment_;
+  std::unique_ptr<ShardedDeployment> deployment_;
+  Address client_address_;
   Address payment_address_;
   std::unique_ptr<PaymentChannelClient> client_;
   std::unique_ptr<PaymentChannelClient> offchain_;
@@ -95,10 +98,10 @@ TEST_F(PaymentTest, OffchainWithdrawal) {
   ASSERT_TRUE(client_->Deposit(U256(10'000)).ok());
   ASSERT_TRUE(client_->StartPayment().ok());
   Elapse(5 * 60);
-  Wei before = deployment_->chain().BalanceOf(deployment_->node().address());
+  Wei before = deployment_->chain().BalanceOf(deployment_->engine().address());
   auto receipt = offchain_->WithdrawOffchain();
   ASSERT_TRUE(receipt.ok());
-  Wei after = deployment_->chain().BalanceOf(deployment_->node().address());
+  Wei after = deployment_->chain().BalanceOf(deployment_->engine().address());
   // Withdrew >= 5 periods worth, minus gas.
   EXPECT_GE(after + receipt->fee, before + U256(500));
   EXPECT_EQ(client_->ReservedForEdge().value(), Wei());
@@ -142,7 +145,7 @@ TEST_F(PaymentTest, ViolationTerminatesAndSweeps) {
   // 10 periods elapse; 9 overdue > max 5.
   Elapse(10 * 60);
   Wei offchain_before =
-      deployment_->chain().BalanceOf(deployment_->node().address());
+      deployment_->chain().BalanceOf(deployment_->engine().address());
   auto receipt = offchain_->UpdateStatus();
   ASSERT_TRUE(receipt.ok());
   bool violated = false;
@@ -154,7 +157,7 @@ TEST_F(PaymentTest, ViolationTerminatesAndSweeps) {
   // Entire balance swept to the Offchain Node (it paid gas for the call,
   // so compare with the fee added back).
   EXPECT_EQ(deployment_->chain().BalanceOf(payment_address_), Wei());
-  EXPECT_EQ(deployment_->chain().BalanceOf(deployment_->node().address()) +
+  EXPECT_EQ(deployment_->chain().BalanceOf(deployment_->engine().address()) +
                 receipt->fee,
             offchain_before + U256(100));
   // No further deposits accepted.
@@ -166,18 +169,18 @@ TEST_F(PaymentTest, CleanTermination) {
   ASSERT_TRUE(client_->StartPayment().ok());
   Elapse(3 * 60);
   Wei client_before =
-      deployment_->chain().BalanceOf(deployment_->publisher().address());
+      deployment_->chain().BalanceOf(client_address_);
   Wei offchain_before =
-      deployment_->chain().BalanceOf(deployment_->node().address());
+      deployment_->chain().BalanceOf(deployment_->engine().address());
   auto receipt = client_->Terminate();
   ASSERT_TRUE(receipt.ok());
   EXPECT_TRUE(client_->IsTerminated().value());
   EXPECT_EQ(deployment_->chain().BalanceOf(payment_address_), Wei());
   // Offchain got the accrued periods; client got the rest back.
   Wei offchain_after =
-      deployment_->chain().BalanceOf(deployment_->node().address());
+      deployment_->chain().BalanceOf(deployment_->engine().address());
   EXPECT_GE(offchain_after, offchain_before + U256(300));
-  EXPECT_GT(deployment_->chain().BalanceOf(deployment_->publisher().address()) +
+  EXPECT_GT(deployment_->chain().BalanceOf(client_address_) +
                 receipt->fee,
             client_before);
   // Terminate twice fails.
@@ -198,8 +201,8 @@ TEST_F(PaymentTest, ConservationOfFunds) {
   ASSERT_TRUE(client_->Deposit(U256(5'000)).ok());
   ASSERT_TRUE(client_->StartPayment().ok());
   auto& chain = deployment_->chain();
-  Address client = deployment_->publisher().address();
-  Address offchain = deployment_->node().address();
+  Address client = client_address_;
+  Address offchain = deployment_->engine().address();
   Wei total_before = chain.BalanceOf(client) + chain.BalanceOf(offchain) +
                      chain.BalanceOf(payment_address_) +
                      chain.TotalFeesPaid(client) +

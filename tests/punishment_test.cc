@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -12,11 +12,13 @@ namespace {
 /// uses them as evidence (Algorithm 2).
 class PunishmentTest : public ::testing::Test {
  protected:
-  static DeploymentConfig Config(ByzantineMode mode) {
-    DeploymentConfig config;
-    config.node.batch_size = 8;
-    config.node.worker_threads = 2;
-    config.node.byzantine_mode = mode;
+  static ShardedDeploymentConfig Config(ByzantineMode mode) {
+    ShardedDeploymentConfig config;
+    config.engine.num_shards = 1;
+    config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+    config.engine.node.batch_size = 8;
+    config.engine.node.worker_threads = 2;
+    config.engine.node.byzantine_mode = mode;
     config.escrow = EthToWei(32);
     return config;
   }
@@ -32,9 +34,9 @@ class PunishmentTest : public ::testing::Test {
 };
 
 TEST_F(PunishmentTest, HonestNodeCannotBePunished) {
-  auto d = Deployment::Create(Config(ByzantineMode::kHonest));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kHonest));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   (*d)->AdvanceBlocks(5);
@@ -54,9 +56,9 @@ TEST_F(PunishmentTest, HonestNodeCannotBePunished) {
 }
 
 TEST_F(PunishmentTest, EquivocationForfeitsEscrow) {
-  auto d = Deployment::Create(Config(ByzantineMode::kEquivocateRoot));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kEquivocateRoot));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());  // Stage-1 looks perfectly honest.
   (*d)->AdvanceBlocks(5);
@@ -80,9 +82,9 @@ TEST_F(PunishmentTest, EquivocationForfeitsEscrow) {
 }
 
 TEST_F(PunishmentTest, OmittedStage2IsPunishableAfterGrace) {
-  auto d = Deployment::Create(Config(ByzantineMode::kOmitStage2));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kOmitStage2));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   (*d)->AdvanceBlocks(10);  // Plenty of time; the digest never shows up.
@@ -119,9 +121,9 @@ TEST_F(PunishmentTest, HonestSlowNodeSurvivesOmissionClaim) {
   // An impatient client files a claim while the (honest) node's stage-2
   // transaction is still pending; once it lands, punishment is
   // impossible and duplicate claims are rejected.
-  auto d = Deployment::Create(Config(ByzantineMode::kHonest));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kHonest));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   // Digest not mined yet; claim is filed (mining the claim also mines
@@ -141,9 +143,9 @@ TEST_F(PunishmentTest, HonestSlowNodeSurvivesOmissionClaim) {
 }
 
 TEST_F(PunishmentTest, OmissionClaimOnlyByBoundClient) {
-  auto d = Deployment::Create(Config(ByzantineMode::kOmitStage2));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kOmitStage2));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(8))).ok());
   (*d)->AdvanceBlocks(2);
 
@@ -162,9 +164,9 @@ TEST_F(PunishmentTest, OmissionClaimOnlyByBoundClient) {
 }
 
 TEST_F(PunishmentTest, SignedCorruptProofIsPunishable) {
-  auto d = Deployment::Create(Config(ByzantineMode::kCorruptProof));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kCorruptProof));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto requests = pub.MakeRequests(Workload(8));
   // Publish() itself flags the bad proof at stage-1 verification.
   auto responses = pub.Publish(requests);
@@ -172,7 +174,7 @@ TEST_F(PunishmentTest, SignedCorruptProofIsPunishable) {
   EXPECT_EQ(responses.status().code(), Code::kVerification);
 
   // Get the raw (signed, corrupt) responses directly and punish with one.
-  auto raw = (*d)->node().Append(requests);
+  auto raw = (*d)->engine().Append(/*tenant=*/0, requests);
   ASSERT_TRUE(raw.ok());
   (*d)->AdvanceBlocks(5);
   auto receipt = pub.TriggerPunishment(raw->front());
@@ -181,9 +183,9 @@ TEST_F(PunishmentTest, SignedCorruptProofIsPunishable) {
 }
 
 TEST_F(PunishmentTest, FabricatedEvidenceRejected) {
-  auto d = Deployment::Create(Config(ByzantineMode::kHonest));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kHonest));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   (*d)->AdvanceBlocks(5);
@@ -204,20 +206,20 @@ TEST_F(PunishmentTest, FabricatedEvidenceRejected) {
 }
 
 TEST_F(PunishmentTest, TamperedReadDetectedAndPunished) {
-  auto d = Deployment::Create(Config(ByzantineMode::kHonest));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kHonest));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());
   (*d)->AdvanceBlocks(5);
 
   // The node turns malicious for reads only.
-  (*d)->node().set_byzantine_mode(ByzantineMode::kTamperReadData);
-  auto read = (*d)->node().ReadOne(EntryIndex{0, 3});
+  (*d)->engine().shard(0).set_byzantine_mode(ByzantineMode::kTamperReadData);
+  auto read = (*d)->engine().ReadOne(/*tenant=*/0, EntryIndex{0, 3});
   ASSERT_TRUE(read.ok());
   // The forged response passes stage-1 verification (it is internally
   // consistent and signed!) ...
-  EXPECT_TRUE(read->Verify((*d)->node().address()));
+  EXPECT_TRUE(read->Verify((*d)->engine().address()));
   // ... but its root cannot match the blockchain-committed one.
   auto check = pub.CheckBlockchainCommit(read.value());
   ASSERT_TRUE(check.ok());
@@ -230,9 +232,9 @@ TEST_F(PunishmentTest, TamperedReadDetectedAndPunished) {
 TEST_F(PunishmentTest, FinalizeOrPunishFlow) {
   // Honest path: finalizes without punishment.
   {
-    auto d = Deployment::Create(Config(ByzantineMode::kHonest));
+    auto d = ShardedDeployment::Create(Config(ByzantineMode::kHonest));
     ASSERT_TRUE(d.ok());
-    auto& pub = (*d)->publisher();
+    PublisherClient pub = (*d)->MakePublisher(0);
     auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
     ASSERT_TRUE(responses.ok());
     auto outcome = pub.FinalizeOrPunish(responses->front());
@@ -242,9 +244,9 @@ TEST_F(PunishmentTest, FinalizeOrPunishFlow) {
   }
   // Equivocating path: punishes automatically.
   {
-    auto d = Deployment::Create(Config(ByzantineMode::kEquivocateRoot));
+    auto d = ShardedDeployment::Create(Config(ByzantineMode::kEquivocateRoot));
     ASSERT_TRUE(d.ok());
-    auto& pub = (*d)->publisher();
+    PublisherClient pub = (*d)->MakePublisher(0);
     auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
     ASSERT_TRUE(responses.ok());
     auto outcome = pub.FinalizeOrPunish(responses->front());
@@ -255,9 +257,9 @@ TEST_F(PunishmentTest, FinalizeOrPunishFlow) {
   }
   // Omission path: files the claim, waits out the grace, then punishes.
   {
-    auto d = Deployment::Create(Config(ByzantineMode::kOmitStage2));
+    auto d = ShardedDeployment::Create(Config(ByzantineMode::kOmitStage2));
     ASSERT_TRUE(d.ok());
-    auto& pub = (*d)->publisher();
+    PublisherClient pub = (*d)->MakePublisher(0);
     auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
     ASSERT_TRUE(responses.ok());
     auto outcome = pub.FinalizeOrPunish(responses->front(), /*max_blocks=*/3);
@@ -269,11 +271,11 @@ TEST_F(PunishmentTest, FinalizeOrPunishFlow) {
 }
 
 TEST_F(PunishmentTest, EscrowRefundLifecycle) {
-  DeploymentConfig config = Config(ByzantineMode::kHonest);
+  ShardedDeploymentConfig config = Config(ByzantineMode::kHonest);
   config.escrow_lock_seconds = 1000;
-  auto d = Deployment::Create(config);
+  auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok());
-  Address offchain = (*d)->node().address();
+  Address offchain = (*d)->engine().address();
   Address punishment = (*d)->punishment_address();
   auto& chain = (*d)->chain();
 
@@ -292,7 +294,7 @@ TEST_F(PunishmentTest, EscrowRefundLifecycle) {
   // Wrong caller.
   (*d)->clock().AdvanceSeconds(2000);
   chain.PumpUntilNow();
-  EXPECT_FALSE(refund((*d)->publisher().address()).success);
+  EXPECT_FALSE(refund((*d)->MakePublisher(0).address()).success);
   // Correct caller after the lock: full refund.
   Wei before = chain.BalanceOf(offchain);
   Receipt ok = refund(offchain);
@@ -302,9 +304,9 @@ TEST_F(PunishmentTest, EscrowRefundLifecycle) {
 }
 
 TEST_F(PunishmentTest, IsPunishedView) {
-  auto d = Deployment::Create(Config(ByzantineMode::kEquivocateRoot));
+  auto d = ShardedDeployment::Create(Config(ByzantineMode::kEquivocateRoot));
   ASSERT_TRUE(d.ok());
-  auto& pub = (*d)->publisher();
+  PublisherClient pub = (*d)->MakePublisher(0);
   auto raw = (*d)->chain().Call((*d)->punishment_address(), "isPunished", {});
   ASSERT_TRUE(raw.ok());
   EXPECT_EQ((*raw)[0], 0);

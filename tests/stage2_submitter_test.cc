@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 #include "storage/log_store.h"
 
 namespace wedge {
@@ -18,14 +18,23 @@ std::vector<std::pair<Bytes, Bytes>> Workload(int n) {
   return kvs;
 }
 
-std::unique_ptr<Deployment> Make(uint32_t batch_size) {
-  DeploymentConfig config;
-  config.node.batch_size = batch_size;
-  config.node.worker_threads = 2;
-  auto d = Deployment::Create(config);
+/// A classic 1-shard deployment: its shard's submitter is under test.
+ShardedDeploymentConfig ClassicConfig(uint32_t batch_size) {
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = batch_size;
+  config.engine.node.worker_threads = 2;
+  return config;
+}
+
+std::unique_ptr<ShardedDeployment> Make(uint32_t batch_size) {
+  auto d = ShardedDeployment::Create(ClassicConfig(batch_size));
   EXPECT_TRUE(d.ok());
   return std::move(d).value();
 }
+
+OffchainNode& Node(ShardedDeployment& d) { return d.engine().shard(0); }
 
 uint64_t OnChainTail(Blockchain& chain, const Address& root_record) {
   auto out = chain.Call(root_record, "tailIdx", {});
@@ -43,23 +52,23 @@ TEST(Stage2SubmitterTest, DroppedStage2TxsAreRetriedUntilAllRootsConfirm) {
   auto d = Make(/*batch_size=*/4);
   d->chain().fault_injector()->Schedule(FaultType::kDropTx, 2);
 
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
   ASSERT_TRUE(responses.ok());  // 2 batches -> 2 (dropped) stage-2 txs.
-  EXPECT_EQ(d->node().UncommittedDigests(), 2u);
+  EXPECT_EQ(Node(*d).UncommittedDigests(), 2u);
   EXPECT_EQ(d->chain().fault_injector()->stats().txs_dropped, 2u);
 
   // Past the confirmation deadline + backoff + confirmation depth.
   d->AdvanceBlocks(20);
 
-  EXPECT_EQ(d->node().UncommittedDigests(), 0u);
+  EXPECT_EQ(Node(*d).UncommittedDigests(), 0u);
   EXPECT_EQ(OnChainTail(d->chain(), d->root_record_address()), 2u);
   for (const Stage1Response& r : responses.value()) {
     auto check = pub.CheckBlockchainCommit(r);
     ASSERT_TRUE(check.ok());
     EXPECT_EQ(check.value(), CommitCheck::kBlockchainCommitted);
   }
-  Stage2SubmitterStats stats = d->node().stage2_submitter()->stats();
+  Stage2SubmitterStats stats = Node(*d).stage2_submitter()->stats();
   EXPECT_EQ(stats.txs_timed_out, 2u);
   EXPECT_GE(stats.txs_retried, 1u);
   EXPECT_EQ(stats.digests_confirmed, 2u);
@@ -69,15 +78,15 @@ TEST(Stage2SubmitterTest, RevertedStage2TxIsRetried) {
   auto d = Make(/*batch_size=*/4);
   d->chain().fault_injector()->Schedule(FaultType::kRevertTx, 1);
 
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(4)));
   ASSERT_TRUE(responses.ok());
 
   d->AdvanceBlocks(16);
 
-  EXPECT_EQ(d->node().UncommittedDigests(), 0u);
+  EXPECT_EQ(Node(*d).UncommittedDigests(), 0u);
   EXPECT_EQ(OnChainTail(d->chain(), d->root_record_address()), 1u);
-  Stage2SubmitterStats stats = d->node().stage2_submitter()->stats();
+  Stage2SubmitterStats stats = Node(*d).stage2_submitter()->stats();
   EXPECT_EQ(stats.txs_reverted, 1u);
   EXPECT_GE(stats.txs_retried, 1u);
 }
@@ -89,35 +98,33 @@ TEST(Stage2SubmitterTest, EvictedStage2TxIsRetried) {
   d->chain().fault_injector()->Schedule(FaultType::kEvictTx, 1);
   d->chain().fault_injector()->Schedule(FaultType::kDelayBlock, 2);
 
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   auto responses = pub.Publish(pub.MakeRequests(Workload(4)));
   ASSERT_TRUE(responses.ok());
 
   d->AdvanceBlocks(24);
 
-  EXPECT_EQ(d->node().UncommittedDigests(), 0u);
+  EXPECT_EQ(Node(*d).UncommittedDigests(), 0u);
   EXPECT_EQ(d->chain().fault_injector()->stats().txs_evicted, 1u);
   EXPECT_EQ(OnChainTail(d->chain(), d->root_record_address()), 1u);
 }
 
 TEST(Stage2SubmitterTest, SteadyDropProbabilityNeverLosesDigests) {
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  config.node.worker_threads = 2;
+  ShardedDeploymentConfig config = ClassicConfig(/*batch_size=*/4);
   config.chain.faults.drop_probability = 0.3;
   config.chain.faults.seed = 7;
-  auto made = Deployment::Create(config);
+  auto made = ShardedDeployment::Create(config);
   ASSERT_TRUE(made.ok());
   auto d = std::move(made).value();
 
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   for (int round = 0; round < 4; ++round) {
     auto responses = pub.Publish(pub.MakeRequests(Workload(8)));
     ASSERT_TRUE(responses.ok());
     d->AdvanceBlocks(12);
   }
   d->AdvanceBlocks(30);
-  EXPECT_EQ(d->node().UncommittedDigests(), 0u);
+  EXPECT_EQ(Node(*d).UncommittedDigests(), 0u);
   EXPECT_EQ(OnChainTail(d->chain(), d->root_record_address()), 8u);
 }
 
@@ -128,12 +135,12 @@ TEST(Stage2SubmitterTest, AttemptLogRecordsCausesMatchingScriptedFaults) {
   {
     auto d = Make(/*batch_size=*/4);
     d->chain().fault_injector()->Schedule(FaultType::kDropTx, 1);
-    auto& pub = d->publisher();
+    PublisherClient pub = d->MakePublisher(0);
     ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(4))).ok());
     d->AdvanceBlocks(20);
-    ASSERT_EQ(d->node().UncommittedDigests(), 0u);
+    ASSERT_EQ(Node(*d).UncommittedDigests(), 0u);
 
-    auto attempts = d->node().stage2_submitter()->attempts();
+    auto attempts = Node(*d).stage2_submitter()->attempts();
     ASSERT_EQ(attempts.size(), 2u);
     EXPECT_EQ(attempts[0].attempt, 1);
     EXPECT_EQ(attempts[0].cause, "initial");
@@ -148,12 +155,12 @@ TEST(Stage2SubmitterTest, AttemptLogRecordsCausesMatchingScriptedFaults) {
   {
     auto d = Make(/*batch_size=*/4);
     d->chain().fault_injector()->Schedule(FaultType::kRevertTx, 1);
-    auto& pub = d->publisher();
+    PublisherClient pub = d->MakePublisher(0);
     ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(4))).ok());
     d->AdvanceBlocks(16);
-    ASSERT_EQ(d->node().UncommittedDigests(), 0u);
+    ASSERT_EQ(Node(*d).UncommittedDigests(), 0u);
 
-    auto attempts = d->node().stage2_submitter()->attempts();
+    auto attempts = Node(*d).stage2_submitter()->attempts();
     ASSERT_EQ(attempts.size(), 2u);
     EXPECT_EQ(attempts[0].cause, "initial");
     EXPECT_EQ(attempts[1].cause, "revert");  // Receipt seen, reverted.
@@ -166,10 +173,10 @@ TEST(Stage2SubmitterTest, AttemptLogRecordsCausesMatchingScriptedFaults) {
 TEST(Stage2SubmitterTest, TraceShowsRetriedSubmissionEndingConfirmed) {
   auto d = Make(/*batch_size=*/4);
   d->chain().fault_injector()->Schedule(FaultType::kDropTx, 1);
-  auto& pub = d->publisher();
+  PublisherClient pub = d->MakePublisher(0);
   ASSERT_TRUE(pub.Publish(pub.MakeRequests(Workload(4))).ok());
   d->AdvanceBlocks(20);
-  ASSERT_EQ(d->node().UncommittedDigests(), 0u);
+  ASSERT_EQ(Node(*d).UncommittedDigests(), 0u);
 
   Tracer& tracer = d->telemetry().tracer;
   EXPECT_TRUE(tracer.ChainEndsConfirmed(0));

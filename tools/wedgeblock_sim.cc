@@ -1,9 +1,11 @@
 // wedgeblock_sim — end-to-end WedgeBlock simulation driver.
 //
 // Runs a configurable workload through a fresh deployment (simulated
-// chain + contracts + Offchain Node), optionally with a byzantine node,
-// then audits and reports performance, on-chain cost, and punishment
-// outcomes. The quickest way to poke at the system without writing code.
+// chain + contracts + Offchain Node, the single-shard engine with classic
+// stage 2 that `wedgeblockd` serves by default), optionally with a
+// byzantine node, then audits and reports performance, on-chain cost,
+// and punishment outcomes. The quickest way to poke at the system
+// without writing code.
 //
 // Usage:
 //   wedgeblock_sim [--ops N] [--batch N] [--value-bytes N]
@@ -29,7 +31,7 @@
 #include <string>
 
 #include "core/economics.h"
-#include "core/wedgeblock.h"
+#include "shard/sharded_engine.h"
 #include "telemetry/export.h"
 
 namespace wedge {
@@ -139,21 +141,34 @@ const char* ModeName(ByzantineMode mode) {
 }
 
 int Run(const Options& opts) {
-  DeploymentConfig config;
-  config.node.batch_size = opts.batch;
-  config.node.byzantine_mode = opts.byzantine;
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 1;
+  config.engine.forest_stage2 = false;  // Classic per-batch stage 2.
+  config.engine.node.batch_size = opts.batch;
+  config.engine.node.byzantine_mode = opts.byzantine;
   config.chain.gas_price = GweiToWei(opts.gas_gwei);
   config.chain.block_interval_seconds = opts.block_seconds;
-  config.replication_followers = opts.replicas;
-  config.offchain_funding = EthToWei(1'000'000);
+  config.engine_funding = EthToWei(1'000'000);
   config.client_funding = EthToWei(1'000'000);
-  auto deployment = Deployment::Create(config);
+  // --replicas: the shard's memory store replicated to N memory followers.
+  std::vector<std::unique_ptr<LogStore>> stores;
+  if (opts.replicas > 0) {
+    std::vector<std::unique_ptr<LogStore>> followers;
+    for (int i = 0; i < opts.replicas; ++i) {
+      followers.push_back(std::make_unique<MemoryLogStore>());
+    }
+    stores.push_back(std::make_unique<ReplicatedLogStore>(
+        std::make_unique<MemoryLogStore>(), std::move(followers)));
+  }
+  auto deployment = ShardedDeployment::Create(
+      config, /*publisher_seed=*/0xC11E, std::move(stores));
   if (!deployment.ok()) {
     std::fprintf(stderr, "deployment failed: %s\n",
                  deployment.status().ToString().c_str());
     return 1;
   }
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
+  OffchainNode& node = d.engine().shard(0);
 
   std::printf("wedgeblock_sim: %llu ops, batch %u, %zu-byte values, "
               "node=%s, %d replicas\n",
@@ -172,13 +187,13 @@ int Run(const Options& opts) {
   for (uint64_t i = 0; i < opts.ops; ++i) {
     kvs.emplace_back(rng.NextBytes(64), rng.NextBytes(opts.value_bytes));
   }
-  PublisherClient& publisher = d.publisher();
+  PublisherClient publisher = d.MakePublisher(/*tenant=*/0);
   auto requests = publisher.MakeRequests(kvs);
 
   // --- Stage 1.
-  Wei fees_before = d.chain().TotalFeesPaid(d.node().address());
+  Wei fees_before = d.chain().TotalFeesPaid(node.address());
   Stopwatch sw(RealClock::Global());
-  auto responses = d.node().Append(requests);
+  auto responses = d.engine().Append(/*tenant=*/0, std::move(requests));
   double stage1_secs = sw.ElapsedSeconds();
   if (!responses.ok()) {
     std::fprintf(stderr, "append failed: %s\n",
@@ -195,7 +210,7 @@ int Run(const Options& opts) {
   size_t verify_n = std::min<size_t>(responses->size(), 64);
   size_t verified = 0;
   for (size_t i = 0; i < verify_n; ++i) {
-    verified += (*responses)[i].Verify(d.node().address()) ? 1 : 0;
+    verified += (*responses)[i].Verify(node.address()) ? 1 : 0;
   }
   std::printf("stage-1 verification sample: %zu/%zu valid\n", verified,
               verify_n);
@@ -219,20 +234,17 @@ int Run(const Options& opts) {
       case CommitCheck::kMismatch:
         check_str = "MISMATCH (equivocation!)";
         break;
-      case CommitCheck::kOmissionSuspected:
-        check_str = "NOT committed (omission suspected)";
-        break;
     }
   }
-  Wei stage2_fees = d.chain().TotalFeesPaid(d.node().address()) - fees_before;
+  Wei stage2_fees = d.chain().TotalFeesPaid(node.address()) - fees_before;
   std::printf("\nstage 2: %s after %.0f s of chain time; node paid %s ETH "
               "(%.3e ETH/op)\n",
               check_str, stage2_secs, WeiToEthString(stage2_fees).c_str(),
               WeiToEthDouble(stage2_fees) / opts.ops);
 
   // --- Audit.
-  AuditorClient auditor = d.MakeAuditor(opts.seed ^ 0xA0D17);
-  uint64_t last = d.node().LogPositions() - 1;
+  AuditorClient auditor = d.MakeAuditor(/*tenant=*/0, opts.seed ^ 0xA0D17);
+  uint64_t last = node.LogPositions() - 1;
   Result<AuditReport> report =
       opts.audit_samples == 0
           ? auditor.AuditFast(0, last)
