@@ -16,13 +16,17 @@ constexpr size_t kMinGroup = 16;
 // batch normalization.
 constexpr size_t kTableChunk = 16;
 
-/// Heap bytes of a tree's hashes, all levels (wedge.node.tree_cache_bytes).
-int64_t TreeBytes(const MerkleTree& tree) {
+/// Heap bytes of a cached position (wedge.node.tree_cache_bytes): its
+/// tree's hashes, all levels, and its signatures.
+int64_t CachedBytes(const MerkleTree& tree,
+                    const std::vector<EcdsaSignature>* sigs) {
   size_t hashes = 0;
   for (size_t level = 0; level < tree.Depth(); ++level) {
     hashes += tree.LevelSize(level);
   }
-  return static_cast<int64_t>(hashes * sizeof(Hash256));
+  const size_t sig_count = sigs == nullptr ? 0 : sigs->size();
+  return static_cast<int64_t>(hashes * sizeof(Hash256) +
+                              sig_count * sizeof(EcdsaSignature));
 }
 
 }  // namespace
@@ -343,9 +347,10 @@ Result<std::vector<Stage1Response>> OffchainNode::SealBatch(
   entries_ingested_counter_->Add(batch.size());
   batches_counter_->Add(1);
   {
-    // Cache the freshly built tree for the read path.
+    // Cache the freshly built tree for the read path; the signatures join
+    // it below, once made.
     std::lock_guard<std::mutex> lock(mu_);
-    CacheTreeLocked(log_id, shared_tree);
+    CacheTreeLocked(log_id, {shared_tree, nullptr});
   }
 
   // Produce responses in parallel (proof generation per entry), then
@@ -378,7 +383,18 @@ Result<std::vector<Stage1Response>> OffchainNode::SealBatch(
     return Status::Internal("merkle proof generation failed");
   }
   if (config_.sign_stage1_responses) {
-    SignResponsesPooled(responses.data(), responses.size());
+    std::vector<EcdsaSignature> sigs =
+        SignResponsesPooled(responses.data(), responses.size());
+    // A read of entry i signs the statement signed here for responses[i]
+    // (same tree, path and entry), so it serves this signature. Not under
+    // kCorruptProof: those signatures cover corrupted paths, and reads
+    // serve honest ones.
+    if (mode != ByzantineMode::kCorruptProof) {
+      auto shared_sigs =
+          std::make_shared<const std::vector<EcdsaSignature>>(std::move(sigs));
+      std::lock_guard<std::mutex> lock(mu_);
+      CacheTreeLocked(log_id, {shared_tree, std::move(shared_sigs)});
+    }
   }
   telemetry_->tracer.Event(log_id, trace_stage::kStage1Signed, batch.size());
   seal_hist_->Record(watch.ElapsedMicros());
@@ -456,24 +472,30 @@ Result<uint64_t> OffchainNode::HandOffLocked(uint64_t end) {
   return handed;
 }
 
-void OffchainNode::CacheTreeLocked(uint64_t log_id,
-                                   std::shared_ptr<MerkleTree> tree) {
-  int64_t delta = TreeBytes(*tree);
+void OffchainNode::CacheTreeLocked(uint64_t log_id, CachedTree entry) {
+  int64_t delta = 0;
   auto it = tree_cache_.find(log_id);
   if (it != tree_cache_.end()) {
-    // Already cached (a racing read rebuilt it): touch and refresh.
+    // Already cached (the seal attaching its signatures, or a racing read
+    // that rebuilt an evicted tree): touch and refresh. A rebuilt tree has
+    // the same leaves, so the seal's signatures still hold for it.
     tree_lru_.splice(tree_lru_.end(), tree_lru_, it->second.second);
-    delta -= TreeBytes(*it->second.first);
-    it->second.first = std::move(tree);
+    CachedTree& cached = it->second.first;
+    delta -= CachedBytes(*cached.tree, cached.sigs.get());
+    if (entry.sigs == nullptr) entry.sigs = std::move(cached.sigs);
+    cached = std::move(entry);
+    delta += CachedBytes(*cached.tree, cached.sigs.get());
   } else {
+    delta += CachedBytes(*entry.tree, entry.sigs.get());
     tree_lru_.push_back(log_id);
     tree_cache_.emplace(
-        log_id, std::make_pair(std::move(tree), std::prev(tree_lru_.end())));
+        log_id, std::make_pair(std::move(entry), std::prev(tree_lru_.end())));
   }
   while (tree_cache_.size() > config_.tree_cache_capacity &&
          !tree_lru_.empty()) {
     auto evicted = tree_cache_.find(tree_lru_.front());
-    delta -= TreeBytes(*evicted->second.first);
+    const CachedTree& gone = evicted->second.first;
+    delta -= CachedBytes(*gone.tree, gone.sigs.get());
     tree_cache_.erase(evicted);
     tree_lru_.pop_front();
   }
@@ -481,7 +503,7 @@ void OffchainNode::CacheTreeLocked(uint64_t log_id,
   tree_cache_bytes_gauge_->Add(delta);
 }
 
-Result<std::shared_ptr<MerkleTree>> OffchainNode::TreeFor(uint64_t log_id) {
+Result<OffchainNode::CachedTree> OffchainNode::TreeFor(uint64_t log_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tree_cache_.find(log_id);
@@ -495,10 +517,10 @@ Result<std::shared_ptr<MerkleTree>> OffchainNode::TreeFor(uint64_t log_id) {
   tree_cache_misses_counter_->Add(1);
   WEDGE_ASSIGN_OR_RETURN(LogPosition pos, store_->Get(log_id));
   WEDGE_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::Build(pos.data_list));
-  auto shared = std::make_shared<MerkleTree>(std::move(tree));
+  CachedTree rebuilt{std::make_shared<MerkleTree>(std::move(tree)), nullptr};
   std::lock_guard<std::mutex> lock(mu_);
-  CacheTreeLocked(log_id, shared);
-  return shared;
+  CacheTreeLocked(log_id, rebuilt);
+  return rebuilt;
 }
 
 Stage1Response OffchainNode::MakeResponse(const SharedBytes& leaf,
@@ -520,9 +542,9 @@ Stage1Response OffchainNode::MakeResponse(const SharedBytes& leaf,
   return resp;
 }
 
-void OffchainNode::SignResponsesPooled(Stage1Response* responses,
-                                       size_t n) const {
-  if (n == 0) return;
+std::vector<EcdsaSignature> OffchainNode::SignResponsesPooled(
+    Stage1Response* responses, size_t n) const {
+  if (n == 0) return {};
   Stopwatch watch(RealClock::Global());
   std::vector<Hash256> hashes(n);
   pool_.ParallelFor(n, [&](size_t i) { hashes[i] = responses[i].SignedHash(); });
@@ -541,6 +563,7 @@ void OffchainNode::SignResponsesPooled(Stage1Response* responses,
     responses[i].offchain_signature = sigs[i];
   }
   sign_hist_->Record(watch.ElapsedMicros());
+  return sigs;
 }
 
 Result<Stage1Response> OffchainNode::ReadOne(const EntryIndex& index) {
@@ -549,20 +572,23 @@ Result<Stage1Response> OffchainNode::ReadOne(const EntryIndex& index) {
     return ForgeTamperedRead(index);
   }
   Stopwatch watch(RealClock::Global());
-  WEDGE_ASSIGN_OR_RETURN(std::shared_ptr<MerkleTree> tree,
-                         TreeFor(index.log_id));
+  WEDGE_ASSIGN_OR_RETURN(CachedTree cached, TreeFor(index.log_id));
+  const MerkleTree& tree = *cached.tree;
   WEDGE_ASSIGN_OR_RETURN(SharedBytes entry, store_->GetEntry(index));
   // A single-entry read is the one the store does not checksum: the
   // entry must hash to its leaf under the root this response signs.
-  if (index.offset >= tree->LeafCount() ||
-      MerkleTree::HashLeaf(entry) != tree->NodeAt(0, index.offset)) {
+  if (index.offset >= tree.LeafCount() ||
+      MerkleTree::HashLeaf(entry) != tree.NodeAt(0, index.offset)) {
     return Status::Corruption("entry " + std::to_string(index.log_id) + ":" +
                               std::to_string(index.offset) +
                               " does not hash to its Merkle leaf");
   }
   reads_counter_->Add(1);
-  Stage1Response resp =
-      MakeResponse(entry, index.log_id, index.offset, *tree);
+  Stage1Response resp = MakeResponse(entry, index.log_id, index.offset, tree,
+                                     /*sign=*/cached.sigs == nullptr);
+  if (cached.sigs != nullptr) {
+    resp.offchain_signature = (*cached.sigs)[index.offset];
+  }
   read_hist_->Record(watch.ElapsedMicros());
   return resp;
 }
@@ -589,7 +615,8 @@ Result<std::vector<Stage1Response>> OffchainNode::Scan(uint64_t first_id,
   std::vector<Stage1Response> out;
   for (uint64_t id = first_id; id <= last_id; ++id) {
     WEDGE_ASSIGN_OR_RETURN(LogPosition pos, store_->Get(id));
-    WEDGE_ASSIGN_OR_RETURN(std::shared_ptr<MerkleTree> tree, TreeFor(id));
+    WEDGE_ASSIGN_OR_RETURN(CachedTree cached, TreeFor(id));
+    const std::vector<EcdsaSignature>* sigs = cached.sigs.get();
     size_t base = out.size();
     out.resize(base + pos.data_list.size());
     std::atomic<bool> failed{false};
@@ -606,13 +633,15 @@ Result<std::vector<Stage1Response>> OffchainNode::Scan(uint64_t first_id,
         }
         return;
       }
-      // Proofs in parallel; signatures batched below.
+      // Proofs in parallel; the seal's signatures, or a batch signing
+      // below.
       out[base + i] = MakeResponse(pos.data_list[i], id,
-                                   static_cast<uint32_t>(i), *tree,
+                                   static_cast<uint32_t>(i), *cached.tree,
                                    /*sign=*/false);
+      if (sigs != nullptr) out[base + i].offchain_signature = (*sigs)[i];
     });
     if (failed.load()) return Status::Internal("scan forgery failed");
-    if (!tampering) {
+    if (!tampering && sigs == nullptr) {
       SignResponsesPooled(out.data() + base, pos.data_list.size());
     }
     reads_counter_->Add(pos.data_list.size());
@@ -623,7 +652,8 @@ Result<std::vector<Stage1Response>> OffchainNode::Scan(uint64_t first_id,
 Result<BatchReadResponse> OffchainNode::ReadBatch(
     uint64_t log_id, std::vector<uint32_t> offsets) {
   WEDGE_ASSIGN_OR_RETURN(LogPosition pos, store_->Get(log_id));
-  WEDGE_ASSIGN_OR_RETURN(std::shared_ptr<MerkleTree> tree, TreeFor(log_id));
+  WEDGE_ASSIGN_OR_RETURN(CachedTree cached, TreeFor(log_id));
+  const std::shared_ptr<MerkleTree>& tree = cached.tree;
 
   if (offsets.empty()) {
     offsets.resize(pos.data_list.size());

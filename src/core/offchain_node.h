@@ -52,7 +52,11 @@ struct OffchainNodeConfig {
   /// benches turn this off only to preload large logs quickly — read
   /// responses are always signed.
   bool sign_stage1_responses = true;
-  /// Positions whose Merkle trees stay cached for read serving.
+  /// Positions whose Merkle trees stay cached for read serving. A cached
+  /// position of n entries holds its tree's ~2n hashes (~64 B per entry)
+  /// and, when this node sealed it with signing on, each entry's
+  /// seal-time stage-1 signature (72 B per entry), which warm reads serve
+  /// instead of signing again.
   size_t tree_cache_capacity = 4096;
   /// Shard identity baked into every stage-1 signature (see
   /// contracts/stage1_message.h). A bare node is shard 0; the sharded
@@ -143,9 +147,12 @@ class OffchainNode {
 
   /// --- Read path ---
 
-  /// Serves one entry with a fresh stage-1 response (§4.3 read requests).
-  /// The entry must hash to its position's Merkle leaf, or the read fails
-  /// with kCorruption and nothing is signed.
+  /// Serves one entry's stage-1 response (§4.3 read requests). The entry
+  /// must hash to its position's Merkle leaf, or the read fails with
+  /// kCorruption and nothing is signed. A position whose tree is cached
+  /// from its seal serves the signature the seal made for that entry (the
+  /// same statement, and RFC 6979 makes it the same bytes); any other
+  /// position signs afresh.
   Result<Stage1Response> ReadOne(const EntryIndex& index);
   /// ReadOne for each index; on failure, the status of the lowest
   /// failing index.
@@ -231,24 +238,38 @@ class OffchainNode {
   /// holds enqueue_mu_. Returns the number handed over.
   Result<uint64_t> HandOffLocked(uint64_t end);
 
-  /// Returns the Merkle tree for a stored position (cache or rebuild).
-  Result<std::shared_ptr<MerkleTree>> TreeFor(uint64_t log_id);
+  /// A cached position: its Merkle tree and, when this node sealed it
+  /// with signing on, the stage-1 signature the seal made for each entry
+  /// (null for a tree rebuilt from the store, or a seal that signed
+  /// corrupted paths under kCorruptProof).
+  struct CachedTree {
+    std::shared_ptr<MerkleTree> tree;
+    std::shared_ptr<const std::vector<EcdsaSignature>> sigs;
+  };
 
-  /// Inserts (or touches) `tree` in the LRU cache. Caller holds mu_.
-  void CacheTreeLocked(uint64_t log_id, std::shared_ptr<MerkleTree> tree);
+  /// Returns the cached position (or a rebuilt tree with no signatures).
+  Result<CachedTree> TreeFor(uint64_t log_id);
+
+  /// Inserts (or touches and refreshes) `entry` in the LRU cache; an
+  /// entry without signatures keeps those already cached. Caller holds
+  /// mu_.
+  void CacheTreeLocked(uint64_t log_id, CachedTree entry);
 
   /// Builds a stage-1 response; signs it inline (timed into
   /// wedge.node.sign_us) unless `sign` is false, in which case the
-  /// caller batch-signs via SignResponsesPooled.
+  /// caller supplies the signature or batch-signs via
+  /// SignResponsesPooled.
   Stage1Response MakeResponse(const SharedBytes& leaf, uint64_t log_id,
                               uint32_t offset, const MerkleTree& tree,
                               bool sign = true) const;
 
-  /// Signs `responses[0..n)` with the node key: hashes in parallel, then
-  /// fans fixed-size EcdsaSignMany chunks across the worker pool so the
-  /// batched-inversion savings and core scaling compose. Records
-  /// wedge.node.sign_us once for the whole batch.
-  void SignResponsesPooled(Stage1Response* responses, size_t n) const;
+  /// Signs `responses[0..n)` with the node key and returns the
+  /// signatures: hashes in parallel, then fans fixed-size EcdsaSignMany
+  /// chunks across the worker pool so the batched-inversion savings and
+  /// core scaling compose. Records wedge.node.sign_us once for the whole
+  /// batch.
+  std::vector<EcdsaSignature> SignResponsesPooled(Stage1Response* responses,
+                                                  size_t n) const;
 
   /// Byzantine read path: forge an internally consistent response over
   /// tampered data.
@@ -271,8 +292,9 @@ class OffchainNode {
   Counter* reads_counter_ = nullptr;
   Counter* tree_cache_hits_counter_ = nullptr;
   Counter* tree_cache_misses_counter_ = nullptr;
-  /// Bytes of the cached trees' hashes (also kept in tree_cache_bytes_,
-  /// under mu_, so the destructor can take this node's share back out).
+  /// Bytes of the cached trees' hashes and signatures (also kept in
+  /// tree_cache_bytes_, under mu_, so the destructor can take this node's
+  /// share back out).
   Gauge* tree_cache_bytes_gauge_ = nullptr;
   Histogram* append_hist_ = nullptr;
   Histogram* seal_hist_ = nullptr;
@@ -284,9 +306,8 @@ class OffchainNode {
   std::vector<AppendRequest> staging_;
   /// LRU tree cache: tree_lru_ is ordered oldest-touched first; each
   /// cache entry carries its position in the list for O(1) touch.
-  std::unordered_map<
-      uint64_t,
-      std::pair<std::shared_ptr<MerkleTree>, std::list<uint64_t>::iterator>>
+  std::unordered_map<uint64_t,
+                     std::pair<CachedTree, std::list<uint64_t>::iterator>>
       tree_cache_;
   std::list<uint64_t> tree_lru_;
   int64_t tree_cache_bytes_ = 0;

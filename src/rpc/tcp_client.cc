@@ -17,6 +17,20 @@ namespace wedge {
 
 namespace {
 
+using SteadyClock = std::chrono::steady_clock;
+
+/// Bytes the read-role holder asks the socket for at a time.
+constexpr size_t kReadChunk = 64 * 1024;
+
+/// False once the peer has hung up on `fd` or the socket has failed: a
+/// zero-timeout poll for those events alone. Unread bytes (a late reply)
+/// leave it open.
+bool PeerOpen(int fd) {
+  pollfd pfd{fd, POLLRDHUP, 0};
+  if (poll(&pfd, 1, 0) <= 0) return true;
+  return (pfd.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) == 0;
+}
+
 /// Writes all of `data` to the blocking socket `fd`.
 Status SendAll(int fd, const Bytes& data) {
   size_t sent = 0;
@@ -44,7 +58,10 @@ TcpNodeClient::TcpNodeClient(KeyPair /*key*/, const Address& server_address,
       endpoint_(config_.host + ":" + std::to_string(config_.port)),
       jitter_rng_(config_.retry_jitter_seed) {
   int n = config_.pool_size < 1 ? 1 : config_.pool_size;
-  for (int i = 0; i < n; ++i) pool_.push_back(std::make_unique<Conn>());
+  for (int i = 0; i < n; ++i) {
+    pool_.push_back(std::make_unique<Conn>());
+    pool_.back()->read_buf.resize(kReadChunk);
+  }
 }
 
 TcpNodeClient::~TcpNodeClient() { Close(); }
@@ -71,15 +88,17 @@ Status TcpNodeClient::Connect() {
 void TcpNodeClient::Close() {
   if (closed_.exchange(true)) return;
   for (auto& conn : pool_) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->fd >= 0) shutdown(conn->fd, SHUT_RDWR);
+    std::unique_lock<std::mutex> lock(conn->mu);
+    if (conn->fd >= 0) {
+      // Wakes a read-role holder and any writer blocked in send.
+      DropConnectionLocked(*conn, Status::Unavailable("client closed"));
     }
-    if (conn->reader.joinable()) conn->reader.join();
-    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->role_free.wait(lock, [&] { return !conn->reading; });
+    lock.unlock();
+    std::lock_guard<std::mutex> write_lock(conn->write_mu);
+    lock.lock();
     if (conn->fd >= 0) close(conn->fd);
     conn->fd = -1;
-    conn->connected = false;
   }
 }
 
@@ -87,7 +106,14 @@ Status TcpNodeClient::EnsureConnected(Conn& conn) {
   if (closed_.load()) return Status::FailedPrecondition("client closed");
   {
     std::lock_guard<std::mutex> lock(conn.mu);
-    if (conn.connected) return Status::Ok();
+    if (conn.connected) {
+      // A call in flight reads the socket and sees a close itself. An idle
+      // connection has no reader, so check that the server has not closed
+      // it (say, by restarting) before a request is written into it: an
+      // append written there would fail as sent, where a redial lands it.
+      if (!conn.waiters.empty() || PeerOpen(conn.fd)) return Status::Ok();
+      DropConnectionLocked(conn, Status::Unavailable("connection lost"));
+    }
     Micros now = RealClock::Global()->NowMicros();
     if (conn.dialing || now < conn.next_attempt_at) {
       return Status::Unavailable("connection down, backing off");
@@ -96,13 +122,13 @@ Status TcpNodeClient::EnsureConnected(Conn& conn) {
     // resolves.
     conn.dialing = true;
   }
-  // The old reader has observed the dead socket (connected was false);
-  // join it outside conn.mu — its exit path takes that mutex.
-  if (conn.reader.joinable()) conn.reader.join();
-
   Result<Dialed> dialed = Dial();
   std::lock_guard<std::mutex> write_lock(conn.write_mu);
-  std::lock_guard<std::mutex> lock(conn.mu);
+  std::unique_lock<std::mutex> lock(conn.mu);
+  // A caller may still hold the read role on the dead socket; it leaves
+  // promptly (the socket is shut down and its call failed). Swap only
+  // after it has.
+  conn.role_free.wait(lock, [&] { return !conn.reading; });
   conn.dialing = false;
   if (!dialed.ok()) {
     conn.backoff = conn.backoff == 0
@@ -122,10 +148,10 @@ Status TcpNodeClient::EnsureConnected(Conn& conn) {
   }
   conn.fd = dialed->fd;
   conn.session.emplace(std::move(dialed->session));
+  conn.decoder = FrameDecoder(config_.max_frame_bytes);
   conn.connected = true;
   conn.backoff = 0;
   conn.next_attempt_at = 0;
-  conn.reader = std::thread([this, &conn] { ReaderLoop(conn); });
   return Status::Ok();
 }
 
@@ -164,8 +190,8 @@ Result<TcpNodeClient::Dialed> TcpNodeClient::Dial() {
 Result<Session> TcpNodeClient::Handshake(int fd) {
   WEDGE_ASSIGN_OR_RETURN(ClientHello hello, StartClientHandshake());
   WEDGE_RETURN_IF_ERROR(SendAll(fd, EncodeFrame(hello.payload)));
-  // Read exactly the fixed-size reply frame: any later bytes are the
-  // reader thread's.
+  // Read exactly the fixed-size reply frame: any later bytes belong to
+  // the read role.
   Bytes in(kFrameHeaderBytes + kHelloReplyBytes);
   size_t got = 0;
   const Micros deadline =
@@ -197,89 +223,83 @@ Result<Session> TcpNodeClient::Handshake(int fd) {
   return FinishClientHandshake(hello, server_address_, reply);
 }
 
-void TcpNodeClient::ReaderLoop(Conn& conn) {
-  int fd;
-  {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    fd = conn.fd;
-  }
-  FrameDecoder decoder(config_.max_frame_bytes);
-  std::vector<uint8_t> buf(64 * 1024);
-  bool broken = false;
-  while (!broken) {
-    ssize_t n = read(fd, buf.data(), buf.size());
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    decoder.Feed(buf.data(), static_cast<size_t>(n));
-    for (;;) {
-      Bytes payload;
-      Result<bool> has = decoder.Next(&payload);
-      if (!has.ok()) {
-        broken = true;  // Unsyncable garbage from the server side.
-        break;
+void TcpNodeClient::ReadReplies(Conn& conn,
+                                std::unique_lock<std::mutex>& lock,
+                                const Waiter& self,
+                                SteadyClock::time_point deadline) {
+  const int fd = conn.fd;
+  while (!self.done) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - SteadyClock::now());
+    if (left.count() <= 0) return;
+    lock.unlock();
+    bool lost = false;    // EOF or a socket error.
+    bool broken = false;  // The stream can no longer be trusted.
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0) {
+      lost = errno != EINTR;
+    } else if (ready > 0) {
+      const ssize_t n = read(fd, conn.read_buf.data(), conn.read_buf.size());
+      if (n == 0 || (n < 0 && errno != EINTR)) {
+        lost = true;
+      } else if (n > 0) {
+        conn.decoder.Feed(conn.read_buf.data(), static_cast<size_t>(n));
+        while (!broken) {
+          Bytes payload;
+          Result<bool> has = conn.decoder.Next(&payload);
+          if (!has.ok()) {
+            broken = true;  // Unsyncable garbage from the server side.
+          } else if (!has.value()) {
+            break;
+          } else if (!HandlePayload(conn, payload)) {
+            broken = true;  // Tag failed: nothing after it can be trusted.
+          }
+        }
       }
-      if (!has.value()) break;
-      if (!HandlePayload(conn, payload)) {
-        broken = true;  // Tag failed: nothing after it can be trusted.
-        break;
-      }
+    }
+    lock.lock();
+    if (lost || broken) {
+      DropConnectionLocked(conn, Status::Unavailable("connection lost"));
+      return;
     }
   }
-  if (broken) shutdown(fd, SHUT_RDWR);
-  FailAllWaiters(conn, Status::Unavailable("connection lost"));
 }
 
 bool TcpNodeClient::HandlePayload(Conn& conn, Bytes& payload) {
-  // Only this reader thread opens frames on the connection's session.
+  // Only the read-role holder opens frames on the connection's session.
   if (!conn.session->Open(&payload).ok()) return false;
   auto response = RpcResponse::Decode(payload);
   if (!response.ok()) {
     discarded_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  std::shared_ptr<Waiter> waiter;
-  {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    auto it = conn.waiters.find(response->rpc_id);
-    if (it != conn.waiters.end()) {
-      waiter = it->second;
-      conn.waiters.erase(it);
-    }
-  }
-  if (waiter == nullptr) {
+  std::lock_guard<std::mutex> lock(conn.mu);
+  auto it = conn.waiters.find(response->rpc_id);
+  if (it == conn.waiters.end()) {
     // Stale (timed-out caller already left) or mismatched rpc_id: never
     // deliver it to some other waiter.
     discarded_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  {
-    std::lock_guard<std::mutex> lock(waiter->mu);
-    waiter->response = std::move(response).value();
-    waiter->done = true;
-  }
-  waiter->cv.notify_all();
+  Waiter& waiter = *it->second;
+  conn.waiters.erase(it);
+  waiter.response = std::move(response).value();
+  waiter.done = true;
+  waiter.cv.notify_one();
   return true;
 }
 
-void TcpNodeClient::FailAllWaiters(Conn& conn, const Status& status) {
-  std::unordered_map<uint64_t, std::shared_ptr<Waiter>> orphans;
-  {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    orphans.swap(conn.waiters);
-    conn.connected = false;
-  }
-  for (auto& [id, waiter] : orphans) {
+void TcpNodeClient::DropConnectionLocked(Conn& conn, const Status& status) {
+  if (conn.fd >= 0) shutdown(conn.fd, SHUT_RDWR);
+  conn.connected = false;
+  for (auto& [id, waiter] : conn.waiters) {
     (void)id;
-    {
-      std::lock_guard<std::mutex> lock(waiter->mu);
-      waiter->error = status;
-      waiter->done = true;
-    }
-    waiter->cv.notify_all();
+    waiter->error = status;
+    waiter->done = true;
+    waiter->cv.notify_one();
   }
+  conn.waiters.clear();
 }
 
 Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& payload) {
@@ -301,9 +321,10 @@ Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& payload) {
       std::this_thread::sleep_for(std::chrono::microseconds(decision.delay));
     }
     if (decision.action == FaultyTransport::SendAction::kDrop) {
-      // Kill the whole connection, as a mid-stream RST would: the reader
-      // fails every in-flight call and the socket is redialed with backoff.
-      shutdown(fd, SHUT_RDWR);
+      // Kill the whole connection, as a mid-stream RST would: every
+      // in-flight call fails and the socket is redialed with backoff.
+      std::lock_guard<std::mutex> lock(conn.mu);
+      DropConnectionLocked(conn, Status::Unavailable("connection lost"));
       return Status::Unavailable("write failed: dropped (injected fault)");
     }
     if (decision.action == FaultyTransport::SendAction::kDuplicate) {
@@ -313,8 +334,9 @@ Status TcpNodeClient::WriteFrame(Conn& conn, const Bytes& payload) {
   for (int copy = 0; copy < copies; ++copy) {
     Status sent = SendAll(fd, frame);
     if (!sent.ok()) {
-      // Wake the reader so in-flight calls fail fast, not at timeout.
-      shutdown(fd, SHUT_RDWR);
+      // In-flight calls fail fast, not at their timeout.
+      std::lock_guard<std::mutex> lock(conn.mu);
+      DropConnectionLocked(conn, Status::Unavailable("connection lost"));
       return sent;
     }
   }
@@ -407,11 +429,11 @@ Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id,
       last = st;
       continue;
     }
-    auto waiter = std::make_shared<Waiter>();
+    Waiter waiter;
     {
       std::lock_guard<std::mutex> lock(conn.mu);
       if (!conn.connected) continue;
-      conn.waiters.emplace(rpc_id, waiter);
+      conn.waiters.emplace(rpc_id, &waiter);
     }
     *request_sent = true;  // Bytes may hit the wire from here on.
     st = WriteFrame(conn, payload);
@@ -421,36 +443,51 @@ Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id,
       last = st;
       continue;
     }
-
-    std::unique_lock<std::mutex> wl(waiter->mu);
-    bool done = waiter->cv.wait_for(
-        wl, std::chrono::microseconds(config_.rpc_timeout),
-        [&] { return waiter->done; });
-    if (!done) {
-      wl.unlock();
-      bool deregistered;
-      {
-        std::lock_guard<std::mutex> lock(conn.mu);
-        deregistered = conn.waiters.erase(rpc_id) == 1;
-      }
-      if (deregistered) {
-        return Status::DeadlineExceeded("rpc timed out (omission or loss)");
-      }
-      // The reader claimed the waiter between our timeout and the
-      // deregistration — the response is a moment away; take it.
-      wl.lock();
-      waiter->cv.wait(wl, [&] { return waiter->done; });
-    }
-    if (!waiter->error.ok()) return waiter->error;
-    if (!waiter->response.ok) {
-      // Error responses carry a "<CodeName>: <message>" status string, so
-      // typed server-side failures (e.g. quota kResourceExhausted) stay
-      // typed across the wire instead of collapsing into kUnavailable.
-      return Status::FromWireString(waiter->response.error);
-    }
-    return std::move(waiter->response.body);
+    return AwaitReply(
+        conn, rpc_id, waiter,
+        SteadyClock::now() + std::chrono::microseconds(config_.rpc_timeout));
   }
   return last;
+}
+
+Result<Bytes> TcpNodeClient::AwaitReply(Conn& conn, uint64_t rpc_id,
+                                        Waiter& waiter,
+                                        SteadyClock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(conn.mu);
+  for (;;) {
+    if (!waiter.done && !conn.reading) {
+      conn.reading = true;
+      ReadReplies(conn, lock, waiter, deadline);
+      conn.reading = false;
+      conn.role_free.notify_all();
+    }
+    if (waiter.done) break;
+    if (SteadyClock::now() >= deadline) {
+      // A reply that arrives later is counted and dropped by whoever
+      // reads it next.
+      conn.waiters.erase(rpc_id);
+      break;
+    }
+    // Another caller holds the read role: wait for it to deliver this
+    // reply, or to pass the role on.
+    if (conn.reading) waiter.cv.wait_until(lock, deadline);
+  }
+  // Whoever leaves with the role free wakes a caller still waiting to take
+  // it, so no call is stranded behind one that timed out.
+  if (!conn.reading && !conn.waiters.empty()) {
+    conn.waiters.begin()->second->cv.notify_one();
+  }
+  if (!waiter.done) {
+    return Status::DeadlineExceeded("rpc timed out (omission or loss)");
+  }
+  if (!waiter.error.ok()) return waiter.error;
+  if (!waiter.response.ok) {
+    // Error responses carry a "<CodeName>: <message>" status string, so
+    // typed server-side failures (e.g. quota kResourceExhausted) stay
+    // typed across the wire instead of collapsing into kUnavailable.
+    return Status::FromWireString(waiter.response.error);
+  }
+  return std::move(waiter.response.body);
 }
 
 Result<std::vector<Stage1Response>> TcpNodeClient::AppendForTenant(

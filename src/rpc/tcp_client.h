@@ -2,12 +2,12 @@
 #define WEDGEBLOCK_RPC_TCP_CLIENT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -58,16 +58,24 @@ struct TcpClientConfig {
 /// number. The client is anonymous on the wire: tenants are bound by the
 /// per-entry publisher signatures, not by the channel.
 ///
-/// Each pooled connection has one reader thread that correlates responses
-/// to waiting callers by rpc_id, so many threads can have calls in flight
-/// on one socket and responses may return out of order. A response with
-/// an unknown rpc_id (stale or late) is counted and discarded — it is
-/// never handed to a waiter. A frame whose tag fails (tampered, replayed,
-/// reordered, forged) closes the connection.
+/// Many threads can have calls in flight on one pooled connection, and
+/// responses may return out of order. The connection has no thread of its
+/// own: a caller waiting for its reply reads the socket itself. One caller
+/// at a time holds a connection's read role (its frame decoder and the
+/// receive side of its session). The holder opens each frame, hands
+/// replies for other rpc_ids to their waiters, and returns on its own
+/// reply after passing the role to a caller that is still waiting. So a
+/// lone call reads its own reply, with no thread hand-off. A response
+/// with an unknown rpc_id (stale or late) is counted and discarded when
+/// the next holder reads it — it is never handed to a waiter. A frame
+/// whose tag fails (tampered, replayed, reordered, forged) closes the
+/// connection and delivers nothing.
 ///
-/// Failure behaviour: a broken socket or a bad frame tag fails all of the
-/// connection's in-flight calls with kUnavailable. A dropped connection,
-/// like a failed handshake, is redialed lazily with exponential backoff;
+/// Failure behaviour: EOF, a socket error, an unsyncable stream or a bad
+/// frame tag fails all of the connection's in-flight calls with
+/// kUnavailable. An idle connection that the server closed is noticed
+/// before the next request is written to it. A dropped connection, like
+/// a failed handshake, is redialed lazily with exponential backoff;
 /// calls spill over to the other pool connections meanwhile. A call that
 /// sees no reply within rpc_timeout returns kDeadlineExceeded (the
 /// omission-attack surface, §4.7) — the request may have executed
@@ -93,8 +101,8 @@ class TcpNodeClient {
   /// retry lazily on use).
   Status Connect();
 
-  /// Shuts every connection down and joins the reader threads. Idempotent;
-  /// the destructor calls it.
+  /// Shuts every connection down, fails the calls in flight on them and
+  /// closes the sockets. Idempotent; the destructor calls it.
   void Close();
 
   /// The tenant-scoped ops (core/rpc_codec.h "appendT"/"readT"/
@@ -121,8 +129,11 @@ class TcpNodeClient {
   uint64_t retries() const { return retries_.load(); }
 
  private:
+  /// One call awaiting its reply; lives on the caller's stack. Guarded by
+  /// its connection's mu.
   struct Waiter {
-    std::mutex mu;
+    /// Signalled when the reply (or a failure) is delivered, and when the
+    /// read role passes to this caller.
     std::condition_variable cv;
     bool done = false;
     Status error;       ///< Transport-level failure (timeout handled by caller).
@@ -130,17 +141,26 @@ class TcpNodeClient {
   };
 
   struct Conn {
-    std::mutex mu;  ///< Guards fd/connected/waiters/backoff state.
+    std::mutex mu;  ///< Guards fd/connected/waiters/reading/backoff state.
     int fd = -1;
     bool connected = false;
-    std::thread reader;
-    std::unordered_map<uint64_t, std::shared_ptr<Waiter>> waiters;
+    /// Calls whose request is on this socket; each leaves the map before
+    /// its caller returns.
+    std::unordered_map<uint64_t, Waiter*> waiters;
+    /// A caller holds the read role: it alone reads the socket, feeds
+    /// `decoder` and opens frames, with mu released. A new socket is
+    /// installed, or the old one closed, only while nobody holds it.
+    bool reading = false;
+    std::condition_variable role_free;  ///< Signalled when reading clears.
+    FrameDecoder decoder;  ///< The read-role holder's.
+    Bytes read_buf;        ///< The read-role holder's.
     Micros backoff = 0;
     Micros next_attempt_at = 0;
     bool dialing = false;  ///< One dial (and handshake) at a time.
     std::mutex write_mu;  ///< Serializes frame writes from pipelined callers.
-    /// The live connection's keys. Replaced only under write_mu with no
-    /// reader running; writers seal under write_mu, the reader opens.
+    /// The live connection's keys. Replaced only under write_mu while
+    /// nobody holds the read role; writers seal under write_mu, the
+    /// read-role holder opens.
     std::optional<Session> session;
   };
 
@@ -160,17 +180,29 @@ class TcpNodeClient {
   /// Lazily-resolved `wedge.client.rpc_us{op=<op>}` histogram (null when
   /// the config carries no telemetry).
   Histogram* OpHistogram(std::string_view op);
+  /// OK when `conn` is up, dialing it first when it is down (or idle and
+  /// closed by the server) and its backoff allows.
   Status EnsureConnected(Conn& conn);
   /// Opens a socket to the server and runs the session handshake on it.
   Result<Dialed> Dial();
   /// Sends the hello on `fd` and checks the reply within rpc_timeout.
   Result<Session> Handshake(int fd);
-  void ReaderLoop(Conn& conn);
+  /// Waits for `waiter`'s reply until `deadline`, taking the read role
+  /// whenever it is free; on timeout, deregisters `rpc_id`.
+  Result<Bytes> AwaitReply(Conn& conn, uint64_t rpc_id, Waiter& waiter,
+                           std::chrono::steady_clock::time_point deadline);
+  /// The read role: reads the socket and delivers replies until `self`
+  /// is done, the connection fails or `deadline` passes. Entered and left
+  /// with `lock` (on conn.mu) held; reads with it released.
+  void ReadReplies(Conn& conn, std::unique_lock<std::mutex>& lock,
+                   const Waiter& self,
+                   std::chrono::steady_clock::time_point deadline);
   /// Opens one received frame and hands its response to the waiter.
   /// Returns false when the frame's tag fails: the connection must close.
   bool HandlePayload(Conn& conn, Bytes& payload);
-  /// Fails every in-flight waiter on `conn` (socket died).
-  void FailAllWaiters(Conn& conn, const Status& status);
+  /// Shuts the socket down and fails every in-flight call on `conn`; the
+  /// next call redials. Caller holds conn.mu.
+  void DropConnectionLocked(Conn& conn, const Status& status);
   /// Seals `payload` for the connection and writes the frame.
   Status WriteFrame(Conn& conn, const Bytes& payload);
 

@@ -250,6 +250,173 @@ TEST_F(OffchainNodeTest, TreeCacheEvictionStillServesReads) {
   EXPECT_TRUE(read->Verify(Node(**d).address()));
 }
 
+// ---------------------------------------------------------------------
+// A read whose position's tree is cached from its seal serves the
+// signature the seal made for that entry. The statement is the one the
+// seal signed and RFC 6979 signing is deterministic, so the reply is
+// byte-identical to a freshly signed one; every other read signs afresh.
+
+/// Samples in wedge.node.sign_us: one per inline signature, one per
+/// pooled batch.
+uint64_t SignSamples(OffchainNode& node) {
+  return node.telemetry()
+      .metrics.Snapshot()
+      .FindHistogram("wedge.node.sign_us")
+      ->count;
+}
+
+TEST_F(OffchainNodeTest, WarmReadsAndScansServeTheAppendResponsesBytes) {
+  auto d = Make(4);
+  OffchainNode& node = Node(*d);
+  PublisherClient pub = d->MakePublisher(0);
+  auto appended = pub.Publish(pub.MakeRequests(Workload(10)));  // 4+4+2.
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  const uint64_t signs = SignSamples(node);
+
+  for (const Stage1Response& r : *appended) {
+    auto read = node.ReadOne(r.index);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->Serialize(), r.Serialize())
+        << r.index.log_id << ":" << r.index.offset;
+  }
+  auto scan = node.Scan(0, 2);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->size(), appended->size());
+  for (size_t i = 0; i < scan->size(); ++i) {
+    EXPECT_EQ((*scan)[i].Serialize(), (*appended)[i].Serialize()) << i;
+  }
+  // Every reply came from the seal: nothing was signed again.
+  EXPECT_EQ(SignSamples(node), signs);
+  EXPECT_EQ(node.stats().tree_cache_misses, 0u);
+}
+
+TEST_F(OffchainNodeTest, ColdReadsAndScansSignTheSameBytesAfresh) {
+  ShardedDeploymentConfig config = ClassicConfig();
+  config.engine.node.batch_size = 4;
+  config.engine.node.worker_threads = 2;
+  config.engine.node.tree_cache_capacity = 1;  // Every read below misses.
+  auto d = ShardedDeployment::Create(config);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  OffchainNode& node = Node(**d);
+  PublisherClient pub = (*d)->MakePublisher(0);
+  auto appended = pub.Publish(pub.MakeRequests(Workload(12)));
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  const uint64_t signs = SignSamples(node);
+
+  // Positions 0, 1, 2 in turn: each evicts the one before it.
+  for (const Stage1Response& r : *appended) {
+    auto read = node.ReadOne(r.index);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->Serialize(), r.Serialize())
+        << r.index.log_id << ":" << r.index.offset;
+  }
+  EXPECT_EQ(node.stats().tree_cache_misses, 3u);
+  // A rebuilt tree carries no signatures: each read signed inline.
+  EXPECT_EQ(SignSamples(node), signs + appended->size());
+
+  auto scan = node.Scan(0, 2);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->size(), appended->size());
+  for (size_t i = 0; i < scan->size(); ++i) {
+    EXPECT_EQ((*scan)[i].Serialize(), (*appended)[i].Serialize()) << i;
+  }
+  EXPECT_EQ(node.stats().tree_cache_misses, 6u);
+}
+
+TEST_F(OffchainNodeTest, PositionSealedUnderCorruptProofReadsBackHonest) {
+  auto d = Make(4);
+  OffchainNode& node = Node(*d);
+  PublisherClient pub = d->MakePublisher(0);
+  node.set_byzantine_mode(ByzantineMode::kCorruptProof);
+  auto appended = node.Append(pub.MakeRequests(Workload(4)));
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  // The node turns honest; its cached tree is still the corrupt seal's.
+  node.set_byzantine_mode(ByzantineMode::kHonest);
+  const uint64_t signs = SignSamples(node);
+
+  for (const Stage1Response& r : *appended) {
+    EXPECT_FALSE(r.Verify(node.address()));  // A signed corrupt path.
+    auto read = node.ReadOne(r.index);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(read->Verify(node.address()));
+    EXPECT_EQ(read->entry, r.entry);
+    EXPECT_NE(read->Serialize(), r.Serialize());
+  }
+  // The corrupt seal's signatures were never cached: each read signed.
+  EXPECT_EQ(SignSamples(node), signs + appended->size());
+  auto scan = node.Scan(0, 0);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->size(), appended->size());
+  for (const Stage1Response& r : *scan) EXPECT_TRUE(r.Verify(node.address()));
+}
+
+TEST_F(OffchainNodeTest, UnsignedSealsStillServeSignedReads) {
+  ShardedDeploymentConfig config = ClassicConfig();
+  config.engine.node.batch_size = 4;
+  config.engine.node.worker_threads = 2;
+  config.engine.node.sign_stage1_responses = false;
+  auto d = ShardedDeployment::Create(config);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  OffchainNode& node = Node(**d);
+  PublisherClient pub = (*d)->MakePublisher(0);
+  auto appended = node.Append(pub.MakeRequests(Workload(8)));
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+
+  for (const Stage1Response& r : *appended) {
+    EXPECT_FALSE(r.Verify(node.address()));  // Sealed unsigned.
+    auto read = node.ReadOne(r.index);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(read->Verify(node.address()));
+    EXPECT_EQ(read->entry, r.entry);
+  }
+  auto scan = node.Scan(0, 1);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->size(), appended->size());
+  for (const Stage1Response& r : *scan) EXPECT_TRUE(r.Verify(node.address()));
+}
+
+TEST(TreeCacheBytesTest, SealTimeSignaturesAddOneSignaturePerCachedEntry) {
+  Telemetry telemetry;
+  Gauge* gauge = telemetry.metrics.GetGauge("wedge.node.tree_cache_bytes");
+  gauge->Add(1000);  // Another node's share of a shared registry.
+  const int64_t before = gauge->Value();
+  auto make_node = [&](bool sign) {
+    OffchainNodeConfig config;
+    config.batch_size = 4;
+    config.worker_threads = 1;
+    config.auto_stage2 = false;
+    config.sign_stage1_responses = sign;
+    return std::make_unique<OffchainNode>(
+        config, KeyPair::FromSeed(0xED6E), std::make_unique<MemoryLogStore>(),
+        nullptr, Address{}, &telemetry);
+  };
+  KeyPair publisher = KeyPair::FromSeed(9);
+  std::vector<AppendRequest> requests;  // Three positions of four.
+  for (int i = 0; i < 12; ++i) {
+    requests.push_back(AppendRequest::Make(
+        publisher, i, ToBytes("k" + std::to_string(i)), ToBytes("v")));
+  }
+
+  auto unsigned_node = make_node(/*sign=*/false);
+  ASSERT_TRUE(unsigned_node->Append(requests).ok());
+  const int64_t trees = gauge->Value() - before;
+  EXPECT_EQ(trees, 3 * 7 * static_cast<int64_t>(sizeof(Hash256)));
+  {
+    // The same positions, signed: one signature more per cached entry.
+    auto signed_node = make_node(/*sign=*/true);
+    ASSERT_TRUE(signed_node->Append(requests).ok());
+    const int64_t sigs = 12 * static_cast<int64_t>(sizeof(EcdsaSignature));
+    EXPECT_EQ(gauge->Value() - before, 2 * trees + sigs);
+    // Warm reads serve the cached signatures and add nothing.
+    ASSERT_TRUE(signed_node->Scan(0, 2).ok());
+    ASSERT_TRUE(signed_node->ReadOne(EntryIndex{1, 3}).ok());
+    EXPECT_EQ(gauge->Value() - before, 2 * trees + sigs);
+  }
+  EXPECT_EQ(gauge->Value() - before, trees);
+  unsigned_node.reset();
+  EXPECT_EQ(gauge->Value(), before);
+}
+
 TEST_F(OffchainNodeTest, UserClientVerifiedReads) {
   auto d = Make(4);
   PublisherClient pub = d->MakePublisher(0);
@@ -639,13 +806,6 @@ class SegmentNodeTest : public ::testing::Test {
     return static_cast<size_t>(at - file.begin());
   }
 
-  uint64_t SignCount() {
-    return node_->telemetry()
-        .metrics.Snapshot()
-        .FindHistogram("wedge.node.sign_us")
-        ->count;
-  }
-
   std::string dir_;
   std::unique_ptr<OffchainNode> node_;
   std::vector<SharedBytes> entries_;
@@ -658,11 +818,11 @@ TEST_F(SegmentNodeTest, DamagedEntryIsRefusedUnsignedWhileItsNeighboursServe) {
   // One byte inside entry 1:2.
   const std::string seg0 = SegmentPath(0);
   FlipByte(seg0, FindInFile(seg0, Entry(1, 2)) + 30, 0x01);
-  const uint64_t signs = SignCount();
+  const uint64_t signs = SignSamples(*node_);
   auto refused = node_->ReadOne(EntryIndex{1, 2});
   EXPECT_EQ(refused.status().code(), Code::kCorruption);
-  EXPECT_EQ(SignCount(), signs);
-  auto neighbour = node_->ReadOne(EntryIndex{1, 0});
+  EXPECT_EQ(SignSamples(*node_), signs);
+  auto neighbour = node_->ReadOne(EntryIndex{1, 0});  // Seal-signed.
   ASSERT_TRUE(neighbour.ok()) << neighbour.status().ToString();
   EXPECT_TRUE(neighbour->Verify(node_->address()));
   EXPECT_EQ(neighbour->entry, Entry(1, 0));
@@ -679,7 +839,9 @@ TEST_F(SegmentNodeTest, DamagedEntryIsRefusedUnsignedWhileItsNeighboursServe) {
               Code::kCorruption)
         << offset;
   }
-  EXPECT_EQ(SignCount(), signs + 1);  // The neighbour's signature only.
+  // Refusals sign nothing, and the warm neighbour served the signature
+  // its seal made.
+  EXPECT_EQ(SignSamples(*node_), signs);
   for (uint32_t offset : {0u, 3u}) {
     auto read = node_->ReadOne(EntryIndex{2, offset});
     ASSERT_TRUE(read.ok()) << offset << ": " << read.status().ToString();
@@ -702,9 +864,11 @@ TEST_F(SegmentNodeTest, ColdReadsVerifyWithATreeCacheSmallerThanTheLog) {
   AppendPositions(6);  // Three sealed segments, six positions.
   Gauge* cache_bytes =
       node_->telemetry().metrics.GetGauge("wedge.node.tree_cache_bytes");
-  // A 4-leaf tree holds 4 + 2 + 1 hashes.
+  // A 4-leaf tree holds 4 + 2 + 1 hashes. The two positions the seals
+  // left cached also hold their entries' signatures.
   constexpr int64_t kTreeBytes = 7 * sizeof(Hash256);
-  EXPECT_EQ(cache_bytes->Value(), 2 * kTreeBytes);
+  constexpr int64_t kSigBytes = kBatch * sizeof(EcdsaSignature);
+  EXPECT_EQ(cache_bytes->Value(), 2 * (kTreeBytes + kSigBytes));
 
   for (uint64_t id = 0; id < 6; ++id) {
     for (uint32_t offset = 0; offset < kBatch; ++offset) {
@@ -715,7 +879,8 @@ TEST_F(SegmentNodeTest, ColdReadsVerifyWithATreeCacheSmallerThanTheLog) {
       EXPECT_EQ(read->entry, Entry(id, offset));
     }
   }
-  // Positions 0-3 were evicted before they were read, and rebuilt.
+  // Positions 0-3 were evicted before they were read, and rebuilt; the
+  // rebuilt trees hold no signatures.
   EXPECT_GE(node_->stats().tree_cache_misses, 4u);
   EXPECT_EQ(cache_bytes->Value(), 2 * kTreeBytes);
 }

@@ -571,6 +571,44 @@ TEST_F(RpcTest, ClientReconnectsAfterServerRestart) {
   revived.Shutdown();
 }
 
+TEST_F(RpcTest, AppendAfterAServerRestartRedialsAndLandsOnce) {
+  // With no call in flight nothing reads the client's socket, so the
+  // restarted server's close is still unread when the next append starts.
+  // The client must notice it before writing: an append written into the
+  // dead socket would fail as sent (and never be resent), where a redial
+  // lands it.
+  auto client = MakeClient();
+  ASSERT_TRUE(client->Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+
+  uint16_t port = server_->port();
+  server_->Shutdown();
+  RpcServerConfig server_config;
+  server_config.port = port;
+  RpcServer revived(EngineHandler(), *server_key_, server_config);
+  ASSERT_TRUE(revived.Start().ok());
+
+  auto appended =
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4, "after"));
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(client->reconnects(), 1u);
+  EXPECT_EQ(client->retries(), 0u);
+  EXPECT_EQ(revived.requests_served(), 1u);
+  // Exactly once: one more position, which reads back as appended.
+  EXPECT_EQ(engine().shard(0).LogPositions(), 2u);
+  for (const Stage1Response& r : *appended) {
+    EXPECT_EQ(r.index.log_id, 1u);
+    auto read = client->ReadOneForTenant(kTenant, r.index);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->Serialize(), r.Serialize());
+  }
+  client->Close();
+  revived.Shutdown();
+}
+
 TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   // A client pipelines requests and half-closes its write side before
   // reading any reply. The server has already TCP-acked those requests;
@@ -1085,7 +1123,9 @@ TEST_F(RpcTest, SlowReplyIsDeadlineExceededAndTheAppendLandsOnce) {
   RpcServer::Handler dispatch = EngineHandler();
   RpcServer slow(
       [dispatch](std::string_view op, const Bytes& body) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        if (op == kOpAppendTenant) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        }
         return dispatch(op, body);
       },
       *server_key_, RpcServerConfig{});
@@ -1101,14 +1141,153 @@ TEST_F(RpcTest, SlowReplyIsDeadlineExceededAndTheAppendLandsOnce) {
   auto result = client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded);
-  // The late reply arrives after the waiter left and is discarded; by
-  // then the append has executed — exactly once.
-  EXPECT_TRUE(Eventually([&] { return client.discarded_responses() == 1; }));
+  // The late reply arrives after the waiter left. The client reads its
+  // socket only inside a call, so the next call on the connection (a
+  // fast read, once the append has executed) reads the late reply first
+  // and discards it. The append executed exactly once.
+  ASSERT_TRUE(
+      Eventually([&] { return engine().shard(0).LogPositions() == 1; }));
+  auto read = client.ReadOneForTenant(kTenant, EntryIndex{0, 0});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->Verify(engine().address()));
+  EXPECT_EQ(client.discarded_responses(), 1u);
   EXPECT_EQ(client.retries(), 0u);
-  EXPECT_EQ(slow.requests_served(), 1u);
+  EXPECT_EQ(slow.requests_served(), 2u);  // The append once, then the read.
   EXPECT_EQ(engine().shard(0).LogPositions(), 1u);
   client.Close();
   slow.Shutdown();
+}
+
+TEST_F(RpcTest, CallerTimingOutWithTheReadRoleStrandsNoOtherCall) {
+  // pool_size = 1 puts four reads on one socket. A hand-written server
+  // holds the first read's reply, so the first caller holds the read role
+  // until its deadline. Three later callers wait behind it, and their
+  // replies arrive only after it has given up: they are served only if it
+  // passed the role on.
+  auto seeding = MakeClient();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      seeding->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+  std::vector<Stage1Response> genuine;
+  for (uint32_t offset = 0; offset < 4; ++offset) {
+    auto read = seeding->ReadOneForTenant(kTenant, EntryIndex{0, offset});
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    genuine.push_back(*read);
+  }
+  seeding->Close();
+
+  uint16_t port = 0;
+  int listen_fd = ListenLoopback(&port);
+  ASSERT_GE(listen_fd, 0);
+  std::atomic<bool> first_received{false};
+  std::atomic<bool> first_returned{false};
+  std::thread peer([&] {
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval tv{.tv_sec = 5, .tv_usec = 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    auto session = HandshakeAsServer(fd, *server_key_);
+    if (!session.ok()) {
+      ::close(fd);
+      return;
+    }
+    // One decoder across requests: concurrent callers' frames may share a
+    // read chunk.
+    FrameDecoder decoder;
+    struct Read {
+      uint64_t rpc_id = 0;
+      uint32_t offset = 0;
+    };
+    auto next_read = [&]() -> Result<Read> {
+      uint8_t buf[4096];
+      for (;;) {
+        Bytes frame;
+        WEDGE_ASSIGN_OR_RETURN(bool got, decoder.Next(&frame));
+        if (got) {
+          WEDGE_RETURN_IF_ERROR(session->Open(&frame));
+          WEDGE_ASSIGN_OR_RETURN(RpcRequest request,
+                                 RpcRequest::Decode(frame));
+          ByteReader body(request.body);  // [tenant][log_id][offset]
+          WEDGE_RETURN_IF_ERROR(body.ReadU64().status());
+          WEDGE_RETURN_IF_ERROR(body.ReadU64().status());
+          WEDGE_ASSIGN_OR_RETURN(uint32_t offset, body.ReadU32());
+          return Read{request.rpc_id, offset};
+        }
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0) return Status::Unavailable("no request");
+        decoder.Feed(buf, static_cast<size_t>(n));
+      }
+    };
+    auto reply = [&](const Read& read) {
+      WriteAll(fd, Sealed(*session,
+                          RpcResponse::Success(
+                              read.rpc_id, genuine[read.offset].Serialize())
+                              .Encode()));
+    };
+    auto first = next_read();
+    first_received = true;
+    std::vector<Read> later;
+    for (int i = 0; i < 3; ++i) {
+      auto read = next_read();
+      if (read.ok()) later.push_back(*read);
+    }
+    Eventually([&] { return first_returned.load(); });
+    for (const Read& read : later) reply(read);
+    if (first.ok()) reply(*first);  // Late: its caller has left.
+    auto check = next_read();
+    if (check.ok()) reply(*check);
+    uint8_t byte;
+    while (::read(fd, &byte, 1) > 0) {
+    }
+    ::close(fd);
+  });
+
+  TcpClientConfig config;
+  config.port = port;
+  config.pool_size = 1;
+  config.rpc_timeout = kMicrosPerSecond;
+  config.max_call_attempts = 1;
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  // EXPECT, not ASSERT, until the threads are joined.
+  EXPECT_TRUE(client.Connect().ok());
+  Status first_status;
+  std::thread first([&] {
+    first_status = client.ReadOneForTenant(kTenant, EntryIndex{0, 0}).status();
+    first_returned = true;
+  });
+  EXPECT_TRUE(Eventually([&] { return first_received.load(); }));
+  ::usleep(300'000);  // The first caller is deep in its wait, holding the role.
+  std::atomic<int> served{0};
+  std::vector<std::thread> others;
+  for (uint32_t offset = 1; offset < 4; ++offset) {
+    others.emplace_back([&, offset] {
+      auto read = client.ReadOneForTenant(kTenant, EntryIndex{0, offset});
+      EXPECT_TRUE(read.ok()) << offset << ": " << read.status().ToString();
+      if (read.ok() && read->Serialize() == genuine[offset].Serialize()) {
+        ++served;
+      }
+    });
+  }
+  first.join();
+  for (auto& t : others) t.join();
+  EXPECT_EQ(first_status.code(), Code::kDeadlineExceeded)
+      << first_status.ToString();
+  EXPECT_EQ(served.load(), 3);
+
+  // The connection stayed up; the next call reads the first read's late
+  // reply, drops it, and gets its own.
+  auto check = client.ReadOneForTenant(kTenant, EntryIndex{0, 2});
+  EXPECT_TRUE(check.ok()) << check.status().ToString();
+  if (check.ok()) {
+    EXPECT_EQ(check->Serialize(), genuine[2].Serialize());
+  }
+  EXPECT_EQ(client.discarded_responses(), 1u);
+  EXPECT_EQ(client.reconnects(), 0u);
+  client.Close();
+  peer.join();
+  ::close(listen_fd);
 }
 
 }  // namespace

@@ -32,13 +32,24 @@
 namespace wedge {
 namespace {
 
-std::string TempDir(const char* tag) {
-  std::string dir = std::filesystem::temp_directory_path() /
-                    (std::string("wedge_segstore_") + tag + "_" +
-                     std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+/// A fresh directory for one test, named by `tag` and the process id,
+/// and removed with everything in it when the guard leaves scope.
+struct TempDir {
+  explicit TempDir(const char* tag)
+      : path(std::filesystem::temp_directory_path() /
+             (std::string("wedge_segstore_") + tag + "_" +
+              std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string path;
+};
 
 LogPosition MakePosition(uint64_t id, size_t entries, uint64_t seed = 7) {
   Rng rng(seed + id);
@@ -100,7 +111,8 @@ std::unique_ptr<SegmentLogStore> OpenOrDie(const std::string& dir,
 }
 
 TEST(SegmentStoreTest, AppendGetScanAcrossSealBoundaries) {
-  std::string dir = TempDir("basic");
+  const TempDir dir_guard("basic");
+  const std::string& dir = dir_guard.path;
   auto store = OpenOrDie(dir, SmallSegments());
   for (uint64_t i = 0; i < 11; ++i) {
     ASSERT_TRUE(store->Append(MakePosition(i, 3)).ok());
@@ -138,7 +150,8 @@ TEST(SegmentStoreTest, AppendGetScanAcrossSealBoundaries) {
 }
 
 TEST(SegmentStoreTest, ReopenRecoversSegmentsAndWalTail) {
-  std::string dir = TempDir("reopen");
+  const TempDir dir_guard("reopen");
+  const std::string& dir = dir_guard.path;
   {
     auto store = OpenOrDie(dir, SmallSegments());
     for (uint64_t i = 0; i < 10; ++i) {
@@ -161,7 +174,8 @@ TEST(SegmentStoreTest, ReopenRecoversSegmentsAndWalTail) {
 }
 
 TEST(SegmentStoreTest, TruncatesTornWalTail) {
-  std::string dir = TempDir("torn");
+  const TempDir dir_guard("torn");
+  const std::string& dir = dir_guard.path;
   {
     auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
     for (uint64_t i = 0; i < 5; ++i) {
@@ -202,7 +216,8 @@ void CrashInsideSeal(const std::string& dir,
 }
 
 TEST(SegmentStoreTest, CrashAfterTailSyncReplaysTheWal) {
-  std::string dir = TempDir("crash_tail");
+  const TempDir dir_guard("crash_tail");
+  const std::string& dir = dir_guard.path;
   CrashInsideSeal(dir, SegmentLogStore::CrashPoint::kSealAfterTailSync);
   // Footer and trailer are durable at the end of wal.log, never renamed.
   EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000000.seg"));
@@ -234,7 +249,8 @@ TEST(SegmentStoreTest, CrashAfterTailSyncReplaysTheWal) {
 }
 
 TEST(SegmentStoreTest, CrashAfterRenameLeavesASegmentAndAnEmptyWal) {
-  std::string dir = TempDir("crash_rename");
+  const TempDir dir_guard("crash_rename");
+  const std::string& dir = dir_guard.path;
   CrashInsideSeal(dir, SegmentLogStore::CrashPoint::kSealAfterRename);
   // The WAL became the segment; its successor was never created.
   EXPECT_TRUE(std::filesystem::exists(dir + "/seg-000000.seg"));
@@ -260,7 +276,8 @@ TEST(SegmentStoreTest, DoubleRecoveryIsIdempotent) {
   for (auto point : {SegmentLogStore::CrashPoint::kSealAfterTailSync,
                      SegmentLogStore::CrashPoint::kSealAfterRename}) {
     SCOPED_TRACE(static_cast<int>(point));
-    std::string dir = TempDir("double");
+    const TempDir dir_guard("double");
+    const std::string& dir = dir_guard.path;
     CrashInsideSeal(dir, point);
     // The first recovery repairs (drops the unrenamed tail, or creates
     // the missing WAL); the second finds nothing to repair.
@@ -318,7 +335,8 @@ Bytes WrittenSegment(const std::string& path, uint64_t base_id,
 }
 
 TEST(SegmentStoreTest, RenamedSegmentsMatchWriteSegmentFileByteForByte) {
-  std::string dir = TempDir("bytes");
+  const TempDir dir_guard("bytes");
+  const std::string& dir = dir_guard.path;
   KeyPair pub_a = KeyPair::FromSeed(0xA);
   KeyPair pub_b = KeyPair::FromSeed(0xB);
   uint64_t seq_a = 0, seq_b = 0;
@@ -376,7 +394,8 @@ TEST(SegmentStoreTest, RenamedSegmentsMatchWriteSegmentFileByteForByte) {
 }
 
 TEST(SegmentStoreTest, RejectsASegmentItsTrailerDoesNotCover) {
-  std::string dir = TempDir("trailer_size");
+  const TempDir dir_guard("trailer_size");
+  const std::string& dir = dir_guard.path;
   {
     auto store = OpenOrDie(dir, SmallSegments());
     for (uint64_t i = 0; i < 4; ++i) {
@@ -395,7 +414,8 @@ TEST(SegmentStoreTest, RejectsASegmentItsTrailerDoesNotCover) {
 }
 
 TEST(SegmentStoreTest, RefusesAVersion1Segment) {
-  std::string dir = TempDir("v1_segment");
+  const TempDir dir_guard("v1_segment");
+  const std::string& dir = dir_guard.path;
   std::filesystem::create_directories(dir);
   std::vector<Bytes> payloads;
   std::vector<SegmentIndexEntry> entries;
@@ -422,7 +442,8 @@ TEST(SegmentStoreTest, RefusesAVersion1Segment) {
 }
 
 TEST(SegmentStoreTest, RefusesAVersion1WalAndLeavesItByteIdentical) {
-  std::string dir = TempDir("v1_wal");
+  const TempDir dir_guard("v1_wal");
+  const std::string& dir = dir_guard.path;
   std::filesystem::create_directories(dir);
   // Intact, acked frames whose payloads do not decode: replay must not
   // take them for a torn tail and truncate them.
@@ -440,7 +461,8 @@ TEST(SegmentStoreTest, RefusesAVersion1WalAndLeavesItByteIdentical) {
 }
 
 TEST(SegmentStoreTest, GetEntryMatchesGetInEveryResidence) {
-  std::string dir = TempDir("get_entry");
+  const TempDir dir_guard("get_entry");
+  const std::string& dir = dir_guard.path;
   MetricsRegistry metrics;
   SegmentLogStore::Options options = SmallSegments(/*positions=*/64);
   options.metrics = &metrics;
@@ -521,7 +543,8 @@ TEST(SegmentStoreTest, GetEntryMatchesGetInEveryResidence) {
 }
 
 TEST(SegmentStoreTest, DamagedEndOffsetsNeverReadOutsideTheRecord) {
-  std::string dir = TempDir("end_offsets");
+  const TempDir dir_guard("end_offsets");
+  const std::string& dir = dir_guard.path;
   const LogPosition pos = MakePosition(0, 4);
   {
     auto store = OpenOrDie(dir, SmallSegments());
@@ -569,7 +592,8 @@ TEST(SegmentStoreTest, DamagedEndOffsetsNeverReadOutsideTheRecord) {
 }
 
 TEST(SegmentStoreTest, SealTelemetryTimesEverySealAndDrainsTheWalGauge) {
-  std::string dir = TempDir("seal_metrics");
+  const TempDir dir_guard("seal_metrics");
+  const std::string& dir = dir_guard.path;
   MetricsRegistry metrics;
   SegmentLogStore::Options options = SmallSegments();
   options.metrics = &metrics;
@@ -600,7 +624,8 @@ TEST(SegmentStoreTest, SealTelemetryTimesEverySealAndDrainsTheWalGauge) {
 }
 
 TEST(SegmentStoreTest, PreparedButUnsyncedPositionsAreInvisible) {
-  std::string dir = TempDir("visibility");
+  const TempDir dir_guard("visibility");
+  const std::string& dir = dir_guard.path;
   auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
   auto token = store->AppendPrepare(MakePosition(0, 2));
   ASSERT_TRUE(token.ok()) << token.status().ToString();
@@ -614,7 +639,8 @@ TEST(SegmentStoreTest, PreparedButUnsyncedPositionsAreInvisible) {
 }
 
 TEST(SegmentStoreTest, GroupCommitCoalescesConcurrentAppenders) {
-  std::string dir = TempDir("group");
+  const TempDir dir_guard("group");
+  const std::string& dir = dir_guard.path;
   MetricsRegistry metrics;
   SegmentLogStore::Options options = SmallSegments(/*positions=*/1024);
   options.metrics = &metrics;
@@ -661,7 +687,8 @@ TEST(SegmentStoreTest, GroupCommitCoalescesConcurrentAppenders) {
 }
 
 TEST(SegmentStoreTest, ReadsStayCorrectWhileConcurrentAppendersSeal) {
-  std::string dir = TempDir("concurrent_seal");
+  const TempDir dir_guard("concurrent_seal");
+  const std::string& dir = dir_guard.path;
   auto store = OpenOrDie(dir, SmallSegments(/*positions=*/8));
   constexpr uint64_t kPositions = 240;
   // Every third position is the retired tenant's, so a compaction pass
@@ -769,7 +796,8 @@ TEST(SegmentStoreTest, OwnerAttributionMatchesPublisherTenant) {
 }
 
 TEST(SegmentStoreTest, CompactionDropsRetiredAndPreservesLiveBytes) {
-  std::string dir = TempDir("gc");
+  const TempDir dir_guard("gc");
+  const std::string& dir = dir_guard.path;
   KeyPair pub_a = KeyPair::FromSeed(0xA);
   KeyPair pub_b = KeyPair::FromSeed(0xB);
   uint64_t tenant_a = PublisherTenant(pub_a.address());
@@ -846,7 +874,8 @@ TEST(SegmentStoreTest, CompactionDropsRetiredAndPreservesLiveBytes) {
 }
 
 TEST(SegmentStoreTest, RejectsMixedOwnerRetirement) {
-  std::string dir = TempDir("gc_mixed");
+  const TempDir dir_guard("gc_mixed");
+  const std::string& dir = dir_guard.path;
   auto store = OpenOrDie(dir, SmallSegments());
   EXPECT_FALSE(store->RetireTenant(kMixedOwnerTenant).ok());
 }
@@ -855,7 +884,8 @@ TEST(SegmentStoreTest, RejectsMixedOwnerRetirement) {
 // Engine-level GC: proofs over retired neighbors keep verifying.
 
 TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
-  std::string dir = TempDir("engine_gc");
+  const TempDir dir_guard("engine_gc");
+  const std::string& dir = dir_guard.path;
   std::filesystem::create_directories(dir);
   KeyPair pub_a = KeyPair::FromSeed(0x1111);
   KeyPair pub_b = KeyPair::FromSeed(0x2222);
@@ -912,7 +942,8 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
     EXPECT_TRUE(client.VerifyAggregation(*read, *agg));
   }
   // Retiring a tenant on the file backend is a typed precondition error.
-  std::string file_dir = TempDir("engine_gc_file");
+  const TempDir file_dir_guard("engine_gc_file");
+  const std::string& file_dir = file_dir_guard.path;
   std::filesystem::create_directories(file_dir);
   ShardedDeploymentConfig file_config = config;
   file_config.log_dir = file_dir;
@@ -927,7 +958,8 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
 // FileLogStore error-path audit: typed IoError, no acked-then-lost.
 
 TEST(FileStoreFaultTest, FullDiskAppendFailsTypedAndLosesNothingAcked) {
-  std::string path = TempDir("enospc");
+  const TempDir path_guard("enospc");
+  const std::string& path = path_guard.path;
   FileLogStore::Options options;
   options.fail_after_bytes = 2000;  // Simulated device capacity.
   auto store = FileLogStore::Open(path, options);
@@ -965,7 +997,8 @@ TEST(FileStoreFaultTest, FullDiskAppendFailsTypedAndLosesNothingAcked) {
 }
 
 TEST(FileStoreFaultTest, FsyncOnAppendFaultIsAlsoTyped) {
-  std::string path = TempDir("enospc_sync");
+  const TempDir path_guard("enospc_sync");
+  const std::string& path = path_guard.path;
   FileLogStore::Options options;
   options.fail_after_bytes = 600;
   options.fsync_on_append = true;

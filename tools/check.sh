@@ -30,7 +30,7 @@ done
 # The heavily multi-threaded subsystems get a dedicated ThreadSanitizer
 # pass even in the default run: the telemetry registry and tracer (sharded
 # histograms, concurrent Append workers), the TCP RPC stack (epoll
-# workers, pipelined client reader threads, wire_test/rpc_test), and the
+# workers, pipelined callers sharing a read role, wire_test/rpc_test), and the
 # sharded multi-tenant engine (admission controller + epoch aggregator
 # hit from concurrent RPC workers, shard_test/shard_rpc_test), and the
 # segmented store's leader-based group commit (concurrent
