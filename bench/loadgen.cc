@@ -19,15 +19,14 @@
 //           [--seed N] [--telemetry-out PATH]
 //           [--tenants N] [--tenant-skew S] [--server-shards N]
 //           [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
-//           [--store memory|file|segment] [--log-dir PATH] [--fsync]
+//           [--log-dir PATH] [--fsync]
 //   loadgen --host H --port P ...   # against an external wedgeblockd
 //
-// --store picks the spawned server's shard store (default memory, the
-// historical behaviour). file/segment need a --log-dir
-// (auto-created under /tmp when omitted); --fsync makes acks durable —
-// per-record fsync on file, group commit on segment — so closed-loop
-// runs across the three backends measure the real durability cost. The
-// JSONL row stamps `store` and payload `bytes_per_s` either way.
+// --log-dir puts the spawned server's shard logs in segment stores under
+// PATH, as `wedgeblockd --log-dir` does (default: in memory); --fsync
+// makes their acks power-loss durable (group commit), so closed-loop runs
+// measure the real durability cost. The JSONL row stamps `store`
+// (memory or segment) and payload `bytes_per_s` either way.
 //
 // With --spawn-server the server runs in-process on an ephemeral loopback
 // port (the ctest smoke runs use this); traffic still crosses real TCP.
@@ -99,9 +98,8 @@ struct Options {
   uint64_t tenant_inflight = 0;
   std::string fleet;        ///< Comma-separated host:port shard endpoints.
   uint64_t trace_every = 0; ///< Trace every Nth append (0 = off).
-  StoreBackend store = StoreBackend::kMemory;  ///< Spawned server store.
-  std::string log_dir;      ///< Spawned server durable dir ("" = temp).
-  bool fsync = false;       ///< Durable acks on the spawned server.
+  std::string log_dir;      ///< Spawned server durable dir ("" = memory).
+  bool fsync = false;       ///< Power-loss durable acks (with log_dir).
 };
 
 int Usage(const char* argv0) {
@@ -115,7 +113,7 @@ int Usage(const char* argv0) {
       "          [--tenants N] [--tenant-skew S] [--server-shards N]\n"
       "          [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]\n"
       "          [--fleet H:P,H:P,...] [--trace-every N]\n"
-      "          [--store memory|file|segment] [--log-dir PATH] [--fsync]\n",
+      "          [--log-dir PATH] [--fsync]\n",
       argv0);
   return 2;
 }
@@ -194,9 +192,6 @@ Result<Options> Parse(int argc, char** argv) {
       opts.tenant_inflight = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flag == "--fleet") {
       WEDGE_ASSIGN_OR_RETURN(opts.fleet, next());
-    } else if (flag == "--store") {
-      WEDGE_ASSIGN_OR_RETURN(std::string v, next());
-      WEDGE_ASSIGN_OR_RETURN(opts.store, ParseStoreBackend(v));
     } else if (flag == "--log-dir") {
       WEDGE_ASSIGN_OR_RETURN(opts.log_dir, next());
     } else if (flag == "--fsync") {
@@ -222,10 +217,10 @@ Result<Options> Parse(int argc, char** argv) {
       opts.server_shards < 1 || opts.tenants > 4096) {
     return Status::InvalidArgument("bad flag value");
   }
-  if (opts.store != StoreBackend::kMemory && !opts.spawn_server) {
+  if (!opts.log_dir.empty() && !opts.spawn_server) {
     return Status::InvalidArgument(
-        "--store file|segment needs --spawn-server (the spawned engine "
-        "owns the durable stores)");
+        "--log-dir needs --spawn-server (the spawned engine owns the "
+        "durable stores)");
   }
   return opts;
 }
@@ -485,20 +480,8 @@ int Run(const Options& opts) {
     config.engine.quota.entries_per_second = opts.tenant_rate;
     config.engine.quota.burst_entries = opts.tenant_burst;
     config.engine.quota.max_inflight_appends = opts.tenant_inflight;
-    if (opts.store != StoreBackend::kMemory) {
-      config.store_backend = opts.store;
-      config.log_fsync = opts.fsync;
-      config.log_dir = opts.log_dir;
-      if (config.log_dir.empty()) {
-        char tmpl[] = "/tmp/wedge-loadgen-XXXXXX";
-        if (mkdtemp(tmpl) == nullptr) {
-          std::fprintf(stderr, "mkdtemp failed for --store %s\n",
-                       std::string(StoreBackendName(opts.store)).c_str());
-          return 1;
-        }
-        config.log_dir = tmpl;
-      }
-    }
+    config.log_dir = opts.log_dir;
+    config.log_fsync = opts.fsync;
     auto d = ShardedDeployment::Create(config);
     if (!d.ok()) {
       std::fprintf(stderr, "deployment failed: %s\n",
@@ -665,13 +648,13 @@ int Run(const Options& opts) {
       .Field("rpc_per_s", rpc_per_s)
       .Field("appends_per_s", appends * opts.batch / elapsed_s)
       // Acked payload bytes (key + value per entry) per second, plus the
-      // store backend serving them, so durability-cost runs across
-      // memory/file/segment are comparable from the row alone.
+      // store serving them, so memory and durable runs are comparable
+      // from the row alone.
       .Field("value_bytes", static_cast<uint64_t>(opts.value_bytes))
       .Field("bytes_per_s",
              appends * opts.batch *
                  (opts.value_bytes + bench::kDefaultKeySize) / elapsed_s)
-      .Field("store", std::string(StoreBackendName(opts.store)));
+      .Field("store", opts.log_dir.empty() ? "memory" : "segment");
   if (direct != nullptr) {
     row.Field("client_reconnects", direct->reconnects())
         .Field("client_retries", direct->retries())

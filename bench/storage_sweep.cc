@@ -1,6 +1,5 @@
 // storage_sweep — durability-cost and recovery-time sweep of the
-// segmented storage engine (storage/segstore/) against the flat
-// FileLogStore.
+// segmented storage engine (storage/segstore/).
 //
 // Part 1 (throughput): N appender threads drive one store through the
 // engine's real write protocol — AppendPrepare under a ticket mutex
@@ -9,18 +8,15 @@
 //   seg_group_commit   segment store, one fdatasync per batch window
 //   seg_sync_each      segment store, fflush+fsync inline per append
 //   seg_nosync         segment store, group fflush only
-//   file_fsync         FileLogStore, fsync_on_append (per-record sync)
-//   file_nosync        FileLogStore default (flush, no sync)
 // The headline criterion: group-commit durable throughput >= 10x the
 // per-append-fsync baseline (the syncs coalesce; both arms are
-// power-loss durable before ack). Segment arms also report their seals
+// power-loss durable before ack). Each arm also reports its seals
 // (count, p50/max `wedge.store.seal_us`) and write amplification: the
 // /proc/self/io write_bytes the arm caused per byte it appended.
 //
 // Part 2 (recovery): writes a fixed number of entries at several
-// segment sizes and measures reopen time. Segment recovery is one
-// trailer pread per segment + a bounded WAL replay — flat in
-// entries-per-segment — while the file backend replays every record.
+// segment sizes and measures reopen time. Recovery is one trailer pread
+// per segment + a bounded WAL replay — flat in entries-per-segment.
 // Criterion: 1M-entry segment recovery < 2s.
 //
 // Usage:
@@ -33,6 +29,7 @@
 // Writes BENCH_storage.json (--json-out) and prints one JSONL row per
 // arm as it completes.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -174,9 +171,8 @@ struct ArmResult {
   double positions_per_s = 0;
   double entries_per_s = 0;
   double mb_per_s = 0;
-  uint64_t syncs = 0;        ///< Group-commit windows (segment arms).
+  uint64_t syncs = 0;        ///< Group-commit windows.
   double mean_batch = 0;     ///< Appends amortized per sync.
-  bool segment = false;      ///< The fields below are set (segment arms).
   uint64_t seals = 0;
   uint64_t seal_us_p50 = 0;
   uint64_t seal_us_max = 0;
@@ -204,7 +200,7 @@ uint64_t ProcWriteBytes() {
 /// unaffected: their prepare pays the sync inline, which is the whole
 /// point of the comparison.
 ArmResult RunArm(const std::string& name, LogStore* store,
-                 MetricsRegistry* metrics, const Options& opts,
+                 const MetricsRegistry& metrics, const Options& opts,
                  uint64_t positions,
                  const std::vector<LogPosition>& templates) {
   ArmResult result;
@@ -266,26 +262,23 @@ ArmResult RunArm(const std::string& name, LogStore* store,
   result.entries_per_s = result.entries / result.seconds;
   result.mb_per_s =
       static_cast<double>(result.bytes) / (1 << 20) / result.seconds;
-  if (metrics != nullptr) {
-    MetricsSnapshot snap = metrics->Snapshot();
-    const HistogramSnapshot* batch =
-        snap.FindHistogram("wedge.store.group_commit_batch");
-    if (batch != nullptr && batch->count > 0) {
-      result.syncs = batch->count;
-      result.mean_batch =
-          static_cast<double>(positions) / static_cast<double>(batch->count);
-    }
-    result.segment = true;
-    result.seals = snap.CounterValue("wedge.store.seals");
-    const HistogramSnapshot* seal = snap.FindHistogram("wedge.store.seal_us");
-    if (seal != nullptr && seal->count > 0) {
-      result.seal_us_p50 = static_cast<uint64_t>(seal->ValueAtQuantile(0.5));
-      result.seal_us_max = static_cast<uint64_t>(seal->max);
-    }
-    result.write_amplification =
-        static_cast<double>(ProcWriteBytes() - write_bytes_before) /
-        static_cast<double>(result.bytes);
+  MetricsSnapshot snap = metrics.Snapshot();
+  const HistogramSnapshot* batch =
+      snap.FindHistogram("wedge.store.group_commit_batch");
+  if (batch != nullptr && batch->count > 0) {
+    result.syncs = batch->count;
+    result.mean_batch =
+        static_cast<double>(positions) / static_cast<double>(batch->count);
   }
+  result.seals = snap.CounterValue("wedge.store.seals");
+  const HistogramSnapshot* seal = snap.FindHistogram("wedge.store.seal_us");
+  if (seal != nullptr && seal->count > 0) {
+    result.seal_us_p50 = static_cast<uint64_t>(seal->ValueAtQuantile(0.5));
+    result.seal_us_max = static_cast<uint64_t>(seal->max);
+  }
+  result.write_amplification =
+      static_cast<double>(ProcWriteBytes() - write_bytes_before) /
+      static_cast<double>(result.bytes);
   return result;
 }
 
@@ -305,12 +298,10 @@ void PrintArm(const Options& opts, const ArmResult& r) {
   if (r.syncs > 0) {
     row.Field("syncs", r.syncs).Field("mean_commit_batch", r.mean_batch);
   }
-  if (r.segment) {
-    row.Field("seals", r.seals)
-        .Field("seal_us_p50", r.seal_us_p50)
-        .Field("seal_us_max", r.seal_us_max)
-        .Field("write_amplification", r.write_amplification);
-  }
+  row.Field("seals", r.seals)
+      .Field("seal_us_p50", r.seal_us_p50)
+      .Field("seal_us_max", r.seal_us_max)
+      .Field("write_amplification", r.write_amplification);
   row.Print();
   std::fflush(stdout);
 }
@@ -319,21 +310,19 @@ struct RecoveryResult {
   std::string name;
   uint64_t entries = 0;
   uint64_t positions = 0;
-  uint32_t segment_positions = 0;  ///< 0 for the file backend.
   uint64_t segments = 0;
   double write_seconds = 0;
   double recover_seconds = 0;
 };
 
-/// Writes `positions` small positions with the given backend/segment
-/// size, closes the store, and times a cold reopen.
+/// Writes `positions` small positions with the given segment size,
+/// closes the store, and times a cold reopen.
 RecoveryResult RunRecovery(const Options& opts, const std::string& dir,
                            uint32_t segment_positions, uint64_t positions,
                            uint32_t entries_per_position) {
   RecoveryResult result;
   result.positions = positions;
   result.entries = positions * entries_per_position;
-  result.segment_positions = segment_positions;
   std::filesystem::remove_all(dir);
 
   Rng rng(opts.seed);
@@ -344,58 +333,34 @@ RecoveryResult RunRecovery(const Options& opts, const std::string& dir,
   tmpl.mroot = MerkleTree::Build(tmpl.data_list)->Root();
 
   Stopwatch write_watch(RealClock::Global());
-  if (segment_positions > 0) {
-    result.name = "segment_" + std::to_string(segment_positions);
-    SegmentLogStore::Options store_options;
-    store_options.durability = SegmentLogStore::Durability::kNone;
-    store_options.segment_positions = segment_positions;
-    auto store = SegmentLogStore::Open(dir, store_options);
-    if (!store.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   store.status().ToString().c_str());
-      std::exit(1);
-    }
-    for (uint64_t i = 0; i < positions; ++i) {
-      LogPosition pos = tmpl;
-      pos.log_id = i;
-      if (!(*store)->Append(pos).ok()) std::exit(1);
-    }
-    result.write_seconds =
-        static_cast<double>(write_watch.ElapsedMicros()) / kMicrosPerSecond;
-    store->reset();
-
-    Stopwatch recover_watch(RealClock::Global());
-    auto reopened = SegmentLogStore::Open(dir, store_options);
-    result.recover_seconds =
-        static_cast<double>(recover_watch.ElapsedMicros()) / kMicrosPerSecond;
-    if (!reopened.ok() || (*reopened)->Size() != positions) {
-      std::fprintf(stderr, "recovery mismatch for %s\n", result.name.c_str());
-      std::exit(1);
-    }
-    result.segments = (*reopened)->SegmentCount();
-  } else {
-    result.name = "file";
-    auto store = FileLogStore::Open(dir);
-    if (!store.ok()) std::exit(1);
-    for (uint64_t i = 0; i < positions; ++i) {
-      LogPosition pos = tmpl;
-      pos.log_id = i;
-      if (!(*store)->Append(pos).ok()) std::exit(1);
-    }
-    if (!(*store)->Sync().ok()) std::exit(1);
-    result.write_seconds =
-        static_cast<double>(write_watch.ElapsedMicros()) / kMicrosPerSecond;
-    store->reset();
-
-    Stopwatch recover_watch(RealClock::Global());
-    auto reopened = FileLogStore::Open(dir);
-    result.recover_seconds =
-        static_cast<double>(recover_watch.ElapsedMicros()) / kMicrosPerSecond;
-    if (!reopened.ok() || (*reopened)->Size() != positions) {
-      std::fprintf(stderr, "recovery mismatch for file backend\n");
-      std::exit(1);
-    }
+  result.name = "segment_" + std::to_string(segment_positions);
+  SegmentLogStore::Options store_options;
+  store_options.durability = SegmentLogStore::Durability::kNone;
+  store_options.segment_positions = segment_positions;
+  auto store = SegmentLogStore::Open(dir, store_options);
+  if (!store.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 store.status().ToString().c_str());
+    std::exit(1);
   }
+  for (uint64_t i = 0; i < positions; ++i) {
+    LogPosition pos = tmpl;
+    pos.log_id = i;
+    if (!(*store)->Append(pos).ok()) std::exit(1);
+  }
+  result.write_seconds =
+      static_cast<double>(write_watch.ElapsedMicros()) / kMicrosPerSecond;
+  store->reset();
+
+  Stopwatch recover_watch(RealClock::Global());
+  auto reopened = SegmentLogStore::Open(dir, store_options);
+  result.recover_seconds =
+      static_cast<double>(recover_watch.ElapsedMicros()) / kMicrosPerSecond;
+  if (!reopened.ok() || (*reopened)->Size() != positions) {
+    std::fprintf(stderr, "recovery mismatch for %s\n", result.name.c_str());
+    std::exit(1);
+  }
+  result.segments = (*reopened)->SegmentCount();
   std::filesystem::remove_all(dir);
 
   bench::JsonRow row = bench::MakeRow("storage_sweep_recovery", opts.seed,
@@ -454,23 +419,10 @@ int Run(const Options& opts) {
       std::exit(1);
     }
     arms.push_back(
-        RunArm(name, store->get(), &metrics, opts, positions, templates));
+        RunArm(name, store->get(), metrics, opts, positions, templates));
     PrintArm(opts, arms.back());
     store->reset();
     std::filesystem::remove_all(dir);
-  };
-  auto run_file_arm = [&](const std::string& name, bool fsync,
-                          uint64_t positions) {
-    std::string path = root + "/" + name + ".log";
-    FileLogStore::Options store_options;
-    store_options.fsync_on_append = fsync;
-    auto store = FileLogStore::Open(path, store_options);
-    if (!store.ok()) std::exit(1);
-    arms.push_back(
-        RunArm(name, store->get(), nullptr, opts, positions, templates));
-    PrintArm(opts, arms.back());
-    store->reset();
-    std::filesystem::remove_all(path);
   };
 
   run_segment_arm("seg_group_commit", SegmentLogStore::Durability::kGroupCommit,
@@ -479,16 +431,14 @@ int Run(const Options& opts) {
                   sync_each_cap);
   run_segment_arm("seg_nosync", SegmentLogStore::Durability::kNone,
                   positions_per_arm);
-  run_file_arm("file_fsync", /*fsync=*/true, sync_each_cap);
-  run_file_arm("file_nosync", /*fsync=*/false, positions_per_arm);
 
   const ArmResult& group = arms[0];
   const ArmResult& sync_each = arms[1];
   double speedup = group.positions_per_s / sync_each.positions_per_s;
 
   // Recovery sweep: fixed entry count, varying entries-per-segment —
-  // segment recovery stays flat while the file backend replays all of
-  // it. Small 2-entry positions keep the write phase quick.
+  // recovery stays flat. Small 2-entry positions keep the write phase
+  // quick.
   const uint32_t kRecoveryEntriesPerPosition = 2;
   const uint64_t recovery_positions =
       opts.recovery_entries / kRecoveryEntriesPerPosition;
@@ -498,16 +448,11 @@ int Run(const Options& opts) {
                                      recovery_positions,
                                      kRecoveryEntriesPerPosition));
   }
-  recoveries.push_back(RunRecovery(opts, root + "/recovery-file", 0,
-                                   recovery_positions,
-                                   kRecoveryEntriesPerPosition));
 
   double worst_segment_recovery = 0;
   for (const RecoveryResult& r : recoveries) {
-    if (r.segment_positions > 0 &&
-        r.recover_seconds > worst_segment_recovery) {
-      worst_segment_recovery = r.recover_seconds;
-    }
+    worst_segment_recovery =
+        std::max(worst_segment_recovery, r.recover_seconds);
   }
 
   std::vector<std::string> failures;
@@ -551,14 +496,12 @@ int Run(const Options& opts) {
         << ", \"positions_per_s\": " << static_cast<uint64_t>(r.positions_per_s)
         << ", \"entries_per_s\": " << static_cast<uint64_t>(r.entries_per_s)
         << ", \"mb_per_s\": " << r.mb_per_s << ", \"syncs\": " << r.syncs
-        << ", \"mean_commit_batch\": " << r.mean_batch;
-      if (r.segment) {
-        f << ", \"seals\": " << r.seals
-          << ", \"seal_us_p50\": " << r.seal_us_p50
-          << ", \"seal_us_max\": " << r.seal_us_max
-          << ", \"write_amplification\": " << r.write_amplification;
-      }
-      f << "}" << (i + 1 < arms.size() ? "," : "") << "\n";
+        << ", \"mean_commit_batch\": " << r.mean_batch
+        << ", \"seals\": " << r.seals
+        << ", \"seal_us_p50\": " << r.seal_us_p50
+        << ", \"seal_us_max\": " << r.seal_us_max
+        << ", \"write_amplification\": " << r.write_amplification << "}"
+        << (i + 1 < arms.size() ? "," : "") << "\n";
     }
     f << "  ],\n"
       << "  \"group_commit_speedup_vs_sync_each\": " << speedup << ",\n"

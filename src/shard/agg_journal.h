@@ -47,8 +47,9 @@ struct JournaledEpoch {
 /// paths (the aggregator serializes them under its own mutex anyway).
 class AggregatorJournal {
  public:
-  /// `fsync` after every record: the FileLogStore trade-off, off by
-  /// default and on for chaos/durability runs.
+  /// `fsync` after every record: off by default (each record still
+  /// reaches the OS before the append returns) and on for durability
+  /// runs.
   using Options = FramedLog::Options;
 
   /// Opens (creating if needed) the journal at `path`, replaying any

@@ -1,5 +1,7 @@
 #include "shard/sharded_engine.h"
 
+#include <unistd.h>
+
 #include "contracts/payment.h"
 #include "storage/log_store.h"
 #include "storage/segstore/segment_store.h"
@@ -294,18 +296,33 @@ Result<std::unique_ptr<ShardedDeployment>> ShardedDeployment::Create(
 
   std::unique_ptr<AggregatorJournal> journal;
   if (!config.log_dir.empty()) {
-    StoreBackendOptions store_options;
-    store_options.fsync = config.log_fsync;
-    store_options.segment_positions = config.store_segment_positions;
+    SegmentLogStore::Options store_options;
+    store_options.durability = config.log_fsync
+                                   ? SegmentLogStore::Durability::kGroupCommit
+                                   : SegmentLogStore::Durability::kNone;
+    if (config.store_segment_positions > 0) {
+      store_options.segment_positions = config.store_segment_positions;
+    }
     store_options.metrics = &d->telemetry_->metrics;
+    const auto shard_path = [&config](uint32_t i, const char* suffix) {
+      return config.log_dir + "/shard-" + std::to_string(i) + suffix;
+    };
+    // A flat-file shard log (shard-<i>.log) is from a version before the
+    // segment store; serving an empty segment store beside it would
+    // restart that shard's log at id 0. Checked before anything is opened,
+    // so a refused directory is left as it was.
     for (uint32_t i = 0; i < config.engine.num_shards; ++i) {
-      const std::string base =
-          config.log_dir + "/shard-" + std::to_string(i);
-      const std::string path =
-          config.store_backend == StoreBackend::kSegment ? base + ".seg"
-                                                         : base + ".log";
+      const std::string flat = shard_path(i, ".log");
+      if (::access(flat.c_str(), F_OK) == 0) {
+        return Status::FailedPrecondition(
+            "flat-file shard log from an older version; shard logs are "
+            "now segment stores (shard-<i>.seg/): " + flat);
+      }
+    }
+    for (uint32_t i = 0; i < config.engine.num_shards; ++i) {
       WEDGE_ASSIGN_OR_RETURN(
-          auto store, OpenLogStore(config.store_backend, path, store_options));
+          auto store,
+          SegmentLogStore::Open(shard_path(i, ".seg"), store_options));
       stores.push_back(std::move(store));
     }
     if (config.engine.forest_stage2) {

@@ -12,7 +12,7 @@
 #include "shard/epoch_aggregator.h"
 #include "shard/router.h"
 #include "shard/token_bucket.h"
-#include "storage/backend.h"
+#include "storage/log_store.h"
 
 namespace wedge {
 
@@ -169,6 +169,11 @@ class ShardedLogEngine {
   std::vector<ShardCounters> shard_counters_;
 };
 
+/// The shard store behind `ShardedDeploymentConfig::log_dir`.
+enum class StoreBackend {
+  kSegment,  ///< SegmentLogStore (src/storage/segstore/).
+};
+
 /// End-to-end setup of a WedgeBlock instance (paper §3.4
 /// initialization): simulated chain, funded engine + publisher accounts,
 /// RootRecord + Punishment contracts (escrowed, bound to the engine key),
@@ -183,16 +188,18 @@ struct ShardedDeploymentConfig {
   uint64_t engine_key_seed = 0xED6E;
   int64_t escrow_lock_seconds = 30 * 24 * 3600;
   int64_t omission_grace_seconds = 600;
-  /// Per-shard durable stores under `log_dir` ("" = in-memory
-  /// regardless of `store_backend`). Forest mode also keeps the
-  /// aggregator journal at `<log_dir>/aggregator.journal`.
+  /// Per-shard durable stores under `log_dir` ("" = in-memory): one
+  /// SegmentLogStore per shard at `<log_dir>/shard-<i>.seg/` (WAL +
+  /// sealed segments). Forest mode also keeps the aggregator journal at
+  /// `<log_dir>/aggregator.journal`.
   std::string log_dir;
-  /// Which LogStore implementation backs each shard when log_dir is
-  /// set: kFile -> `<log_dir>/shard-<i>.log`, kSegment ->
-  /// `<log_dir>/shard-<i>.seg/` (WAL + sealed segments).
-  StoreBackend store_backend = StoreBackend::kFile;
-  /// Segment backend: positions per sealed segment (0 = store default).
+  /// The durable store behind `log_dir`; the segment store is the only
+  /// one.
+  StoreBackend store_backend = StoreBackend::kSegment;
+  /// Positions per sealed segment (0 = store default).
   uint64_t store_segment_positions = 0;
+  /// Power-loss durable acks: group-commit fdatasync. Off, acks are
+  /// still process-crash durable (flushed past stdio before the ack).
   bool log_fsync = false;
 };
 
@@ -202,7 +209,9 @@ class ShardedDeployment {
   /// to (Algorithm 2's immutable clientAddress). `stores`, when given,
   /// backs the shards with caller-built stores (e.g. replicated or
   /// tiered) instead of memory stores; it must have exactly
-  /// `engine.num_shards` entries and excludes `log_dir`.
+  /// `engine.num_shards` entries and excludes `log_dir`. A `log_dir`
+  /// holding a shard log of the retired flat-file store
+  /// (`shard-<i>.log`) is refused with FailedPrecondition.
   static Result<std::unique_ptr<ShardedDeployment>> Create(
       const ShardedDeploymentConfig& config,
       uint64_t publisher_seed = 0xC11E,

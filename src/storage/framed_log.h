@@ -13,8 +13,8 @@
 namespace wedge {
 
 /// The one framed-record format on disk: [u32 payload_len][payload]
-/// [32B sha256(payload)]. FileLogStore, AggregatorJournal and the segment
-/// store's WAL and segments all write it.
+/// [32B sha256(payload)]. AggregatorJournal and the segment store's WAL
+/// and segments all write it.
 inline constexpr size_t kFrameOverhead = 4 + 32;
 
 /// Appends the frame of `payload` to `out`.

@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/result.h"
 #include "crypto/sha256.h"
-#include "storage/framed_log.h"
-#include "telemetry/metrics.h"
 
 namespace wedge {
 
@@ -22,10 +22,6 @@ struct LogPosition {
   /// response without copying ~1 KB per entry (copies bump a refcount).
   std::vector<SharedBytes> data_list;
   Hash256 mroot{};                ///< Merkle root over data_list.
-
-  /// Canonical serialization (used by the file store and replication).
-  Bytes Serialize() const;
-  static Result<LogPosition> Deserialize(const Bytes& b);
 };
 
 /// Address of a single entry: which log position and where inside it.
@@ -122,70 +118,6 @@ class MemoryLogStore : public LogStore {
  private:
   mutable std::mutex mu_;
   std::vector<LogPosition> positions_;
-};
-
-/// File-backed store with crash recovery: a FramedLog of
-/// LogPosition::Serialize() payloads (torn tail truncated on Open, failed
-/// appends rolled back — no acked-then-lost window).
-class FileLogStore : public LogStore {
- public:
-  struct Options {
-    /// fsync the log file after every Append. Default off: the paper's
-    /// prototype buffers writes on the stage-1 path; turning this on
-    /// trades append latency for durability of the most recent records
-    /// (a torn tail is truncated on recovery either way).
-    bool fsync_on_append = false;
-    /// Optional metrics sink (must outlive the store). When set, the
-    /// store records wall-clock `wedge.store.append_us`,
-    /// `wedge.store.fsync_us` and `wedge.store.read_us` histograms.
-    MetricsRegistry* metrics = nullptr;
-    /// Fault injection (tests): when non-zero, any append that would
-    /// grow the file past this many bytes fails the same way a full
-    /// disk does — the record is written SHORT (torn), the append
-    /// returns kIoError, and nothing is acked. Recovery must truncate
-    /// the torn tail and lose no acked record.
-    uint64_t fail_after_bytes = 0;
-  };
-
-  /// Opens (creating if needed) the store at `path` and recovers its
-  /// in-memory index.
-  static Result<std::unique_ptr<FileLogStore>> Open(const std::string& path,
-                                                    const Options& options);
-  static Result<std::unique_ptr<FileLogStore>> Open(const std::string& path) {
-    return Open(path, Options());
-  }
-
-  Status Append(const LogPosition& position) override;
-  Result<LogPosition> Get(uint64_t log_id) const override;
-  Result<SharedBytes> GetEntry(const EntryIndex& index) const override;
-  uint64_t Size() const override;
-  Status Scan(uint64_t first, uint64_t last,
-              const std::function<bool(const LogPosition&)>& callback)
-      const override;
-
-  /// Flushes buffered writes to the OS (and to disk with fsync_on_append).
-  Status Sync();
-
-  const Options& options() const { return options_; }
-
- private:
-  explicit FileLogStore(const Options& options) : options_(options) {
-    if (options_.metrics != nullptr) {
-      append_hist_ = options_.metrics->GetHistogram("wedge.store.append_us");
-      fsync_hist_ = options_.metrics->GetHistogram("wedge.store.fsync_us");
-      read_hist_ = options_.metrics->GetHistogram("wedge.store.read_us");
-    }
-  }
-
-  const Options options_;
-  Histogram* append_hist_ = nullptr;
-  Histogram* fsync_hist_ = nullptr;
-  Histogram* read_hist_ = nullptr;
-  mutable std::mutex mu_;
-  // The recovered/served view. Positions are also cached in memory; the
-  // file is the durable copy replayed on Open().
-  std::vector<LogPosition> positions_;
-  std::unique_ptr<FramedLog> log_;
 };
 
 /// Primary + follower replication (the "replicated" curves in Figures 3

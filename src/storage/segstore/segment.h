@@ -6,15 +6,16 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "storage/framed_log.h"
 #include "storage/log_store.h"
 
 namespace wedge {
 
 /// On-disk formats of the segmented store (src/storage/segstore/).
 ///
-/// Everything durable is built from one framed-record primitive (the same
-/// framing FileLogStore uses, so torn-tail recovery logic is shared by
-/// inspection):
+/// Everything durable is built from one framed-record primitive (the
+/// FramedLog format the aggregator journal also writes, so torn-tail
+/// recovery logic is shared by inspection):
 ///
 ///   record  := [u32 payload_len BE][payload][32B sha256(payload)]
 ///

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/clock.h"
@@ -20,6 +21,14 @@ namespace {
 
 constexpr char kWalName[] = "wal.log";
 constexpr char kRetiredName[] = "retired.tenants";
+
+/// How long a group-commit leader lingers before issuing the sync, once
+/// the store sees concurrent appenders: without it a leader elected right
+/// after the previous release syncs a half-formed cohort (~half the
+/// concurrent appenders per window).
+constexpr std::chrono::microseconds kGroupCommitLinger{200};
+/// A WAL this large is sealed even below segment_positions.
+constexpr uint64_t kSegmentBytes = 64ull << 20;
 
 /// seg-<seq>.seg -> seq, or nullopt-ish failure via bool.
 bool ParseSegmentName(const std::string& name, uint64_t* seq) {
@@ -77,12 +86,6 @@ SegmentLogStore::SegmentLogStore(std::string dir, const Options& options)
 }
 
 SegmentLogStore::~SegmentLogStore() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  compaction_cv_.notify_all();
-  if (compaction_thread_.joinable()) compaction_thread_.join();
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_file_ != nullptr) {
     std::fflush(wal_file_);
@@ -111,10 +114,6 @@ Result<std::unique_ptr<SegmentLogStore>> SegmentLogStore::Open(
   {
     std::unique_lock<std::mutex> lock(store->mu_);
     WEDGE_RETURN_IF_ERROR(store->RecoverLocked());
-  }
-  if (options.background_compaction) {
-    store->compaction_thread_ =
-        std::thread([s = store.get()] { s->CompactionThreadMain(); });
   }
   return store;
 }
@@ -336,7 +335,7 @@ Result<uint64_t> SegmentLogStore::AppendPrepare(const LogPosition& position) {
   }
 
   if (wal_positions_.size() >= options_.segment_positions ||
-      wal_bytes_ >= options_.segment_bytes) {
+      wal_bytes_ >= kSegmentBytes) {
     WEDGE_RETURN_IF_ERROR(SealLocked(lock, &sealed));
   }
   return position.log_id;
@@ -368,11 +367,9 @@ Status SegmentLogStore::WaitDurableLocked(uint64_t token,
       sync_in_flight_ = true;
       const bool cohort_active =
           last_commit_batch_ > 1 || prepared_count_ - durable_count_ > 1;
-      if (options_.durability == Durability::kGroupCommit &&
-          options_.group_commit_linger_us > 0 && cohort_active) {
+      if (options_.durability == Durability::kGroupCommit && cohort_active) {
         lock.unlock();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.group_commit_linger_us));
+        std::this_thread::sleep_for(kGroupCommitLinger);
         lock.lock();
         if (!poison_.ok()) {
           sync_in_flight_ = false;
@@ -474,11 +471,6 @@ Status SegmentLogStore::SealLocked(std::unique_lock<std::mutex>& lock,
   if (seals_counter_ != nullptr) seals_counter_->Add(1);
   if (seal_hist_ != nullptr) seal_hist_->Record(seal_watch.ElapsedMicros());
   commit_cv_.notify_all();
-
-  if (options_.background_compaction && !retired_.empty()) {
-    compaction_pending_ = true;
-    compaction_cv_.notify_all();
-  }
   return Status::Ok();
 }
 
@@ -686,15 +678,10 @@ Status SegmentLogStore::RetireTenant(uint64_t tenant) {
   if (tenant == kMixedOwnerTenant) {
     return Status::InvalidArgument("cannot retire the mixed-owner tenant");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    WEDGE_RETURN_IF_ERROR(poison_);
-    if (!retired_.insert(tenant).second) return Status::Ok();
-    WEDGE_RETURN_IF_ERROR(PersistRetiredLocked());
-    if (options_.background_compaction) compaction_pending_ = true;
-  }
-  if (options_.background_compaction) compaction_cv_.notify_all();
-  return Status::Ok();
+  std::lock_guard<std::mutex> lock(mu_);
+  WEDGE_RETURN_IF_ERROR(poison_);
+  if (!retired_.insert(tenant).second) return Status::Ok();
+  return PersistRetiredLocked();
 }
 
 Status SegmentLogStore::CompactSegmentLocked(
@@ -796,19 +783,6 @@ Result<SegmentLogStore::CompactionStats> SegmentLogStore::Compact() {
     reclaimed_counter_->Add(static_cast<int64_t>(stats.bytes_reclaimed));
   }
   return stats;
-}
-
-void SegmentLogStore::CompactionThreadMain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    compaction_cv_.wait(
-        lock, [this] { return compaction_pending_ || shutting_down_; });
-    if (shutting_down_) return;
-    compaction_pending_ = false;
-    lock.unlock();
-    (void)Compact();  // Failures poison the store; nothing to do here.
-    lock.lock();
-  }
 }
 
 }  // namespace wedge

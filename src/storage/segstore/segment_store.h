@@ -5,10 +5,10 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/segstore/segment.h"
+#include "telemetry/metrics.h"
 
 namespace wedge {
 
@@ -31,7 +31,9 @@ namespace wedge {
 /// WaitDurable(token) runs the group commit: the first waiter becomes
 /// leader, flushes + fdatasyncs everything prepared so far in ONE sync,
 /// and releases every waiter it covered together; late waiters piggyback
-/// on the in-flight sync or lead the next one.
+/// on the in-flight sync or lead the next one. While cohorts form, a
+/// leader first lingers 200 µs so the rest of the cohort lands in its
+/// window; a solo synchronous appender skips the linger.
 /// `wedge.store.group_commit_batch` records how many appends each sync
 /// amortized and `wedge.store.group_commit_wait_us` the per-append wait.
 /// The plain Append() is prepare + wait (the durable-synchronous
@@ -52,7 +54,7 @@ namespace wedge {
 /// (epoch aggregation, read proofs) can commit to a root that a crash
 /// could still revoke — the caller acks only after WaitDurable returns.
 ///
-/// When the WAL reaches segment_positions/segment_bytes the WAL itself
+/// When the WAL reaches segment_positions or 64 MiB the WAL itself
 /// becomes the segment, so each appended byte is written once: the
 /// footer rows kept since each record was prepared and the trailer are
 /// appended to wal.log, which is fdatasynced and renamed to
@@ -69,9 +71,8 @@ namespace wedge {
 class SegmentLogStore : public LogStore {
  public:
   enum class Durability {
-    /// Group-flush only (no fsync): durable against process crash, like
-    /// FileLogStore's default. The group leader still batches the
-    /// fflush, so acks release together.
+    /// Group-flush only (no fsync): durable against process crash. The
+    /// group leader still batches the fflush, so acks release together.
     kNone,
     /// Group-commit fdatasync: power-loss durable, one sync per batch
     /// window. The default.
@@ -92,21 +93,9 @@ class SegmentLogStore : public LogStore {
 
   struct Options {
     Durability durability = Durability::kGroupCommit;
-    /// How long a group-commit leader lingers before issuing the sync,
-    /// letting the rest of a concurrent cohort land in the same window.
-    /// Adaptive: the linger is skipped while the store observes no
-    /// concurrency (solo synchronous appenders keep per-append sync
-    /// latency), and turns on once cohorts form — without it a leader
-    /// elected right after the previous release syncs a half-formed
-    /// cohort (~half the concurrent appenders per window).
-    uint32_t group_commit_linger_us = 200;
-    /// Seal the WAL into a segment after this many positions...
+    /// Seal the WAL into a segment after this many positions (or 64 MiB
+    /// of WAL, whichever comes first).
     uint32_t segment_positions = 256;
-    /// ...or this many payload bytes, whichever comes first.
-    uint64_t segment_bytes = 64ull << 20;
-    /// Run Compact() on a background thread whenever a tenant is
-    /// retired (off: the caller compacts explicitly).
-    bool background_compaction = false;
     MetricsRegistry* metrics = nullptr;
     CrashPoint crash_point = CrashPoint::kNone;
   };
@@ -243,8 +232,6 @@ class SegmentLogStore : public LogStore {
   Status CompactSegmentLocked(std::unique_lock<std::mutex>& lock,
                               size_t seg_index, CompactionStats* stats);
 
-  void CompactionThreadMain();
-
   std::string SegmentPath(size_t seq) const;
 
   const std::string dir_;
@@ -280,11 +267,6 @@ class SegmentLogStore : public LogStore {
   std::vector<std::shared_ptr<Segment>> segments_;
   std::set<uint64_t> retired_;
   RecoveryInfo recovery_;
-
-  std::thread compaction_thread_;
-  std::condition_variable compaction_cv_;
-  bool compaction_pending_ = false;
-  bool shutting_down_ = false;
 };
 
 }  // namespace wedge

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "storage/decentralized_archive.h"
+#include "telemetry/metrics.h"
 
 namespace wedge {
 

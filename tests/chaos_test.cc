@@ -106,8 +106,9 @@ TEST(ChaosScenarioTest, SegmentStoreFleetLosesNothing) {
   if (SocketTestsDisabled()) {
     GTEST_SKIP() << "WEDGE_SKIP_SOCKET_TESTS=1";
   }
-  // Same scenario on the segmented store engine, with segments sealed
-  // every 4 positions so the SIGKILL victim dies holding both sealed
+  // Same scenario under another seed, with segments sealed every 4
+  // positions (the fleet default, named here because the check below
+  // depends on it) so the SIGKILL victim dies holding both sealed
   // segments and a live WAL tail — recovery then exercises the
   // O(segments) trailer scan and the WAL replay.
   ChaosRunOptions options;
@@ -119,7 +120,6 @@ TEST(ChaosScenarioTest, SegmentStoreFleetLosesNothing) {
   std::filesystem::remove_all(options.fleet.work_dir);
   std::filesystem::create_directories(options.fleet.work_dir);
   options.fleet.num_procs = 3;
-  options.fleet.store = StoreBackend::kSegment;
   options.fleet.segment_positions = 4;
   options.seed = 0x5E65;
   options.tenants = 6;

@@ -1,5 +1,6 @@
 // Cross-module integration tests: concurrent clients against one node,
-// file-backed deployment with restart recovery, caller-built replicated
+// disk-backed deployment with restart recovery (and refusal of a
+// leftover flat-file shard log), caller-built replicated
 // and tiered stores, end-to-end flows that touch every library at once.
 // Every deployment is the paper's single Offchain Node: the 1-shard
 // engine with classic stage 2.
@@ -7,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -185,7 +188,6 @@ TEST(IntegrationTest, FileBackedDeploymentSurvivesRestart) {
   std::filesystem::create_directories(dir);
   ShardedDeploymentConfig config = ClassicConfig(4);
   config.log_dir = dir;
-  config.store_backend = StoreBackend::kFile;
 
   Hash256 committed_root;
   {
@@ -202,8 +204,8 @@ TEST(IntegrationTest, FileBackedDeploymentSurvivesRestart) {
     committed_root = responses->front().proof.mroot;
   }
 
-  // "Restart": a fresh node over the same log file recovers the data and
-  // serves reads whose root matches what clients already hold.
+  // "Restart": a fresh node over the same log directory recovers the data
+  // and serves reads whose root matches what clients already hold.
   {
     auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok());
@@ -215,6 +217,47 @@ TEST(IntegrationTest, FileBackedDeploymentSurvivesRestart) {
     ASSERT_TRUE(req.ok());
     EXPECT_EQ(ToString(req->value), "two");
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IntegrationTest, LeftoverFlatFileShardLogIsRefused) {
+  // A log_dir written by a version whose shard logs were flat files
+  // (shard-<i>.log). Opening an empty segment store beside one would
+  // serve that shard from log id 0 again.
+  std::string dir = std::filesystem::temp_directory_path() /
+                    ("wedge_integration_flat_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string flat = dir + "/shard-1.log";
+  const std::string bytes = "acked positions of an older daemon";
+  std::ofstream(flat, std::ios::binary) << bytes;
+
+  ShardedDeploymentConfig config;
+  config.engine.num_shards = 2;
+  config.log_dir = dir;
+  auto d = ShardedDeployment::Create(config);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), Code::kFailedPrecondition);
+  EXPECT_NE(d.status().message().find(flat), std::string::npos)
+      << d.status().ToString();
+
+  // Nothing was opened or created, not even the other shard's store, and
+  // the leftover log is untouched.
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"shard-1.log"});
+  std::ifstream in(flat, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), bytes);
+
+  // Once the old log is moved away the directory opens as segment stores.
+  std::filesystem::remove(flat);
+  d = ShardedDeployment::Create(config);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/shard-0.seg"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/shard-1.seg"));
+  d->reset();
   std::filesystem::remove_all(dir);
 }
 

@@ -4,11 +4,11 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 
 #include "common/random.h"
 #include "merkle/merkle_tree.h"
+#include "storage/segstore/segment_store.h"
 
 namespace wedge {
 namespace {
@@ -24,23 +24,6 @@ LogPosition MakePosition(uint64_t id, size_t entries, uint64_t seed = 7) {
   return pos;
 }
 
-TEST(LogPositionTest, SerializationRoundTrip) {
-  LogPosition pos = MakePosition(3, 5);
-  auto back = LogPosition::Deserialize(pos.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->log_id, pos.log_id);
-  EXPECT_EQ(back->data_list, pos.data_list);
-  EXPECT_EQ(back->mroot, pos.mroot);
-}
-
-TEST(LogPositionTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(LogPosition::Deserialize(Bytes{1, 2}).ok());
-  LogPosition pos = MakePosition(0, 2);
-  Bytes wire = pos.Serialize();
-  wire.push_back(0xAB);
-  EXPECT_FALSE(LogPosition::Deserialize(wire).ok());
-}
-
 std::string TempPath(const char* tag) {
   return std::filesystem::temp_directory_path() /
          (std::string("wedge_log_test_") + tag + "_" +
@@ -48,7 +31,7 @@ std::string TempPath(const char* tag) {
 }
 
 // Coverage via a parameterized fixture over all store kinds.
-enum class StoreKind { kMemory, kFile, kReplicated };
+enum class StoreKind { kMemory, kSegment, kReplicated };
 
 class LogStoreTest : public ::testing::TestWithParam<StoreKind> {
  protected:
@@ -57,10 +40,10 @@ class LogStoreTest : public ::testing::TestWithParam<StoreKind> {
       case StoreKind::kMemory:
         store_ = std::make_unique<MemoryLogStore>();
         break;
-      case StoreKind::kFile: {
+      case StoreKind::kSegment: {
         path_ = TempPath("param");
-        std::filesystem::remove(path_);
-        auto opened = FileLogStore::Open(path_);
+        std::filesystem::remove_all(path_);
+        auto opened = SegmentLogStore::Open(path_, SegmentLogStore::Options());
         ASSERT_TRUE(opened.ok()) << opened.status().ToString();
         store_ = std::move(opened).value();
         break;
@@ -78,7 +61,7 @@ class LogStoreTest : public ::testing::TestWithParam<StoreKind> {
 
   void TearDown() override {
     store_.reset();
-    if (!path_.empty()) std::filesystem::remove(path_);
+    if (!path_.empty()) std::filesystem::remove_all(path_);
   }
 
   std::unique_ptr<LogStore> store_;
@@ -147,140 +130,9 @@ TEST_P(LogStoreTest, ScanVisitsRangeInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, LogStoreTest,
-                         ::testing::Values(StoreKind::kMemory, StoreKind::kFile,
+                         ::testing::Values(StoreKind::kMemory,
+                                           StoreKind::kSegment,
                                            StoreKind::kReplicated));
-
-TEST(FileLogStoreTest, RecoversAfterReopen) {
-  std::string path = TempPath("recover");
-  std::filesystem::remove(path);
-  {
-    auto store = FileLogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (uint64_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE((*store)->Append(MakePosition(i, 3)).ok());
-    }
-    ASSERT_TRUE((*store)->Sync().ok());
-  }
-  auto reopened = FileLogStore::Open(path);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->Size(), 10u);
-  auto pos = (*reopened)->Get(7);
-  ASSERT_TRUE(pos.ok());
-  EXPECT_EQ(pos->data_list, MakePosition(7, 3).data_list);
-  // Can continue appending after recovery.
-  ASSERT_TRUE((*reopened)->Append(MakePosition(10, 3)).ok());
-  std::filesystem::remove(path);
-}
-
-TEST(FileLogStoreTest, TruncatesTornTail) {
-  std::string path = TempPath("torn");
-  std::filesystem::remove(path);
-  {
-    auto store = FileLogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (uint64_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*store)->Append(MakePosition(i, 2)).ok());
-    }
-    ASSERT_TRUE((*store)->Sync().ok());
-  }
-  // Simulate a crash mid-write: chop bytes off the end.
-  auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 10);
-
-  auto reopened = FileLogStore::Open(path);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->Size(), 4u);  // Last record lost, rest intact.
-  // The store keeps working after truncation.
-  ASSERT_TRUE((*reopened)->Append(MakePosition(4, 2)).ok());
-  EXPECT_EQ((*reopened)->Size(), 5u);
-  std::filesystem::remove(path);
-}
-
-TEST(FileLogStoreTest, TornTailRoundTripReopenRecoverAppend) {
-  // Full crash-recovery cycle: truncate mid-record, reopen, recover,
-  // append fresh records over the truncated tail, reopen again.
-  std::string path = TempPath("torn_roundtrip");
-  std::filesystem::remove(path);
-  {
-    auto store = FileLogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*store)->Append(MakePosition(i, 2)).ok());
-    }
-    ASSERT_TRUE((*store)->Sync().ok());
-  }
-  // Chop into the middle of the last record (past its length prefix).
-  auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 17);
-
-  LogPosition replacement = MakePosition(5, 3, /*seed=*/99);
-  {
-    auto reopened = FileLogStore::Open(path);
-    ASSERT_TRUE(reopened.ok());
-    EXPECT_EQ((*reopened)->Size(), 5u);  // Torn record 5 truncated away.
-    ASSERT_TRUE((*reopened)->Append(replacement).ok());
-    ASSERT_TRUE((*reopened)->Append(MakePosition(6, 2)).ok());
-    ASSERT_TRUE((*reopened)->Sync().ok());
-  }
-  // The rewritten tail replays cleanly: no remnants of the torn record.
-  auto final_store = FileLogStore::Open(path);
-  ASSERT_TRUE(final_store.ok());
-  EXPECT_EQ((*final_store)->Size(), 7u);
-  auto pos5 = (*final_store)->Get(5);
-  ASSERT_TRUE(pos5.ok());
-  EXPECT_EQ(pos5->data_list, replacement.data_list);
-  EXPECT_EQ(pos5->mroot, replacement.mroot);
-  std::filesystem::remove(path);
-}
-
-TEST(FileLogStoreTest, FsyncOnAppendPersistsWithoutSync) {
-  std::string path = TempPath("fsync");
-  std::filesystem::remove(path);
-  FileLogStore::Options options;
-  options.fsync_on_append = true;
-  auto store = FileLogStore::Open(path, options);
-  ASSERT_TRUE(store.ok());
-  EXPECT_TRUE((*store)->options().fsync_on_append);
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*store)->Append(MakePosition(i, 2)).ok());
-  }
-  // No Sync(), store still open: every record is already on disk — an
-  // independent replay of the file sees all three positions.
-  EXPECT_GT(std::filesystem::file_size(path), 0u);
-  auto replay = FileLogStore::Open(path);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ((*replay)->Size(), 3u);
-  EXPECT_EQ((*replay)->Get(2)->mroot, MakePosition(2, 2).mroot);
-  std::filesystem::remove(path);
-}
-
-TEST(FileLogStoreTest, DetectsCorruptChecksum) {
-  std::string path = TempPath("corrupt");
-  std::filesystem::remove(path);
-  {
-    auto store = FileLogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (uint64_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*store)->Append(MakePosition(i, 2)).ok());
-    }
-    ASSERT_TRUE((*store)->Sync().ok());
-  }
-  // Flip a byte in the middle of the second record's payload.
-  {
-    FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, static_cast<long>(std::filesystem::file_size(path) / 2),
-               SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(c ^ 0xFF, f);
-    std::fclose(f);
-  }
-  auto reopened = FileLogStore::Open(path);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_LT((*reopened)->Size(), 3u);  // Corruption stops the replay.
-  std::filesystem::remove(path);
-}
 
 TEST(ReplicatedLogStoreTest, FollowersReceiveEveryAppend) {
   auto follower1 = std::make_unique<MemoryLogStore>();

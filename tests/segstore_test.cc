@@ -4,15 +4,16 @@
 // segments byte-identical to WriteSegmentFile, seal telemetry,
 // group-commit visibility, per-entry reads equal to whole-position reads
 // and bounded by their record when damaged, refusal of the version-1
-// layout, and tenant GC preserving live entries byte-identically with
-// every proof still verifying. The FileLogStore
-// fault-injection tests (typed IoError, no acked-then-lost window) ride
-// along because they pin the same contract on the flat backend.
+// layout, tenant GC preserving live entries byte-identically with
+// every proof still verifying, and a full device (a typed IoError, no
+// acked-then-lost window).
 
 #include "storage/segstore/segment_store.h"
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include "core/rpc_codec.h"
 #include "merkle/merkle_tree.h"
 #include "shard/sharded_engine.h"
-#include "storage/backend.h"
 
 namespace wedge {
 namespace {
@@ -108,6 +108,17 @@ std::unique_ptr<SegmentLogStore> OpenOrDie(const std::string& dir,
   auto store = SegmentLogStore::Open(dir, o);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return store.ok() ? std::move(store).value() : nullptr;
+}
+
+Bytes ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const Bytes& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
 }
 
 TEST(SegmentStoreTest, AppendGetScanAcrossSealBoundaries) {
@@ -198,6 +209,51 @@ TEST(SegmentStoreTest, TruncatesTornWalTail) {
   EXPECT_EQ(final_store->Size(), 5u);
   EXPECT_EQ(final_store->Get(4)->data_list, replacement.data_list);
   EXPECT_EQ(final_store->recovery().wal_truncated_bytes, 0u);
+}
+
+TEST(SegmentStoreTest, AckedAppendsReplayWhileTheStoreIsOpen) {
+  // An ack means the record is past the store's buffers (and on disk with
+  // group commit): a copy of the directory taken while the store is still
+  // open, without a seal or a close, replays every acked position.
+  for (auto durability : {SegmentLogStore::Durability::kGroupCommit,
+                          SegmentLogStore::Durability::kNone}) {
+    const TempDir dir_guard("acked_open");
+    const TempDir copy_guard("acked_open_copy");
+    SegmentLogStore::Options options = SmallSegments(/*positions=*/64);
+    options.durability = durability;
+    auto store = OpenOrDie(dir_guard.path, options);
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
+    }
+    std::filesystem::copy(dir_guard.path, copy_guard.path,
+                          std::filesystem::copy_options::recursive);
+    auto replay = OpenOrDie(copy_guard.path, options);
+    EXPECT_EQ(replay->Size(), 3u);
+    EXPECT_EQ(replay->Get(2)->mroot, MakePosition(2, 2).mroot);
+    EXPECT_EQ(replay->recovery().wal_truncated_bytes, 0u);
+  }
+}
+
+TEST(SegmentStoreTest, CorruptWalRecordEndsTheReplay) {
+  const TempDir dir_guard("corrupt_wal");
+  const std::string& dir = dir_guard.path;
+  {
+    auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(store->Append(MakePosition(i, 2)).ok());
+    }
+  }
+  // Flip a byte in the middle of the second record: its checksum fails,
+  // so replay keeps the first record and drops everything from there.
+  const std::string wal = dir + "/wal.log";
+  Bytes bytes = ReadFile(wal);
+  bytes[bytes.size() / 2] ^= 0xFF;
+  WriteFile(wal, bytes);
+
+  auto reopened = OpenOrDie(dir, SmallSegments(/*positions=*/64));
+  EXPECT_EQ(reopened->Size(), 1u);
+  EXPECT_EQ(reopened->Get(0)->mroot, MakePosition(0, 2).mroot);
+  EXPECT_GT(reopened->recovery().wal_truncated_bytes, 0u);
 }
 
 /// Appends ids 0..3 to a 4-position store that crashes at `point` inside
@@ -298,22 +354,14 @@ TEST(SegmentStoreTest, DoubleRecoveryIsIdempotent) {
   }
 }
 
-Bytes ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return Bytes(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const Bytes& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-}
-
-/// A kind-0 payload in the version-1 layout: the kind byte, then
-/// LogPosition::Serialize() (a length prefix before each entry).
+/// A kind-0 payload in the version-1 layout: the kind byte, the log id,
+/// the entry count, each entry behind its own length prefix, the root.
 Bytes Version1Payload(const LogPosition& pos) {
   Bytes payload{kRecordPosition};
-  Append(payload, pos.Serialize());
+  PutU64(payload, pos.log_id);
+  PutU32(payload, static_cast<uint32_t>(pos.data_list.size()));
+  for (const SharedBytes& entry : pos.data_list) PutBytes(payload, entry);
+  Append(payload, HashToBytes(pos.mroot));
   return payload;
 }
 
@@ -899,7 +947,6 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
   config.engine.node.batch_size = 4;
   config.engine.node.worker_threads = 1;
   config.log_dir = dir;
-  config.store_backend = StoreBackend::kSegment;
   config.store_segment_positions = 2;
   auto d = ShardedDeployment::Create(config);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
@@ -941,75 +988,96 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
     PublisherClient client = (*d)->MakePublisher(tenant_b);
     EXPECT_TRUE(client.VerifyAggregation(*read, *agg));
   }
-  // Retiring a tenant on the file backend is a typed precondition error.
-  const TempDir file_dir_guard("engine_gc_file");
-  const std::string& file_dir = file_dir_guard.path;
-  std::filesystem::create_directories(file_dir);
-  ShardedDeploymentConfig file_config = config;
-  file_config.log_dir = file_dir;
-  file_config.store_backend = StoreBackend::kFile;
-  auto file_d = ShardedDeployment::Create(file_config);
-  ASSERT_TRUE(file_d.ok());
-  EXPECT_EQ((*file_d)->engine().RetireTenant(tenant_a).code(),
+  // Retiring a tenant on memory stores is a typed precondition error.
+  ShardedDeploymentConfig memory_config = config;
+  memory_config.log_dir.clear();
+  auto memory_d = ShardedDeployment::Create(memory_config);
+  ASSERT_TRUE(memory_d.ok());
+  EXPECT_EQ((*memory_d)->engine().RetireTenant(tenant_a).code(),
             Code::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------
-// FileLogStore error-path audit: typed IoError, no acked-then-lost.
+// A full device: typed IoError, no acked-then-lost window.
 
-TEST(FileStoreFaultTest, FullDiskAppendFailsTypedAndLosesNothingAcked) {
-  const TempDir path_guard("enospc");
-  const std::string& path = path_guard.path;
-  FileLogStore::Options options;
-  options.fail_after_bytes = 2000;  // Simulated device capacity.
-  auto store = FileLogStore::Open(path, options);
-  ASSERT_TRUE(store.ok());
+/// Lowers this process's file-size limit to `bytes` and ignores SIGXFSZ,
+/// so a write past the limit fails with EFBIG the way a write to a full
+/// device fails with ENOSPC; restores both when it leaves scope.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    if (::getrlimit(RLIMIT_FSIZE, &saved_) != 0) return;
+    previous_handler_ = ::signal(SIGXFSZ, SIG_IGN);
+    if (previous_handler_ == SIG_ERR) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    if (ok_) ::setrlimit(RLIMIT_FSIZE, &saved_);
+    if (previous_handler_ != SIG_ERR) ::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
 
-  uint64_t acked = 0;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  sighandler_t previous_handler_ = SIG_ERR;
+  bool ok_ = false;
+};
+
+TEST(SegmentStoreFaultTest, FullDeviceFailsTypedAndRecoversTheAckedPrefix) {
+  const TempDir dir_guard("full_device");
+  const std::string& dir = dir_guard.path;
+  // Room for a few dozen WAL records of 4 × 40-byte entries, and below
+  // the default seal threshold, so the failure lands in a WAL append.
+  constexpr rlim_t kDeviceBytes = 8 << 10;
+  std::vector<LogPosition> acked;
   Status failure = Status::Ok();
-  for (uint64_t i = 0; i < 100; ++i) {
-    Status s = (*store)->Append(MakePosition(i, 4));
-    if (!s.ok()) {
-      failure = s;
-      break;
+  {
+    auto store = OpenOrDie(dir, SegmentLogStore::Options());
+    ASSERT_NE(store, nullptr);
+    const FileSizeLimit limit(kDeviceBytes);
+    ASSERT_TRUE(limit.ok());
+    for (uint64_t i = 0; i < 1000; ++i) {
+      LogPosition pos = MakePosition(i, 4);
+      failure = store->Append(pos);
+      if (!failure.ok()) break;
+      acked.push_back(std::move(pos));
     }
-    ++acked;
+    // The device filled: the failing append is a typed IoError, not
+    // Corruption and not a silent success.
+    ASSERT_FALSE(failure.ok());
+    EXPECT_EQ(failure.code(), Code::kIoError) << failure.ToString();
+    ASSERT_GT(acked.size(), 0u);
+    // The store poisoned itself: later appends fail typed too, and it
+    // serves exactly the acked prefix.
+    for (uint64_t id : {uint64_t{acked.size()}, uint64_t{acked.size() + 1}}) {
+      Status again = store->Append(MakePosition(id, 4));
+      EXPECT_EQ(again.code(), Code::kIoError) << again.ToString();
+    }
+    EXPECT_EQ(store->Size(), acked.size());
+    EXPECT_FALSE(store->Get(acked.size()).ok());
+    // Destroyed while the device is still full, as a crashed process
+    // would leave it: nothing buffered behind the failure reaches disk.
+    store.reset();
   }
-  // The device filled: the failing append is a typed, retryable
-  // IoError (not Corruption, not a silent success).
-  ASSERT_FALSE(failure.ok());
-  EXPECT_EQ(failure.code(), Code::kIoError);
-  ASSERT_GT(acked, 0u);
-  // The failed append was rolled back: the store still serves exactly
-  // the acked prefix and no torn record follows it.
-  EXPECT_EQ((*store)->Size(), acked);
-  EXPECT_FALSE((*store)->Get(acked).ok());
-  store->reset();
 
-  // An independent replay agrees — nothing acked was lost, nothing
-  // beyond the acked prefix survived.
-  auto replay = FileLogStore::Open(path);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ((*replay)->Size(), acked);
-  for (uint64_t i = 0; i < acked; ++i) {
-    EXPECT_EQ((*replay)->Get(i)->mroot, MakePosition(i, 4).mroot) << i;
+  // Recovery drops the torn tail and keeps exactly the acked prefix,
+  // byte for byte.
+  auto reopened = OpenOrDie(dir, SegmentLogStore::Options());
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_EQ(reopened->Size(), acked.size());
+  for (uint64_t i = 0; i < acked.size(); ++i) {
+    auto pos = reopened->Get(i);
+    ASSERT_TRUE(pos.ok()) << i << ": " << pos.status().ToString();
+    EXPECT_EQ(pos->data_list, acked[i].data_list) << i;
+    EXPECT_EQ(pos->mroot, acked[i].mroot) << i;
   }
-}
-
-TEST(FileStoreFaultTest, FsyncOnAppendFaultIsAlsoTyped) {
-  const TempDir path_guard("enospc_sync");
-  const std::string& path = path_guard.path;
-  FileLogStore::Options options;
-  options.fail_after_bytes = 600;
-  options.fsync_on_append = true;
-  auto store = FileLogStore::Open(path, options);
-  ASSERT_TRUE(store.ok());
-  Status failure = Status::Ok();
-  for (uint64_t i = 0; i < 50 && failure.ok(); ++i) {
-    failure = (*store)->Append(MakePosition(i, 4));
-  }
-  ASSERT_FALSE(failure.ok());
-  EXPECT_EQ(failure.code(), Code::kIoError);
+  // And the log continues where the acked prefix ends.
+  EXPECT_TRUE(reopened->Append(MakePosition(acked.size(), 4)).ok());
 }
 
 }  // namespace

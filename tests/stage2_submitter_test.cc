@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/random.h"
 #include "shard/sharded_engine.h"
-#include "storage/log_store.h"
+#include "storage/segstore/segment_store.h"
 
 namespace wedge {
 namespace {
@@ -207,11 +209,11 @@ TEST(Stage2SubmitterTest, EnqueueRejectsGaps) {
 }
 
 /// Acceptance: kill the node after sealing batches whose digests never
-/// reached the chain; reopen the file-backed store, Recover(), and the
+/// reached the chain; reopen the segment store, Recover(), and the
 /// pipeline commits the pre-crash roots.
 TEST(Stage2SubmitterTest, RecoverRecommitsRootsSealedBeforeCrash) {
-  std::string path = ::testing::TempDir() + "/wedge_recover_test.log";
-  std::remove(path.c_str());
+  std::string path = ::testing::TempDir() + "/wedge_recover_test.seg";
+  std::filesystem::remove_all(path);
 
   SimClock clock(0);
   Blockchain chain(ChainConfig{}, &clock);
@@ -247,7 +249,7 @@ TEST(Stage2SubmitterTest, RecoverRecommitsRootsSealedBeforeCrash) {
   };
 
   {
-    auto store = FileLogStore::Open(path);
+    auto store = SegmentLogStore::Open(path, SegmentLogStore::Options());
     ASSERT_TRUE(store.ok());
     OffchainNode node(node_config, node_key, std::move(store).value(), &chain,
                       root_record.value());
@@ -260,15 +262,15 @@ TEST(Stage2SubmitterTest, RecoverRecommitsRootsSealedBeforeCrash) {
     EXPECT_EQ(node.UncommittedDigests(), 0u);
 
     // Seal positions 2,3; their digests never reach the chain — the node
-    // dies before CommitPendingDigests. (The destructor closes the log
-    // file; torn-tail truncation is covered by the storage tests.)
+    // dies before CommitPendingDigests. (The destructor closes the WAL;
+    // torn-tail truncation is covered by the storage tests.)
     append_batches(node, 100, 4);
     EXPECT_EQ(node.PendingDigests(), 2u);
   }
   EXPECT_EQ(OnChainTail(chain, root_record.value()), 2u);
 
   // Restart: reopen the store, reconcile against the chain, recommit.
-  auto store = FileLogStore::Open(path);
+  auto store = SegmentLogStore::Open(path, SegmentLogStore::Options());
   ASSERT_TRUE(store.ok());
   ASSERT_EQ(store.value()->Size(), 4u);
   std::vector<Hash256> expected_roots;
@@ -299,7 +301,7 @@ TEST(Stage2SubmitterTest, RecoverRecommitsRootsSealedBeforeCrash) {
     EXPECT_EQ(root_raw.value(), HashToBytes(expected_roots[id - 2]));
   }
 
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 }  // namespace

@@ -12,12 +12,12 @@
 // Usage:
 //   chaos --binary PATH [--work-dir PATH] [--procs N] [--seed N]
 //         [--tenants N] [--batches N] [--entries N] [--value-bytes N]
-//         [--store file|segment] [--audit-timeout-s N] [--json-out PATH]
+//         [--audit-timeout-s N] [--json-out PATH]
 //
-// --store segment runs every daemon on the segmented store
-// (storage/segstore/): the SIGKILL then lands across WAL + sealed
-// segments and recovery exercises the O(segments) trailer scan instead
-// of the flat-file replay.
+// Every daemon keeps its shard log in the segmented store
+// (storage/segstore/) and seals a segment every few positions, so the
+// SIGKILL lands across WAL + sealed segments and recovery exercises the
+// O(segments) trailer scan and the WAL replay.
 //
 // Prints a human summary plus one machine-readable "CHAOS_RESULT {...}"
 // JSON line (also written to --json-out when given). Exits 0 only on
@@ -39,7 +39,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --binary PATH [--work-dir PATH] [--procs N] [--seed N]\n"
       "          [--tenants N] [--batches N] [--entries N]\n"
-      "          [--value-bytes N] [--store file|segment]\n"
+      "          [--value-bytes N]\n"
       "          [--audit-timeout-s N] [--json-out PATH]\n",
       argv0);
   return 2;
@@ -50,7 +50,7 @@ std::string ReportJson(const ChaosRunOptions& options,
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"seed\": %llu, \"store\": \"%s\", \"procs\": %u, \"kill_victim\": %u, "
+      "{\"seed\": %llu, \"procs\": %u, \"kill_victim\": %u, "
       "\"partition_victim\": %u, \"restart_victim\": %u, "
       "\"partition_ms\": %lld, \"batches_attempted\": %llu, "
       "\"batches_acked\": %llu, \"batches_failed\": %llu, "
@@ -60,7 +60,6 @@ std::string ReportJson(const ChaosRunOptions& options,
       "\"recovery_ms\": %lld, \"audit_ms\": %lld, \"client_retries\": %llu, "
       "\"breaker_trips\": %llu, \"fast_fails\": %llu}",
       static_cast<unsigned long long>(options.seed),
-      std::string(StoreBackendName(options.fleet.store)).c_str(),
       options.fleet.num_procs, report.schedule.kill_victim,
       report.schedule.partition_victim, report.schedule.restart_victim,
       static_cast<long long>(report.schedule.partition_micros /
@@ -113,13 +112,6 @@ int Run(int argc, char** argv) {
       options.entries_per_batch = std::atoi(v);
     } else if (flag == "--value-bytes" && (v = next())) {
       options.value_bytes = std::atoi(v);
-    } else if (flag == "--store" && (v = next())) {
-      auto backend = ParseStoreBackend(v);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "%s\n", backend.status().ToString().c_str());
-        return Usage(argv[0]);
-      }
-      options.fleet.store = *backend;
     } else if (flag == "--audit-timeout-s" && (v = next())) {
       options.audit_timeout = std::atoll(v) * kMicrosPerSecond;
     } else if (flag == "--json-out" && (v = next())) {
@@ -138,10 +130,9 @@ int Run(int argc, char** argv) {
     options.fleet.work_dir = tmpl;
   }
 
-  std::printf("chaos: %u procs, seed %llu, store %s, work dir %s\n",
+  std::printf("chaos: %u procs, seed %llu, work dir %s\n",
               options.fleet.num_procs,
               static_cast<unsigned long long>(options.seed),
-              std::string(StoreBackendName(options.fleet.store)).c_str(),
               options.fleet.work_dir.c_str());
   auto report = RunChaosScenario(options);
   if (!report.ok()) {

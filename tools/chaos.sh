@@ -5,7 +5,6 @@
 #   tools/chaos.sh                 # default: 3 procs, seed 0xC4A05
 #   tools/chaos.sh --seed 42       # another deterministic schedule
 #   tools/chaos.sh --procs 5 --tenants 12 --json-out chaos.json
-#   tools/chaos.sh --store segment # fleet on the segmented store engine
 #
 # Exits non-zero if any client-acked entry is lost or fails two-level
 # verification after recovery. See DESIGN.md "Sharded failure model &

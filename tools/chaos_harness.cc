@@ -77,10 +77,7 @@ Status ChaosFleet::Spawn(Proc& proc, bool recover) {
       // a restart may land anywhere, fleetmon re-resolves per round.
       "--admin-port", "0",
   };
-  args.push_back("--store");
-  args.push_back(std::string(StoreBackendName(options_.store)));
-  if (options_.store == StoreBackend::kSegment &&
-      options_.segment_positions > 0) {
+  if (options_.segment_positions > 0) {
     args.push_back("--segment-positions");
     args.push_back(std::to_string(options_.segment_positions));
   }

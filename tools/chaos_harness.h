@@ -27,11 +27,10 @@ struct ChaosFleetOptions {
   uint32_t epoch_blocks = 4;  ///< Blocks per forest epoch.
   uint32_t batch = 4;         ///< Stage-1 Merkle batch size.
   bool fsync = false;         ///< SIGKILL survives the page cache either way.
-  /// Shard store implementation passed through as `--store`.
-  StoreBackend store = StoreBackend::kFile;
-  /// Segment backend: seal every N positions (default tiny, so even the
-  /// short scenario workload crosses seal boundaries and the SIGKILL +
-  /// recovery exercise both sealed segments and the WAL tail).
+  /// Seal a segment every N positions (default tiny, so even the short
+  /// scenario workload crosses seal boundaries and the SIGKILL +
+  /// recovery exercise both sealed segments and the WAL tail; 0 = the
+  /// store's default).
   uint64_t segment_positions = 4;
   /// How long to wait for a spawned daemon to print "LISTENING <port>".
   Micros spawn_timeout = 60 * kMicrosPerSecond;

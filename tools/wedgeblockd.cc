@@ -12,8 +12,8 @@
 //               [--mine-ms N] [--duration-s N] [--telemetry-out PATH]
 //               [--shards N (default 1)] [--tenants N] [--epoch-blocks N]
 //               [--tenant-rate N] [--tenant-burst N] [--tenant-inflight N]
-//               [--tenant-auth] [--forest] [--log-dir PATH] [--fsync]
-//               [--store memory|file|segment] [--recover]
+//               [--tenant-auth] [--forest] [--log-dir PATH]
+//               [--segment-positions N] [--fsync] [--recover]
 //
 //   --port 0 (default) picks an ephemeral port; the daemon prints
 //   "LISTENING <port>" on stdout either way, so scripts can scrape it.
@@ -46,16 +46,18 @@
 //   --forest forces the epoch forest-root pipeline even at --shards 1,
 //   so a fleet of single-shard processes (tools/chaos) gets the same
 //   journal + recovery machinery a multi-shard engine does.
-//   --log-dir PATH puts every shard log at PATH/shard-<i>.log and — in
-//   forest mode — the aggregator journal at PATH/aggregator.journal, so
-//   a SIGKILL'd daemon can be restarted over the same directory.
-//   --store picks the shard store implementation under --log-dir:
-//   "file" (default) is the flat append-only FileLogStore; "segment" is
-//   the segmented engine (storage/segstore/) — group-committed WAL +
-//   sealed immutable segments at PATH/shard-<i>.seg/ with O(segments)
-//   recovery and tenant GC; "memory" ignores --log-dir entirely.
-//   --fsync makes acks durable: per-record fsync on the file backend,
-//   coalesced group commit (one fdatasync per batch window) on segment.
+//   --log-dir PATH puts every shard log in the segmented store
+//   (storage/segstore/) at PATH/shard-<i>.seg/ — a group-committed WAL
+//   plus sealed immutable segments, with O(segments) recovery and tenant
+//   GC — and, in forest mode, the aggregator journal at
+//   PATH/aggregator.journal, so a SIGKILL'd daemon can be restarted over
+//   the same directory. Without --log-dir every shard log is in memory.
+//   A directory holding a flat-file shard log (PATH/shard-<i>.log, from
+//   an older version) is refused at startup.
+//   --segment-positions N seals a segment every N positions (0 = the
+//   store's default).
+//   --fsync makes acks power-loss durable: coalesced group commit (one
+//   fdatasync per batch window).
 //   --recover hands every shard's unsent roots to its sink, reconciles
 //   the journal with the chain and resubmits unconfirmed epochs (or, on
 //   the classic stream, recommits what the chain lacks) before serving;
@@ -106,9 +108,8 @@ struct Options {
   bool tenant_auth = false;      ///< Bind tenant ids to publisher keys.
   bool forest = false;           ///< Force forest stage-2 at any shard count.
   std::string log_dir;           ///< Durable shard logs + aggregator journal.
-  StoreBackend store = StoreBackend::kFile;  ///< Shard store implementation.
   uint64_t segment_positions = 0;  ///< Segment seal threshold (0 = default).
-  bool fsync = false;            ///< Durable acks (see --store above).
+  bool fsync = false;            ///< Power-loss durable acks.
   bool recover = false;          ///< Run engine recovery before serving.
   /// Admin HTTP port: -1 disables the endpoint, 0 picks an ephemeral
   /// port. The daemon prints "ADMIN <port>" when enabled.
@@ -128,7 +129,7 @@ int Usage(const char* argv0) {
                "          [--tenant-rate N] [--tenant-burst N] "
                "[--tenant-inflight N] [--tenant-auth]\n"
                "          [--forest] [--log-dir PATH] "
-               "[--store memory|file|segment] [--segment-positions N]\n"
+               "[--segment-positions N]\n"
                "          [--fsync] [--recover]\n"
                "          [--admin-port N] [--slow-request-ms N]\n",
                argv0);
@@ -200,9 +201,6 @@ Result<Options> Parse(int argc, char** argv) {
       opts.forest = true;
     } else if (flag == "--log-dir") {
       WEDGE_ASSIGN_OR_RETURN(opts.log_dir, next());
-    } else if (flag == "--store") {
-      WEDGE_ASSIGN_OR_RETURN(std::string v, next());
-      WEDGE_ASSIGN_OR_RETURN(opts.store, ParseStoreBackend(v));
     } else if (flag == "--segment-positions") {
       WEDGE_ASSIGN_OR_RETURN(std::string v, next());
       opts.segment_positions = std::strtoull(v.c_str(), nullptr, 10);
@@ -302,9 +300,6 @@ int Serve(const Options& opts) {
   config.engine.quota.max_tenants = opts.tenants;
   config.engine.authenticate_tenants = opts.tenant_auth;
   config.log_dir = opts.log_dir;
-  config.store_backend =
-      opts.store == StoreBackend::kMemory ? StoreBackend::kFile : opts.store;
-  if (opts.store == StoreBackend::kMemory) config.log_dir.clear();
   config.store_segment_positions = opts.segment_positions;
   config.log_fsync = opts.fsync;
   auto deployment = ShardedDeployment::Create(config);
