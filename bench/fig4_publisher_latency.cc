@@ -52,6 +52,7 @@ void Main(int argc, char** argv) {
 
     // Stage-1 commitment delay: + verification of all responses
     // (projected from a sample; verification cost is linear).
+    AdmitEngineKey(*responses, d->engine().address());
     sw.Reset();
     int sample = std::min<int>(kVerifySample, responses->size());
     for (int i = 0; i < sample; ++i) {

@@ -36,6 +36,7 @@ void Main() {
     double last_ms = sw.ElapsedSeconds() * 1e3;
     if (!responses.ok()) std::abort();
 
+    AdmitEngineKey(*responses, d->engine().address());
     sw.Reset();
     int sample = std::min<int>(kVerifySample, responses->size());
     for (int i = 0; i < sample; ++i) {

@@ -15,6 +15,7 @@
 #include "crypto/ecdsa.h"
 #include "crypto/keccak256.h"
 #include "crypto/sha256_dispatch.h"
+#include "crypto/signer_key_cache.h"
 #include "merkle/merkle_tree.h"
 #include "net/wire.h"
 #include "storage/log_store.h"
@@ -127,8 +128,8 @@ struct SignedCorpus {
   }
 };
 
-// Per-entry recovery over distinct inputs: the ingest check below the
-// node's key-table cutoff.
+// Per-entry recovery over distinct inputs: the check of a signer without
+// a key table. /8 is read_mix's append call.
 void BM_RecoverSignerMany(benchmark::State& state) {
   SignedCorpus corpus(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -138,10 +139,14 @@ void BM_RecoverSignerMany(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_RecoverSignerMany)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecoverSignerMany)
+    ->Arg(8)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
-// The fixed-key verifier on the same inputs, table prebuilt: the ingest
-// check above the cutoff. Compare per item against BM_RecoverSignerMany.
+// The fixed-key verifier on the same inputs, table prebuilt: the check of
+// a signer with a key table. Compare per item against
+// BM_RecoverSignerMany.
 void BM_VerifyRecoverableMany(benchmark::State& state) {
   SignedCorpus corpus(static_cast<size_t>(state.range(0)));
   secp256k1::FixedPointTable table(corpus.key.public_key());
@@ -154,9 +159,60 @@ void BM_VerifyRecoverableMany(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_VerifyRecoverableMany)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerifyRecoverableMany)
+    ->Arg(8)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
-// One per-key table build: paid once per publisher group of an append.
+// One response check by SignedBy for a signer whose key table is cached:
+// what a client pays per response after a node's first 16.
+void BM_SignedByCached(benchmark::State& state) {
+  SignedCorpus corpus(256);
+  const Address signer = corpus.key.address();
+  // Admits the key, then builds its table at the 16th check.
+  for (size_t i = 0; i < SignerKeyCache::kTableAfterChecks; ++i) {
+    SignedBy(signer, corpus.hashes[i], corpus.sigs[i]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SignedBy(signer, corpus.hashes[i], corpus.sigs[i]));
+    i = (i + 1) % corpus.sigs.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SignedByCached)->Unit(benchmark::kMicrosecond);
+
+// One SignedBy check for a signer seen once: a recovery, the key's
+// admission, and no table. 4096 signers cycle through the 256-signer
+// cache, so each is evicted before it comes round again.
+void BM_SignedByOneOff(benchmark::State& state) {
+  struct OneOff {
+    Address signer;
+    Hash256 hash;
+    EcdsaSignature sig;
+  };
+  static const std::vector<OneOff> signers = [] {
+    std::vector<OneOff> out;
+    for (uint64_t k = 0; k < 4096; ++k) {
+      KeyPair key = KeyPair::FromSeed(0x0FF0 + k);
+      Hash256 h = Sha256::Digest("one-off-" + std::to_string(k));
+      out.push_back({key.address(), h, EcdsaSign(key.private_key(), h)});
+    }
+    return out;
+  }();
+  size_t i = 0;
+  for (auto _ : state) {
+    const OneOff& o = signers[i];
+    benchmark::DoNotOptimize(SignedBy(o.signer, o.hash, o.sig));
+    i = (i + 1) % signers.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SignedByOneOff)->Unit(benchmark::kMicrosecond);
+
+// One per-key table build: paid once per signer, at its 16th check
+// (SignerKeyCache::kTableAfterChecks), and again if it is evicted.
 void BM_FixedPointTableBuild(benchmark::State& state) {
   KeyPair kp = KeyPair::FromSeed(1);
   for (auto _ : state) {

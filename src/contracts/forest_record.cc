@@ -1,5 +1,7 @@
 #include "contracts/forest_record.h"
 
+#include "crypto/signer_key_cache.h"
+
 namespace wedge {
 
 Bytes ForestLeafBytes(uint32_t shard_id, uint64_t log_id,
@@ -33,8 +35,7 @@ bool AggregationProof::PathValid() const {
 }
 
 bool AggregationProof::Verify(const Address& engine) const {
-  return RecoverSigner(SignedHash(), engine_signature) == engine &&
-         PathValid();
+  return SignedBy(engine, SignedHash(), engine_signature) && PathValid();
 }
 
 Bytes AggregationProof::Serialize() const {

@@ -51,8 +51,8 @@ struct AggregationProof {
   /// mroot) to forest_root.
   bool PathValid() const;
 
-  /// Full client-side check: the statement is signed by `engine` AND the
-  /// path is internally consistent.
+  /// Full client-side check: the statement is signed by `engine`
+  /// (checked by SignedBy) AND the path is internally consistent.
   bool Verify(const Address& engine) const;
 
   Bytes Serialize() const;

@@ -1,5 +1,7 @@
 #include "core/batch_read.h"
 
+#include "crypto/signer_key_cache.h"
+
 namespace wedge {
 
 Hash256 BatchReadResponse::SignedHash() const {
@@ -19,7 +21,7 @@ Hash256 BatchReadResponse::SignedHash() const {
 
 bool BatchReadResponse::Verify(const Address& offchain_address) const {
   if (entries.empty()) return false;
-  if (RecoverSigner(SignedHash(), offchain_signature) != offchain_address) {
+  if (!SignedBy(offchain_address, SignedHash(), offchain_signature)) {
     return false;
   }
   return VerifyMultiProof(entries, proof, mroot);

@@ -31,8 +31,9 @@ struct BatchReadResponse {
   /// data).
   Hash256 SignedHash() const;
 
-  /// Full verification: authentic signature AND the multi-proof
-  /// reconstructs the signed root from the returned entries.
+  /// Full verification: authentic signature (checked by SignedBy) AND
+  /// the multi-proof reconstructs the signed root from the returned
+  /// entries.
   bool Verify(const Address& offchain_address) const;
 
   Bytes Serialize() const;

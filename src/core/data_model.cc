@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "crypto/signer_key_cache.h"
+
 namespace wedge {
 
 AppendRequest AppendRequest::Make(const KeyPair& publisher_key,
@@ -70,7 +72,7 @@ Hash256 Stage1Response::SignedHash() const {
 bool Stage1Response::Verify(const Address& offchain_address) const {
   if (index.log_id != proof.log_id) return false;
   if (index.offset != proof.merkle_proof.leaf_index) return false;
-  if (RecoverSigner(SignedHash(), offchain_signature) != offchain_address) {
+  if (!SignedBy(offchain_address, SignedHash(), offchain_signature)) {
     return false;
   }
   return VerifyMerkleProof(entry, proof.merkle_proof, proof.mroot);

@@ -27,7 +27,8 @@ struct AppendRequest {
   /// SHA-256 of SignedPayload(): the hash the publisher signs.
   Hash256 SignedHash() const;
 
-  /// True iff the signature verifies against the publisher address.
+  /// True iff the signature verifies against the publisher address, by
+  /// recovery every time (the oracle the node's cached checks match).
   bool VerifySignature() const;
 
   /// Canonical encoding of the full request. This is the byte string the
@@ -69,7 +70,9 @@ struct Stage1Response {
   Hash256 SignedHash() const;
 
   /// Client-side stage-1 verification: the node's signature is authentic
-  /// and the Merkle proof reconstructs the signed root for `entry`.
+  /// and the Merkle proof reconstructs the signed root for `entry`. The
+  /// signature is checked by SignedBy, so from a node's 16th check on
+  /// it runs on that node's key table.
   bool Verify(const Address& offchain_address) const;
 
   Bytes Serialize() const;

@@ -7,15 +7,6 @@ namespace wedge {
 
 namespace {
 
-// A publisher with at least this many requests in one Append call gets
-// the key-table check (DESIGN.md "Fixed-key verification"): over twice
-// the measured CPU break-even of ~6 entries. ingest's 256-entry calls
-// sit above it, read_mix's 8-entry appends below.
-constexpr size_t kMinGroup = 16;
-// Table checks per pool task; each task shares one s-inversion and one
-// batch normalization.
-constexpr size_t kTableChunk = 16;
-
 /// Heap bytes of a cached position (wedge.node.tree_cache_bytes): its
 /// tree's hashes, all levels, and its signatures.
 int64_t CachedBytes(const MerkleTree& tree,
@@ -58,10 +49,13 @@ OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
   invalid_sig_counter_ =
       m.GetCounter("wedge.node.invalid_signatures_rejected");
   key_table_checks_counter_ = m.GetCounter("wedge.node.key_table_checks");
+  key_table_builds_counter_ = m.GetCounter("wedge.node.key_table_builds");
   reads_counter_ = m.GetCounter("wedge.node.reads_served");
   tree_cache_hits_counter_ = m.GetCounter("wedge.node.tree_cache_hits");
   tree_cache_misses_counter_ = m.GetCounter("wedge.node.tree_cache_misses");
   tree_cache_bytes_gauge_ = m.GetGauge("wedge.node.tree_cache_bytes");
+  key_tables_gauge_ = m.GetGauge("wedge.node.key_tables");
+  key_table_bytes_gauge_ = m.GetGauge("wedge.node.key_table_bytes");
   append_hist_ = m.GetHistogram("wedge.node.append_us");
   seal_hist_ = m.GetHistogram("wedge.node.seal_us");
   read_hist_ = m.GetHistogram("wedge.node.read_us");
@@ -75,8 +69,11 @@ OffchainNode::OffchainNode(const OffchainNodeConfig& config, KeyPair key,
 }
 
 OffchainNode::~OffchainNode() {
-  // The gauge sums every node on the registry, which may outlive this one.
+  // The gauges sum every node on the registry, which may outlive this one.
   tree_cache_bytes_gauge_->Add(-tree_cache_bytes_);
+  const SignerKeyCache::Stats keys = keys_.stats();
+  key_tables_gauge_->Add(-static_cast<int64_t>(keys.tables));
+  key_table_bytes_gauge_->Add(-keys.table_bytes);
 }
 
 Result<std::vector<Stage1Response>> OffchainNode::Append(
@@ -131,79 +128,45 @@ Result<std::vector<Stage1Response>> OffchainNode::Append(
 
 void OffchainNode::VerifyClientSignatures(
     const std::vector<AppendRequest>& requests, std::vector<uint8_t>* valid) {
-  std::unordered_map<Address, std::vector<size_t>, AddressHasher> groups;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    groups[requests[i].publisher].push_back(i);
-  }
-  std::vector<size_t> singles;
-  for (const auto& [publisher, idx] : groups) {
-    if (publisher.IsZero() || idx.size() < kMinGroup) {
-      singles.insert(singles.end(), idx.begin(), idx.end());
-    } else {
-      VerifyPublisherGroup(requests, idx, valid);
-    }
-  }
-  // Signature checks are embarrassingly parallel and run on all cores
-  // (paper §5).
-  pool_.ParallelFor(singles.size(), [&](size_t k) {
-    (*valid)[singles[k]] = requests[singles[k]].VerifySignature() ? 1 : 0;
-  });
+  const size_t n = requests.size();
+  std::vector<Address> publishers(n);
+  std::vector<Hash256> hashes(n);
+  std::vector<EcdsaSignature> sigs(n);
+  auto gather = [&](size_t i) {
+    publishers[i] = requests[i].publisher;
+    hashes[i] = requests[i].SignedHash();
+    sigs[i] = requests[i].signature;
+  };
+  // Hashing and signature checks are embarrassingly parallel and run on
+  // all cores (paper §5).
+  pool_.ParallelFor(n, gather);
+  CountKeyCacheWork(keys_.Verify(publishers.data(), hashes.data(),
+                                 sigs.data(), n, valid->data(), &pool_));
 }
 
-void OffchainNode::VerifyPublisherGroup(
-    const std::vector<AppendRequest>& requests,
-    const std::vector<size_t>& idx, std::vector<uint8_t>* valid) {
-  using secp256k1::AffinePoint;
-  const Address& publisher = requests[idx[0]].publisher;
-  const size_t m = idx.size();
-  std::vector<Hash256> hashes(m);
-  std::vector<EcdsaSignature> sigs(m);
-  pool_.ParallelFor(m, [&](size_t k) {
-    hashes[k] = requests[idx[k]].SignedHash();
-    sigs[k] = requests[idx[k]].signature;
-  });
-
-  // The key comes from the first entry that recovers to the claimed
-  // address; every entry tried gets recovery's own verdict. The first
-  // try is alone, so a clean group pays one recovery; after a miss the
-  // tries go in pool-wide waves, so forged entries cost no more latency
-  // than per-entry recovery.
-  // The identity stands for "no key" here and in `recovered`.
-  AffinePoint key;
-  size_t next = 0;
-  for (size_t wave = 1; next < m && key.infinity; wave = pool_.num_threads()) {
-    const size_t end = std::min(m, next + wave);
-    std::vector<AffinePoint> recovered(end - next);
-    pool_.ParallelFor(end - next, [&](size_t k) {
-      Result<AffinePoint> q = EcdsaRecover(hashes[next + k], sigs[next + k]);
-      if (q.ok() && AddressFromPublicKey(*q) == publisher) recovered[k] = *q;
-      (*valid)[idx[next + k]] = recovered[k].infinity ? 0 : 1;
-    });
-    for (size_t k = 0; k < recovered.size() && key.infinity; ++k) {
-      key = recovered[k];
-    }
-    next = end;
+void OffchainNode::CountKeyCacheWork(const SignerKeyCache::Outcome& outcome) {
+  if (outcome.table_checks > 0) {
+    key_table_checks_counter_->Add(outcome.table_checks);
   }
-  if (key.infinity || next == m) return;
-
-  // The rest: chunks against a table built for this call and freed
-  // with it.
-  const secp256k1::FixedPointTable table(key);
-  const size_t rest = m - next;
-  std::vector<uint8_t> ok(rest);
-  pool_.ParallelFor((rest + kTableChunk - 1) / kTableChunk, [&](size_t c) {
-    const size_t lo = c * kTableChunk;
-    VerifyRecoverableMany(table, &hashes[next + lo], &sigs[next + lo],
-                          std::min(kTableChunk, rest - lo), &ok[lo]);
-  });
-  for (size_t k = 0; k < rest; ++k) (*valid)[idx[next + k]] = ok[k];
-  key_table_checks_counter_->Add(rest);
+  if (outcome.table_builds > 0) {
+    key_table_builds_counter_->Add(outcome.table_builds);
+  }
+  if (outcome.tables_added != 0) key_tables_gauge_->Add(outcome.tables_added);
+  if (outcome.table_bytes_added != 0) {
+    key_table_bytes_gauge_->Add(outcome.table_bytes_added);
+  }
 }
 
 Status OffchainNode::SubmitAppend(AppendRequest request) {
-  if (config_.verify_client_signatures && !request.VerifySignature()) {
-    invalid_sig_counter_->Add(1);
-    return Status::Verification("invalid client signature");
+  if (config_.verify_client_signatures) {
+    const Hash256 hash = request.SignedHash();
+    uint8_t ok = 0;
+    CountKeyCacheWork(
+        keys_.Verify(&request.publisher, &hash, &request.signature, 1, &ok));
+    if (!ok) {
+      invalid_sig_counter_->Add(1);
+      return Status::Verification("invalid client signature");
+    }
   }
   std::vector<AppendRequest> to_seal;
   {
@@ -723,6 +686,7 @@ OffchainNodeStats OffchainNode::stats() const {
   s.batches_created = batches_counter_->Value();
   s.invalid_signatures_rejected = invalid_sig_counter_->Value();
   s.key_table_checks = key_table_checks_counter_->Value();
+  s.key_table_builds = key_table_builds_counter_->Value();
   s.reads_served = reads_counter_->Value();
   s.stage2_txs_submitted = submitter_.stats().txs_submitted;
   s.tree_cache_hits = tree_cache_hits_counter_->Value();

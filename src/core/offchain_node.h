@@ -12,6 +12,7 @@
 #include "core/batch_read.h"
 #include "core/data_model.h"
 #include "core/stage2_submitter.h"
+#include "crypto/signer_key_cache.h"
 
 namespace wedge {
 
@@ -77,9 +78,11 @@ struct OffchainNodeStats {
   uint64_t entries_ingested = 0;
   uint64_t batches_created = 0;
   uint64_t invalid_signatures_rejected = 0;
-  /// Entries whose signature was checked against a per-call key table
+  /// Entries whose signature was checked on a publisher's key table
   /// instead of being recovered (see OffchainNode::Append).
   uint64_t key_table_checks = 0;
+  /// Publisher key tables built.
+  uint64_t key_table_builds = 0;
   uint64_t stage2_txs_submitted = 0;
   uint64_t reads_served = 0;
   uint64_t tree_cache_hits = 0;
@@ -118,9 +121,9 @@ class OffchainNode {
   /// groups them into batches of config.batch_size, builds one log
   /// position per batch and returns a signed stage-1 response per valid
   /// request (in input order; invalid-signature requests are dropped and
-  /// counted in stats). A publisher with many requests in the call has
-  /// its key recovered once and the rest checked against a key table,
-  /// with the same verdicts as recovering each.
+  /// counted in stats). The node keeps its publishers' keys: once 16 of
+  /// a publisher's entries have been checked, the rest are checked on
+  /// its key table instead of recovered, with the same verdicts.
   Result<std::vector<Stage1Response>> Append(
       const std::vector<AppendRequest>& requests);
   /// Move overload for the hot path: valid requests are moved into the
@@ -217,16 +220,12 @@ class OffchainNode {
   void set_byzantine_mode(ByzantineMode mode);
 
  private:
-  /// valid[i] = 1 iff requests[i].VerifySignature(). Groups of at least
-  /// kMinGroup requests by one publisher recover the key from their
-  /// first entry that recovers to the claimed address and check the rest
-  /// against a FixedPointTable built for this call.
+  /// valid[i] = 1 iff requests[i].VerifySignature(), checked on keys_.
   void VerifyClientSignatures(const std::vector<AppendRequest>& requests,
                               std::vector<uint8_t>* valid);
-  /// The table path for one publisher's requests, `idx` ascending.
-  void VerifyPublisherGroup(const std::vector<AppendRequest>& requests,
-                            const std::vector<size_t>& idx,
-                            std::vector<uint8_t>* valid);
+  /// Adds one keys_.Verify call's work to the node's counters and
+  /// gauges.
+  void CountKeyCacheWork(const SignerKeyCache::Outcome& outcome);
 
   /// Seals `batch` into a log position and produces signed responses.
   Result<std::vector<Stage1Response>> SealBatch(
@@ -289,6 +288,7 @@ class OffchainNode {
   Counter* batches_counter_ = nullptr;
   Counter* invalid_sig_counter_ = nullptr;
   Counter* key_table_checks_counter_ = nullptr;
+  Counter* key_table_builds_counter_ = nullptr;
   Counter* reads_counter_ = nullptr;
   Counter* tree_cache_hits_counter_ = nullptr;
   Counter* tree_cache_misses_counter_ = nullptr;
@@ -296,11 +296,17 @@ class OffchainNode {
   /// tree_cache_bytes_, under mu_, so the destructor can take this node's
   /// share back out).
   Gauge* tree_cache_bytes_gauge_ = nullptr;
+  /// Publisher key tables held by keys_, and their bytes (the destructor
+  /// takes this node's share back out).
+  Gauge* key_tables_gauge_ = nullptr;
+  Gauge* key_table_bytes_gauge_ = nullptr;
   Histogram* append_hist_ = nullptr;
   Histogram* seal_hist_ = nullptr;
   Histogram* read_hist_ = nullptr;
   Histogram* sign_hist_ = nullptr;
   Stage2Submitter submitter_;
+  /// Publisher keys and key tables, for ingest signature checks.
+  SignerKeyCache keys_;
 
   mutable std::mutex mu_;
   std::vector<AppendRequest> staging_;

@@ -138,6 +138,11 @@ class FixedPointTable {
   void DoubleScalarMulBaseMany(const U256* u1s, const U256* u2s, size_t n,
                                AffinePoint* out) const;
 
+  /// Bytes the table occupies, its multiples included.
+  size_t MemoryBytes() const {
+    return sizeof(*this) + multiples_.capacity() * sizeof(TablePoint);
+  }
+
  private:
   AffinePoint q_;
   /// multiples_[j * 32 + d - 1] = d * 2^(6j) * q_; empty under the

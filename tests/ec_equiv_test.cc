@@ -14,6 +14,7 @@
 #include "crypto/ec_backend.h"
 #include "crypto/ecdsa.h"
 #include "crypto/secp256k1.h"
+#include "crypto/signer_key_cache.h"
 
 namespace wedge {
 namespace secp256k1 {
@@ -472,6 +473,139 @@ TEST(EcEquivTest, VerifyRecoverableManyNamesRPlusN) {
     EXPECT_EQ(VerifyItems(w.key, wrapping), std::vector<uint8_t>{0})
         << "seed " << seed;
   }
+}
+
+// --- SignerKeyCache ---
+// Its verdicts must be exactly RecoverSigner(h, sig) == signer before a
+// signer's key is cached, at the check that admits it or builds its
+// table, and on the table after.
+
+/// Feeds `items` to `cache` as signatures claiming `signer`, `size` at a
+/// time, and checks every verdict against recovery's. Returns the table
+/// checks made.
+size_t FeedAndCheck(SignerKeyCache* cache, const Address& signer,
+                    const std::vector<Item>& items, size_t size) {
+  size_t table_checks = 0;
+  for (size_t lo = 0; lo < items.size(); lo += size) {
+    const size_t n = std::min(size, items.size() - lo);
+    std::vector<Address> signers(n, signer);
+    std::vector<Hash256> hashes;
+    std::vector<EcdsaSignature> sigs;
+    for (size_t k = 0; k < n; ++k) {
+      hashes.push_back(items[lo + k].hash);
+      sigs.push_back(items[lo + k].sig);
+    }
+    std::vector<uint8_t> ok(n, 0xEE);
+    table_checks += cache->Verify(signers.data(), hashes.data(), sigs.data(),
+                                  n, ok.data())
+                        .table_checks;
+    for (size_t k = 0; k < n; ++k) {
+      const Item& it = items[lo + k];
+      EXPECT_EQ(ok[k], RecoverSigner(it.hash, it.sig) == signer ? 1 : 0)
+          << "item " << lo + k << " case " << static_cast<int>(it.kind);
+    }
+  }
+  return table_checks;
+}
+
+std::vector<Item> SignedItems(const KeyPair& kp, size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Item> items(count);
+  for (Item& it : items) {
+    it.kind = SigCase::kValid;
+    for (auto& b : it.hash) b = static_cast<uint8_t>(rng.Next());
+    it.sig = EcdsaSign(kp.private_key(), it.hash);
+  }
+  return items;
+}
+
+TEST(EcEquivTest, SignerKeyCacheEqualsRecoveryPredicate) {
+  for (uint64_t k = 0; k < 3; ++k) {
+    KeyPair kp = KeyPair::FromSeed(700 + k);
+    const std::vector<Item> items =
+        KeyCorpus(kp, KeyPair::FromSeed(800 + k), 0xCAC4E + k);
+    // One at a time, as a client checks responses: item 0 is valid and
+    // admits the key, the 16th check builds the table, and the other
+    // 242 of the 258 run on it.
+    SignerKeyCache singles;
+    EXPECT_EQ(FeedAndCheck(&singles, kp.address(), items, 1),
+              items.size() - 15)
+        << "key " << k;
+    SignerKeyCache::Stats s = singles.stats();
+    EXPECT_EQ(s.signers, 1u);
+    EXPECT_EQ(s.tables, 1u);
+    EXPECT_EQ(s.table_builds, 1u);
+    // Eight at a time, as read_mix's appender sends them: the first call
+    // recovers all eight, the second builds the table and runs on it.
+    SignerKeyCache eights;
+    EXPECT_EQ(FeedAndCheck(&eights, kp.address(), items, 8),
+              items.size() - 8)
+        << "key " << k;
+    EXPECT_EQ(eights.stats().table_builds, 1u);
+  }
+}
+
+TEST(EcEquivTest, SignerKeyCacheAdmitsOnlyTheClaimedSignersKey) {
+  KeyPair a = KeyPair::FromSeed(901);
+  KeyPair b = KeyPair::FromSeed(902);
+  // Signatures by B that claim A: every one fails, in one large call
+  // and singly, and a call whose entries all fail caches nothing.
+  const std::vector<Item> by_b = SignedItems(b, 40, 1);
+  SignerKeyCache cache;
+  EXPECT_EQ(FeedAndCheck(&cache, a.address(), by_b, 40), 0u);
+  EXPECT_EQ(FeedAndCheck(&cache, a.address(), by_b, 1), 0u);
+  EXPECT_EQ(cache.stats().signers, 0u);
+  EXPECT_EQ(cache.stats().table_builds, 0u);
+
+  // A call that leads with B's signatures takes A's key from A's first
+  // one, and B's still fail on A's table.
+  std::vector<Item> mixed(by_b.begin(), by_b.begin() + 5);
+  for (const Item& it : SignedItems(a, 20, 2)) mixed.push_back(it);
+  EXPECT_GT(FeedAndCheck(&cache, a.address(), mixed, mixed.size()), 0u);
+  EXPECT_EQ(cache.stats().tables, 1u);
+  EXPECT_EQ(FeedAndCheck(&cache, a.address(), by_b, 8), by_b.size());
+  // A's later verdicts, forgeries included, are still recovery's.
+  const std::vector<Item> corpus =
+      KeyCorpus(a, b, /*seed=*/0xA11CE);
+  EXPECT_EQ(FeedAndCheck(&cache, a.address(), corpus, 16), corpus.size());
+  // B was never a claimed signer, so B's key was never cached.
+  EXPECT_EQ(cache.stats().signers, 1u);
+  EXPECT_EQ(cache.stats().table_builds, 1u);
+}
+
+TEST(EcEquivTest, SignerKeyCacheEvictsLeastRecentlyUsed) {
+  constexpr size_t kCap = SignerKeyCache::kCapacity;
+  constexpr size_t kExtra = 3;
+  SignerKeyCache cache;
+  // Signer 0 gets a table; kCap + kExtra - 1 more signers then enter
+  // with one valid signature each, which builds no table, and push the
+  // least recently used out, signer 0 first.
+  const KeyPair first = KeyPair::FromSeed(950);
+  FeedAndCheck(&cache, first.address(), SignedItems(first, 16, 0), 16);
+  EXPECT_EQ(cache.stats().tables, 1u);
+  for (size_t i = 1; i < kCap + kExtra; ++i) {
+    const KeyPair kp = KeyPair::FromSeed(950 + i);
+    FeedAndCheck(&cache, kp.address(), SignedItems(kp, 1, i), 1);
+    ASSERT_LE(cache.stats().signers, kCap) << "signer " << i;
+  }
+  SignerKeyCache::Stats s = cache.stats();
+  EXPECT_EQ(s.signers, kCap);
+  EXPECT_EQ(s.tables, 0u);
+  EXPECT_EQ(s.table_bytes, 0);
+  EXPECT_EQ(s.table_builds, 1u);
+
+  // Signer 0 starts over by recovery, and its 16th check runs on a
+  // rebuilt table, forgeries included.
+  const std::vector<Item> corpus =
+      KeyCorpus(first, KeyPair::FromSeed(949), /*seed=*/0xE71C7);
+  const std::vector<Item> head(corpus.begin(), corpus.begin() + 15);
+  EXPECT_EQ(FeedAndCheck(&cache, first.address(), head, 1), 0u);
+  const std::vector<Item> rest(corpus.begin() + 15, corpus.end());
+  EXPECT_EQ(FeedAndCheck(&cache, first.address(), rest, 1), rest.size());
+  s = cache.stats();
+  EXPECT_EQ(s.table_builds, 2u);
+  EXPECT_EQ(s.tables, 1u);
+  EXPECT_EQ(s.signers, kCap);
 }
 
 TEST(EcEquivTest, RecoverConsistentAcrossBackends) {

@@ -168,8 +168,12 @@ TEST(IntegrationTest, ConcurrentReadsWhileAppending) {
       }
     }
   });
-  // Appends continue while the reader hammers the node.
-  for (int round = 0; round < 3; ++round) {
+  // Appends continue while the reader hammers the node: three rounds,
+  // and more until the reader has had a read verified, since three
+  // rounds can end before the reader thread first runs. The bound keeps
+  // a reader that never verifies a read failing.
+  for (int round = 0; round < 3 || (reads_ok.load() == 0 && round < 1000);
+       ++round) {
     std::vector<std::pair<Bytes, Bytes>> more;
     for (int i = 0; i < 10; ++i) {
       more.emplace_back(ToBytes("r" + std::to_string(round)), ToBytes("x"));

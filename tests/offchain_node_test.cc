@@ -8,9 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <thread>
 
 #include "common/random.h"
 #include "core/client.h"
+#include "crypto/signer_key_cache.h"
 #include "shard/sharded_engine.h"
 #include "storage/segstore/segment_store.h"
 
@@ -723,6 +725,214 @@ TEST_F(IngestVerifyTest, ZeroAddressPublisherNeverPasses) {
     mixed.push_back(std::move(r));
   }
   EXPECT_EQ(AppendAndCheck(mixed), 15u);
+}
+
+TEST_F(IngestVerifyTest, SecondLargeCallRunsEntirelyOnTheTable) {
+  KeyPair key = KeyPair::FromSeed(11);
+  EXPECT_EQ(AppendAndCheck(SignedRequests(key, 256, 0)), 255u);
+  // The publisher's table outlives the call: no recovery at all.
+  EXPECT_EQ(AppendAndCheck(SignedRequests(key, 256, 1000)), 256u);
+  EXPECT_EQ(node().stats().key_table_builds, 1u);
+}
+
+TEST_F(IngestVerifyTest, SmallCallsReachThePublishersTable) {
+  // read_mix's appender sends 8 entries a call. The first call recovers
+  // all eight; the second brings the publisher to 16 checks, builds its
+  // table and runs on it, with every forgery kind mixed in.
+  KeyPair key = KeyPair::FromSeed(12);
+  EXPECT_EQ(AppendAndCheck(SignedRequests(key, 8, 0)), 0u);
+  std::vector<AppendRequest> second = SignedRequests(key, 8, 100);
+  const Forgery kinds[] = {Forgery::kTamperedValue, Forgery::kParityFlipped,
+                           Forgery::kOtherKey, Forgery::kSZero,
+                           Forgery::kMalleated};
+  for (size_t j = 0; j < std::size(kinds); ++j) Forge(&second[j + 1], kinds[j]);
+  EXPECT_EQ(AppendAndCheck(second), 8u);
+  EXPECT_EQ(AppendAndCheck(SignedRequests(key, 8, 200)), 8u);
+  EXPECT_EQ(node().stats().key_table_builds, 1u);
+}
+
+TEST_F(IngestVerifyTest, KeyTablesStayBoundedAcrossPublishers) {
+  MetricsRegistry& m = node().telemetry().metrics;
+  Gauge* tables = m.GetGauge("wedge.node.key_tables");
+  Gauge* bytes = m.GetGauge("wedge.node.key_table_bytes");
+  // 300 publishers of 16 entries, 30 to a call: each gets a table, and
+  // the node keeps the most recent 256.
+  int64_t table_bytes = 0;
+  for (uint64_t call = 0; call < 10; ++call) {
+    std::vector<AppendRequest> requests;
+    for (uint64_t p = 0; p < 30; ++p) {
+      KeyPair key = KeyPair::FromSeed(5000 + call * 30 + p);
+      for (AppendRequest& r : SignedRequests(key, 16, 0)) {
+        requests.push_back(std::move(r));
+      }
+    }
+    EXPECT_EQ(AppendAndCheck(requests), 30u * 15);
+    if (call == 0) table_bytes = bytes->Value() / tables->Value();
+    EXPECT_LE(tables->Value(), 256);
+    EXPECT_EQ(bytes->Value(), tables->Value() * table_bytes);
+  }
+  EXPECT_EQ(tables->Value(), 256);
+  EXPECT_EQ(node().stats().key_table_builds, 300u);
+}
+
+TEST(KeyTableGaugeTest, NodeTakesItsTablesOutOfTheGauges) {
+  Telemetry telemetry;
+  Gauge* tables = telemetry.metrics.GetGauge("wedge.node.key_tables");
+  Gauge* bytes = telemetry.metrics.GetGauge("wedge.node.key_table_bytes");
+  tables->Add(5);  // Other nodes' share of a shared registry.
+  bytes->Add(1000);
+  OffchainNodeConfig config;
+  config.batch_size = 16;
+  config.worker_threads = 1;
+  config.auto_stage2 = false;
+  auto node = std::make_unique<OffchainNode>(
+      config, KeyPair::FromSeed(0xED6E), std::make_unique<MemoryLogStore>(),
+      nullptr, Address{}, &telemetry);
+  ASSERT_TRUE(node->Append(SignedRequests(KeyPair::FromSeed(9), 16, 0)).ok());
+  EXPECT_EQ(tables->Value(), 6);
+  EXPECT_GT(bytes->Value(), 1000);
+  EXPECT_EQ(node->stats().key_table_builds, 1u);
+  node.reset();
+  EXPECT_EQ(tables->Value(), 5);
+  EXPECT_EQ(bytes->Value(), 1000);
+}
+
+// --- Response checks on the engine's key table (SignedBy) ---
+// Each test pins an engine key no other test uses, so the process-wide
+// cache sees it fresh.
+
+TEST(SignedByTest, ChecksOnAnEngineTableStillRefuseTampering) {
+  ShardedDeploymentConfig config = ClassicConfig();
+  config.engine_key_seed = 0x51B7ED;
+  config.engine.node.batch_size = 32;
+  auto d = ShardedDeployment::Create(config);
+  ASSERT_TRUE(d.ok());
+  OffchainNode& node = Node(**d);
+  const Address engine = node.address();
+  PublisherClient pub = (*d)->MakePublisher(0);
+  auto appended = node.Append(pub.MakeRequests(Workload(32)));
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+
+  // The 16th check builds the engine's table; the rest run on it.
+  const SignerKeyCache::Stats before = SignedByStats();
+  for (const Stage1Response& r : *appended) EXPECT_TRUE(r.Verify(engine));
+  EXPECT_GE(SignedByStats().table_checks - before.table_checks, 16u);
+  EXPECT_GE(SignedByStats().tables, 1u);
+
+  const KeyPair other = KeyPair::FromSeed(0x07E5);
+  auto flip_byte = [](const EcdsaSignature& sig) {
+    Bytes raw = sig.Serialize();
+    raw[40] ^= 0x01;  // A byte of s.
+    return EcdsaSignature::Deserialize(raw).value();
+  };
+  const Stage1Response& good = (*appended)[3];
+  Stage1Response flipped = good;
+  flipped.offchain_signature = flip_byte(good.offchain_signature);
+  EXPECT_FALSE(flipped.Verify(engine));
+  Stage1Response foreign = good;
+  foreign.offchain_signature =
+      EcdsaSign(other.private_key(), good.SignedHash());
+  EXPECT_FALSE(foreign.Verify(engine));
+  Stage1Response entry = good;
+  Bytes tampered = good.entry.get();
+  tampered.back() ^= 0x01;
+  entry.entry = tampered;
+  EXPECT_FALSE(entry.Verify(engine));
+  Stage1Response path = good;
+  ASSERT_FALSE(path.proof.merkle_proof.path.empty());
+  path.proof.merkle_proof.path[0].sibling[0] ^= 0x01;
+  EXPECT_FALSE(path.Verify(engine));
+  EXPECT_TRUE(good.Verify(engine));
+
+  // Batch reads run on the same table.
+  Result<BatchReadResponse> batch = node.ReadBatch(0, {0, 5, 9});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const uint64_t table_checks = SignedByStats().table_checks;
+  EXPECT_TRUE(batch->Verify(engine));
+  EXPECT_EQ(SignedByStats().table_checks, table_checks + 1);
+  BatchReadResponse bflipped = *batch;
+  bflipped.offchain_signature = flip_byte(batch->offchain_signature);
+  EXPECT_FALSE(bflipped.Verify(engine));
+  BatchReadResponse bforeign = *batch;
+  bforeign.offchain_signature =
+      EcdsaSign(other.private_key(), batch->SignedHash());
+  EXPECT_FALSE(bforeign.Verify(engine));
+  BatchReadResponse bentry = *batch;
+  bentry.entries[1].second.back() ^= 0x01;
+  EXPECT_FALSE(bentry.Verify(engine));
+  BatchReadResponse bpath = *batch;
+  ASSERT_FALSE(bpath.proof.siblings.empty());
+  bpath.proof.siblings[0][0] ^= 0x01;
+  EXPECT_FALSE(bpath.Verify(engine));
+}
+
+TEST(KeyCacheConcurrencyTest, AppendersAndVerifiersCrossAdmissionTogether) {
+  // Appenders send one publisher's 4-entry calls across its admission
+  // (its table comes at 16 checks) while verifiers check one fresh
+  // engine's responses as its table is built. Every verdict must be
+  // recovery's.
+  ShardedDeploymentConfig config = ClassicConfig();
+  config.engine_key_seed = 0xC0C0A;
+  config.engine.node.batch_size = 16;
+  config.engine.node.worker_threads = 2;
+  config.engine.node.verify_client_signatures = true;
+  auto d = ShardedDeployment::Create(config);
+  ASSERT_TRUE(d.ok());
+  OffchainNode& node = Node(**d);
+  const Address engine = node.address();
+  // Responses to check, made before any check of the engine key. This
+  // 24-entry call admits 0xBEEF and builds its table, so the appenders'
+  // work is what the stats gain from here on.
+  auto responses =
+      node.Append(SignedRequests(KeyPair::FromSeed(0xBEEF), 24, 0));
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  const OffchainNodeStats before = node.stats();
+
+  const KeyPair publisher = KeyPair::FromSeed(0xFEED);
+  const Forgery kinds[] = {Forgery::kTamperedValue, Forgery::kParityFlipped,
+                           Forgery::kOtherKey, Forgery::kSZero,
+                           Forgery::kMalleated};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t call = 0; call < 6; ++call) {
+        std::vector<AppendRequest> requests =
+            SignedRequests(publisher, 4, (t * 6 + call) * 4);
+        Forge(&requests[call % 4], kinds[(t + call) % std::size(kinds)]);
+        std::vector<uint64_t> expected;
+        for (const AppendRequest& r : requests) {
+          if (r.VerifySignature()) expected.push_back(r.sequence);
+        }
+        auto got = node.Append(requests);
+        std::vector<uint64_t> accepted;
+        if (got.ok()) {
+          for (const Stage1Response& r : *got) {
+            accepted.push_back(AppendRequest::Deserialize(r.entry)->sequence);
+          }
+        }
+        if (accepted != expected) ++wrong;
+      }
+    });
+  }
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      for (const Stage1Response& r : *responses) {
+        Stage1Response bad = r;
+        bad.offchain_signature.recovery_id ^= 1;
+        if (!r.Verify(engine) || bad.Verify(engine)) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  // 0xFEED's table is built at least once and, since each appender
+  // builds at most once before a table is kept, at most once per
+  // appender; its later calls run on it.
+  const OffchainNodeStats after = node.stats();
+  EXPECT_GE(after.key_table_builds - before.key_table_builds, 1u);
+  EXPECT_LE(after.key_table_builds - before.key_table_builds, 4u);
+  EXPECT_GT(after.key_table_checks, before.key_table_checks);
 }
 
 // ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
 # runs the sealing hot path (SHA-256 singles + batch, Merkle build,
 # ECDSA sign/verify/recover singles + batch, full-batch seal) plus the
 # RPC session handshake and its scalar multiplications, and a sealed
-# single-entry segment-store read (BM_SegmentGetEntry, ungated) and the
+# single-entry segment-store read (BM_SegmentGetEntry, ungated), the
 # secp256k1 field and scalar kernels (BM_FpMul, BM_FpSqr, BM_FpInv,
-# BM_FpSqrt, BM_FnMul, BM_FnInv; ungated), with the
+# BM_FpSqrt, BM_FnMul, BM_FnInv; ungated) and the cached-key checks
+# (BM_SignedByCached, BM_SignedByOneOff, and BM_RecoverSignerMany/8 and
+# BM_VerifyRecoverableMany/8 at read_mix's append size; ungated), with the
 # dispatched backends AND with every acceleration forced off
 # (WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1), and writes
 # BENCH_hotpath.json at the repo root with before/after rows against the
@@ -42,7 +44,7 @@ echo "==> [perf] building microbench + shard_scaling + obs_overhead + storage_sw
 cmake --build "$build_dir" -j "$(nproc)" \
   --target microbench shard_scaling obs_overhead storage_sweep >/dev/null
 
-filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_RecoverSignerMany/256|BM_VerifyRecoverableMany/256|BM_FixedPointTableBuild|BM_ScalarMulBase$|BM_ScalarMul$|BM_SessionHandshake|BM_SegmentGetEntry|BM_FpMul$|BM_FpSqr$|BM_FpInv$|BM_FpSqrt$|BM_FnMul$|BM_FnInv$'
+filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaSignMany/2000|BM_RecoverSignerMany/256|BM_VerifyRecoverableMany/256|BM_RecoverSignerMany/8$|BM_VerifyRecoverableMany/8$|BM_SignedByCached|BM_SignedByOneOff|BM_FixedPointTableBuild|BM_ScalarMulBase$|BM_ScalarMul$|BM_SessionHandshake|BM_SegmentGetEntry|BM_FpMul$|BM_FpSqr$|BM_FpInv$|BM_FpSqrt$|BM_FnMul$|BM_FnInv$'
 tmp_dispatched="$(mktemp)"
 tmp_scalar="$(mktemp)"
 trap 'rm -f "$tmp_dispatched" "$tmp_scalar"' EXIT
